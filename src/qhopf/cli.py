@@ -109,8 +109,13 @@ def _common(q):
     q.add_argument("--jobs", type=int, default=1)
 
 
+def _elapsed_ms(t0):
+    """Milliseconds since t0, a time.perf_counter() reading."""
+    return int((time.perf_counter() - t0) * 1000)
+
+
 def emit_report(args, d, level, rep, t0):
-    elapsed = int((time.time() - t0) * 1000)
+    elapsed = _elapsed_ms(t0)
     if getattr(args, "format", "text") == "json":
         doc = {"datum": d.content_hash(), "level": level,
                "checks": rep.to_dict(), "elapsed_ms": elapsed}
@@ -123,7 +128,7 @@ def emit_report(args, d, level, rep, t0):
 
 
 def cmd_verify(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = load_path(args.file)
     level = args.level or default_level(d)
     rep = verify(d, level=level,
@@ -171,14 +176,14 @@ def cmd_twist(args):
 
 
 def cmd_ribbon(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = load_path(args.file)
     if args.action == "find":
         res = find_ribbon(d, args.budget, method=args.method)
         doc = {"datum": d.content_hash(), "region": res.region,
                "candidates": [{"v": c.v.to_json(), "provenance": c.provenance}
                               for c in res.candidates],
-               "elapsed_ms": int((time.time() - t0) * 1000)}
+               "elapsed_ms": _elapsed_ms(t0)}
         print(json.dumps(doc, sort_keys=True, indent=1))
         return 0
     if d.v is None:
@@ -234,7 +239,7 @@ def cmd_example(args):
 
 
 def cmd_check(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = load_path(args.file)
     if args.what == "expr":
         if not args.expr:
@@ -247,7 +252,7 @@ def cmd_check(args):
             if getattr(args, "format", "text") == "json":
                 doc = {"datum": d.content_hash(), "expr": args.expr,
                        "status": status, "witness": witness,
-                       "elapsed_ms": int((time.time() - t0) * 1000)}
+                       "elapsed_ms": _elapsed_ms(t0)}
                 print(json.dumps(doc, sort_keys=True, indent=1))
             else:
                 print("%s  %s" % (status.upper(), args.expr))

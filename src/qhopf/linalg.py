@@ -8,6 +8,10 @@ Three code paths, all exact:
     and small prime systems),
   * a dense numpy int64 elimination mod p for big dense prime systems
     (products fit in 64 bits because p < 2^31).
+
+tensor.invert sends one system per block signature, so on an algebra with
+several blocks the systems are small: the 27-unknown systems of an arity-3
+inversion over D^w(Z3) go to the sparse path, not to numpy.
 """
 
 import numpy as np

@@ -36,9 +36,6 @@ class CheckReport:
     def add_fail(self, name, witness=None):
         self.add(name, FAIL, witness)
 
-    def add_skipped(self, name, witness=None):
-        self.add(name, SKIPPED, witness)
-
     def extend(self, other):
         self.checks.extend(other.checks)
         return self

@@ -10,7 +10,7 @@ from itertools import product as iproduct
 from . import linalg
 from .drinfeld import drinfeld_u
 from .errors import (BudgetExceeded, InternalInconsistency, NotInvertible,
-                     ShapeMismatch)
+                     ShapeError, ShapeMismatch)
 from .report import CheckReport, witness_from
 from .tensor import (SparseTensor, apply_legs, concat, eq_witness, flip,
                      invert, mul_all, mult)
@@ -255,6 +255,7 @@ def find_ribbon(d, budget, method="auto"):
     if method == "blocks" and not blocks:
         raise BudgetExceeded("no block decomposition available", required=None)
     if blocks:
+        _check_blocks(d, blocks)
         roots, region = _block_roots(d, c, blocks, budget)
     else:
         roots, region = _enumerate_center_roots(d, c, budget)
@@ -269,6 +270,30 @@ def find_ribbon(d, budget, method="auto"):
             out.append(RibbonCandidate(v=v, provenance="solver"))
     out.sort(key=lambda cand: tuple(cand.v.sorted_items()))
     return RibbonSearch(candidates=out, region=region)
+
+
+def _check_blocks(d, blocks):
+    """Raise ShapeError unless the metadata blocks partition the basis into
+    unions of the algebra's own blocks.  Only then do elements of different
+    metadata blocks multiply to zero, which blockwise root finding needs to
+    find every root."""
+    bad = ShapeError("metadata blocks must partition the basis indices "
+                     "0..%d" % (d.dim - 1))
+    if not isinstance(blocks, list) or not all(isinstance(b, list)
+                                               for b in blocks):
+        raise bad
+    label = {}
+    for n, block in enumerate(blocks):
+        for i in block:
+            if type(i) is not int or not 0 <= i < d.dim or i in label:
+                raise bad
+            label[i] = n
+    if len(label) != d.dim:
+        raise bad
+    for members in d.algebra.blocks:
+        if len({label[i] for i in members}) > 1:
+            raise ShapeError("metadata blocks split the product block %r"
+                             % list(members))
 
 
 def _block_roots(d, c, blocks, budget):

@@ -5,6 +5,17 @@ A tensor of arity k over an algebra of dimension n is a map from k-tuples of
 basis indices to nonzero scalars.  Componentwise products use the algebra's
 structure constants; leg maps apply a linear map, the counit or the coproduct
 to individual tensor factors.
+
+Block partition.  Each Algebra splits its basis into blocks: the connected
+components of the graph that joins i, j and every output k of each nonzero
+product e_i e_j.  Two basis elements from different blocks multiply to zero,
+and a product of two elements of one block stays in that block, so the
+partition is exact for any structure constants, including ones that break an
+axiom.  A twisted double D^w(G) has one block per group element; a Hopf
+algebra such as H4 or K[G] has a single block.  A multi-index has a block
+signature, the block of each leg.  mult() pairs each entry of t1 only with
+the entries of t2 of the same signature, since every other pair is zero, and
+invert() solves one independent linear system per signature.
 """
 
 from itertools import product as iproduct
@@ -107,7 +118,8 @@ class Algebra:
     """Associative unital algebra: structure constants per basis pair, as a
     sparse list of (basis index, scalar)."""
 
-    __slots__ = ("field", "dim", "struct", "unit_coeffs", "_units", "mono")
+    __slots__ = ("field", "dim", "struct", "unit_coeffs", "_units", "mono",
+                 "block_of", "blocks")
 
     def __init__(self, field, dim, struct, unit_coeffs):
         self.field = field
@@ -122,6 +134,7 @@ class Algebra:
             self.mono = {ij: terms[0] for ij, terms in struct.items() if terms}
         else:
             self.mono = None
+        self.block_of, self.blocks = _block_partition(dim, struct)
 
     @property
     def unit(self):
@@ -173,8 +186,54 @@ class Algebra:
                         out[k] = v
         return out
 
-    def basis_product(self, i, j):
-        return self.struct.get((i, j), ())
+
+def _block_partition(dim, struct):
+    """(block_of, blocks): the block number of each basis index, and the
+    sorted indices of each block, numbered by their smallest index."""
+    parent = list(range(dim))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (i, j), terms in struct.items():
+        if not terms:
+            continue
+        r = root(i)
+        for x in (j,) + tuple(k for k, _ in terms):
+            rx = root(x)
+            if rx != r:
+                parent[rx] = r
+    members = {}
+    for i in range(dim):
+        members.setdefault(root(i), []).append(i)
+    blocks = tuple(tuple(m) for m in members.values())
+    block_of = [0] * dim
+    for b, m in enumerate(blocks):
+        for i in m:
+            block_of[i] = b
+    return tuple(block_of), blocks
+
+
+def _signature(key, block_of):
+    return tuple([block_of[i] for i in key])
+
+
+def _block_pairs(t1, t2, alg):
+    """Yield (key, scalar, partners) for each entry of t1, where partners are
+    the entries of t2 with the same block signature; every pair left out
+    multiplies to zero.  Entries keep their order, so accumulation runs in
+    the order of the full double loop."""
+    block_of = alg.block_of
+    buckets = {}
+    for k2, c2 in t2.entries.items():
+        buckets.setdefault(_signature(k2, block_of), []).append((k2, c2))
+    for k1, c1 in t1.entries.items():
+        partners = buckets.get(_signature(k1, block_of))
+        if partners:
+            yield k1, c1, partners
 
 
 def mult(t1, t2, alg):
@@ -192,8 +251,8 @@ def mult(t1, t2, alg):
     struct = alg.struct
     k = t1.arity
     acc = {}
-    for k1, c1 in t1.entries.items():
-        for k2, c2 in t2.entries.items():
+    for k1, c1, partners in _block_pairs(t1, t2, alg):
+        for k2, c2 in partners:
             lists = []
             dead = False
             for l in range(k):
@@ -224,8 +283,8 @@ def _mult_mono_prime(t1, t2, alg):
     rng = range(t1.arity)
     acc = {}
     get_term = mono.get
-    for k1, c1 in t1.entries.items():
-        for k2, c2 in t2.entries.items():
+    for k1, c1, partners in _block_pairs(t1, t2, alg):
+        for k2, c2 in partners:
             c = c1 * c2
             key = []
             push = key.append
@@ -248,8 +307,8 @@ def _mult_mono(t1, t2, alg):
     rng = range(t1.arity)
     acc = {}
     mul, add_, zero = f.mul, f.add, f.zero
-    for k1, c1 in t1.entries.items():
-        for k2, c2 in t2.entries.items():
+    for k1, c1, partners in _block_pairs(t1, t2, alg):
+        for k2, c2 in partners:
             c = mul(c1, c2)
             key = []
             for l in rng:
@@ -444,65 +503,68 @@ def sub(t1, t2):
 
 # ----- inversion ------------------------------------------------------------
 
-def _flatten(key, dim):
-    x = 0
-    for i in key:
-        x = x * dim + i
-    return x
-
-
 def invert(t, alg):
     """Two-sided inverse in the k-th tensor power, by solving the linear
     system of left multiplication against the unit; both product checks run
-    before returning."""
+    before returning.
+
+    Left multiplication keeps the block signature of a multi-index, so the
+    system splits into one independent system per signature.  Only the
+    signatures that the unit reaches are solved; the inverse is zero on the
+    others."""
     f = alg.field
     k = t.arity
-    dim = t.dim
     if t.is_zero():
         raise NotInvertible("the zero tensor has no inverse")
-    m = dim ** k
     struct = alg.struct
-    cols = {}
-    for jkey in iproduct(range(dim), repeat=k):
-        col = {}
-        jflat = _flatten(jkey, dim)
-        for key, c in t.entries.items():
-            lists = []
-            dead = False
-            for l in range(k):
-                terms = struct.get((key[l], jkey[l]))
-                if not terms:
-                    dead = True
-                    break
-                lists.append(terms)
-            if dead:
-                continue
-            for picks in iproduct(*lists):
-                cc = c
-                for _, cv in picks:
-                    cc = f.mul(cc, cv)
-                r = _flatten(tuple(p[0] for p in picks), dim)
-                v = f.add(col.get(r, f.zero), cc)
-                if f.is_zero(v):
-                    col.pop(r, None)
-                else:
-                    col[r] = v
-        if col:
-            cols[jflat] = col
-    rhs = {_flatten(key, dim): c for key, c in alg.unit_tensor(k).entries.items()}
-    x = linalg.solve_sparse(f, m, cols, rhs)
-    if x is None:
-        raise NotInvertible("left-multiplication system is singular")
-
-    def unflatten(r):
-        key = []
-        for _ in range(k):
-            key.append(r % dim)
-            r //= dim
-        return tuple(reversed(key))
-
-    inv = SparseTensor(f, k, dim, {unflatten(r): v for r, v in x.items()})
+    block_of, blocks = alg.block_of, alg.blocks
+    by_sig = {}
+    for key, c in t.entries.items():
+        by_sig.setdefault(_signature(key, block_of), []).append((key, c))
     unit = alg.unit_tensor(k)
+    rhs_by_sig = {}
+    for key, c in unit.entries.items():
+        rhs_by_sig.setdefault(_signature(key, block_of), []).append((key, c))
+    inv_entries = {}
+    for sig, rhs_items in rhs_by_sig.items():
+        # the multi-indices of this signature in lexicographic order, the
+        # order of the rows and columns of its system
+        unknowns = list(iproduct(*(blocks[b] for b in sig)))
+        index = {key: n for n, key in enumerate(unknowns)}
+        entries = by_sig.get(sig, ())
+        cols = {}
+        for jflat, jkey in enumerate(unknowns):
+            col = {}
+            for key, c in entries:
+                lists = []
+                dead = False
+                for l in range(k):
+                    terms = struct.get((key[l], jkey[l]))
+                    if not terms:
+                        dead = True
+                        break
+                    lists.append(terms)
+                if dead:
+                    continue
+                for picks in iproduct(*lists):
+                    cc = c
+                    for _, cv in picks:
+                        cc = f.mul(cc, cv)
+                    r = index[tuple(p[0] for p in picks)]
+                    v = f.add(col.get(r, f.zero), cc)
+                    if f.is_zero(v):
+                        col.pop(r, None)
+                    else:
+                        col[r] = v
+            if col:
+                cols[jflat] = col
+        rhs = {index[key]: c for key, c in rhs_items}
+        x = linalg.solve_sparse(f, len(unknowns), cols, rhs)
+        if x is None:
+            raise NotInvertible("left-multiplication system is singular")
+        for j, v in x.items():
+            inv_entries[unknowns[j]] = v
+    inv = SparseTensor(f, k, t.dim, inv_entries)
     if mult(t, inv, alg) != unit or mult(inv, t, alg) != unit:
         raise NotInvertible("candidate inverse failed the product check")
     return inv

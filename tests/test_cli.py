@@ -127,6 +127,20 @@ def test_ribbon_find(dz2_f5_file, capsys):
     assert "625" in doc["region"]
 
 
+@pytest.mark.parametrize("blocks", [[[0, 2], [1, 3]], [[0, 1], [2]],
+                                    [[0, 1], [1, 2, 3]], [[0, 1], [2, True]],
+                                    "0123"])
+def test_ribbon_find_rejects_wrong_blocks(dz2_f5_file, tmp_path, blocks, capsys):
+    with open(dz2_f5_file) as fh:
+        doc = json.load(fh)
+    assert doc["metadata"]["blocks"] == [[0, 1], [2, 3]]
+    doc["metadata"]["blocks"] = blocks
+    bad = tmp_path / "bad_blocks.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["ribbon", "find", str(bad)]) == 2
+    assert "metadata blocks" in capsys.readouterr().err
+
+
 def test_ribbon_check(dz2_f5_file, capsys):
     assert main(["ribbon", "check", dz2_f5_file]) == 0
 

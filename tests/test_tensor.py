@@ -1,7 +1,9 @@
+import functools
 from itertools import product as iproduct
 
 import pytest
 
+from qhopf import FiniteAbelianGroup, cocycle_for, dpr_double, sweedler
 from qhopf.errors import ArityMismatch, NotInvertible, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
@@ -268,3 +270,110 @@ def test_scale_add_sub():
     assert te.add(a, b).entries == {(0,): 3}  # 4 + 3 = 0 mod 7
     assert te.sub(a, a).is_zero()
     assert te.scale(a, 2).entries == {(0,): 6, (1,): 1}
+
+
+# ----- block-indexed kernels against the dense oracle -----------------------
+
+def _zero_one_coefficient(alg, ij, pos=0):
+    """Product mutant: one structure coefficient set to 0."""
+    struct = dict(alg.struct)
+    struct[ij] = struct[ij][:pos] + struct[ij][pos + 1:]
+    return Algebra(alg.field, alg.dim, struct, alg.unit_coeffs)
+
+
+def triangular_algebra(field=F7):
+    """Upper triangular 2x2 matrices, basis e11, e12, e22: one block."""
+    struct = {(0, 0): ((0, field.one),), (0, 1): ((1, field.one),),
+              (1, 2): ((1, field.one),), (2, 2): ((2, field.one),)}
+    return Algebra(field, 3, struct, {0: field.one, 2: field.one})
+
+
+BLOCK_ALGEBRAS = ("dw_z3_f7", "dw_z2_f3", "h4_q", "dw_z3_f7_mutant",
+                  "h4_q_mutant", "t2_f7_split_mutant")
+
+
+@functools.lru_cache(maxsize=None)
+def block_algebra(name):
+    if name.startswith("dw_z3_f7"):
+        z3 = FiniteAbelianGroup((3,))
+        alg = dpr_double(z3, cocycle_for(z3, 1, F7)).algebra
+        return _zero_one_coefficient(alg, (4, 5)) if "mutant" in name else alg
+    if name == "dw_z2_f3":
+        z2 = FiniteAbelianGroup((2,))
+        return dpr_double(z2, cocycle_for(z2, 1, PrimeField(3))).algebra
+    if name.startswith("h4_q"):
+        alg = sweedler().algebra
+        return _zero_one_coefficient(alg, (1, 2)) if "mutant" in name else alg
+    # no single zeroed coefficient splits a block of the three algebras
+    # above, so the triangular algebra supplies the mutant that does
+    tri = triangular_algebra()
+    split = _zero_one_coefficient(tri, (0, 1))
+    assert tri.blocks == ((0, 1, 2),) and split.blocks == ((0,), (1, 2))
+    return split
+
+
+def _random_scalar(rng, f):
+    return f.from_int(rng.below(5) + 1) if rng.below(2) else f.from_int(-1)
+
+
+def _random_pair(rng, alg, arity, n):
+    """Two random tensors, half of whose entries of t2 share a block
+    signature with an entry of t1, so both live and skipped pairs occur."""
+    f, dim, blocks = alg.field, alg.dim, alg.blocks
+
+    def same_block(i):
+        members = blocks[alg.block_of[i]]
+        return members[rng.below(len(members))]
+
+    def make(keys):
+        return SparseTensor.make(f, arity, dim,
+                                 {k: _random_scalar(rng, f) for k in keys})
+
+    keys1 = [tuple(rng.below(dim) for _ in range(arity)) for _ in range(n)]
+    keys2 = [tuple(rng.below(dim) for _ in range(arity)) if rng.below(2)
+             else tuple(same_block(i) for i in key) for key in keys1]
+    return make(keys1), make(keys2)
+
+
+@pytest.mark.parametrize("name", BLOCK_ALGEBRAS)
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_block_mult_matches_dense_oracle(name, arity):
+    alg = block_algebra(name)
+    d = FakeDatum(alg)
+    rng = SplitMix64(31 * arity + len(name))
+    n = 5 if alg.dim ** arity > 1000 else 12
+    for _ in range(4):
+        t1, t2 = _random_pair(rng, alg, arity, n)
+        assert dense_of(mult(t1, t2, alg)) == dense_mult(d, t1, t2)
+        assert dense_of(mult(t2, t1, alg)) == dense_mult(d, t2, t1)
+
+
+@pytest.mark.parametrize("name", BLOCK_ALGEBRAS)
+def test_block_invert_passes_oracle_product_checks(name):
+    alg = block_algebra(name)
+    d = FakeDatum(alg)
+    rng = SplitMix64(len(name))
+    inverted = 0
+    for arity in ((1, 2) if alg.dim ** 3 > 100 else (1, 2, 3)):
+        unit = alg.unit_tensor(arity)
+        for _ in range(4):
+            bump, _ = _random_pair(rng, alg, arity, 3)
+            t = te.add(unit, bump)
+            try:
+                ti = invert(t, alg)
+            except NotInvertible:
+                continue
+            inverted += 1
+            assert dense_mult(d, t, ti) == dense_of(unit)
+            assert dense_mult(d, ti, t) == dense_of(unit)
+    assert inverted > 0
+
+
+def test_block_partition_matches_dpr_metadata():
+    for factors, q, p in [((2,), 0, 5), ((2,), 1, 7), ((3,), 0, 7),
+                          ((3,), 1, 7), ((4,), 1, 13), ((2, 2), 1, 7)]:
+        g = FiniteAbelianGroup(factors)
+        d = dpr_double(g, cocycle_for(g, q, PrimeField(p)))
+        derived = {frozenset(b) for b in d.algebra.blocks}
+        assert derived == {frozenset(b) for b in d.metadata["blocks"]}
+        assert len(derived) == g.order
