@@ -106,7 +106,6 @@ def build_parser():
 
 def _common(q):
     q.add_argument("--format", choices=["text", "json"], default="text")
-    q.add_argument("--jobs", type=int, default=1)
 
 
 def _elapsed_ms(t0):
@@ -265,7 +264,7 @@ def cmd_check(args):
         print(json.dumps(value.to_json(), sort_keys=True, indent=1))
         return 0
     if args.what == "corpus":
-        rep = dsl.run_corpus(d, path=args.corpus, jobs=args.jobs)
+        rep = dsl.run_corpus(d, path=args.corpus)
         return emit_report(args, d, "corpus", rep, t0)
     if args.what == "twist-props":
         first, last = _parse_seed_range(args.seeds)

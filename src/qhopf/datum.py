@@ -239,35 +239,61 @@ def _want(doc, key, where):
 
 
 def _tensor_from_json(field, dim, obj, arity, where):
-    if not isinstance(obj, dict) or "entries" not in obj or "arity" not in obj:
+    if (not isinstance(obj, dict) or not isinstance(obj.get("entries"), list)
+            or "arity" not in obj):
         raise ParseError("tensor must be an object with 'arity' and 'entries'",
                          where=where)
     if obj["arity"] != arity:
         raise ShapeError("%s: arity %r, expected %d" % (where, obj["arity"], arity))
     items = []
     for pos, pair in enumerate(obj["entries"]):
+        at = "%s.entries[%d]" % (where, pos)
         if (not isinstance(pair, list) or len(pair) != 2
                 or not isinstance(pair[0], list)):
-            raise ParseError("entry must be [[indices], scalar]",
-                             where="%s.entries[%d]" % (where, pos))
+            raise ParseError("entry must be [[indices], scalar]", where=at)
         key, s = pair
-        if len(key) != arity or not all(isinstance(i, int) for i in key):
-            raise ShapeError("%s.entries[%d]: bad key %r" % (where, pos, key))
-        if any(i < 0 or i >= dim for i in key):
-            raise ShapeError("%s.entries[%d]: index out of range" % (where, pos))
-        try:
-            val = field.parse(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("bad scalar %r (%s)" % (s, exc),
-                             where="%s.entries[%d]" % (where, pos))
-        items.append((tuple(key), val))
+        if len(key) != arity:
+            raise ShapeError("%s: bad key %r" % (at, key))
+        items.append((tuple(_index(i, dim, at) for i in key),
+                      _scalar(field, s, at)))
     return SparseTensor.make(field, arity, dim, items)
 
 
 def _index(value, dim, where):
-    if not isinstance(value, int) or value < 0 or value >= dim:
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or value < 0 or value >= dim):
         raise ShapeError("%s: index %r out of range [0, %d)" % (where, value, dim))
     return value
+
+
+def _scalar(field, s, where):
+    """A field element written as a string; numbers are rejected rather
+    than read as ints or floats."""
+    if not isinstance(s, str):
+        raise ParseError("scalar %r must be a string" % (s,), where=where)
+    try:
+        return field.parse(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError("bad scalar %r (%s)" % (s, exc), where=where)
+
+
+def _rows(doc, key, field, dim, nidx):
+    """The nonzero rows of doc[key], a list of [index, ..., scalar] rows
+    with `nidx` indices each, as (indices, scalar) pairs."""
+    rows = _want(doc, key, "$")
+    if not isinstance(rows, list):
+        raise ParseError("%s must be a list" % key, where="$.%s" % key)
+    out = []
+    for pos, row in enumerate(rows):
+        where = "$.%s[%d]" % (key, pos)
+        if not isinstance(row, list) or len(row) != nidx + 1:
+            raise ParseError("%s entry must be [%s, scalar]"
+                             % (key, ", ".join("ijk"[:nidx])), where=where)
+        idx = tuple(_index(i, dim, where) for i in row[:nidx])
+        c = _scalar(field, row[nidx], where)
+        if not field.is_zero(c):
+            out.append((idx, c))
+    return out
 
 
 def load(doc):
@@ -287,58 +313,27 @@ def load(doc):
         raise ParseError("dim must be a positive integer", where="$.dim")
 
     product = {}
-    for pos, row in enumerate(_want(doc, "product", "$")):
-        where = "$.product[%d]" % pos
-        if not isinstance(row, list) or len(row) != 4:
-            raise ParseError("product entry must be [i, j, k, scalar]", where=where)
-        i, j, k = (_index(row[0], dim, where), _index(row[1], dim, where),
-                   _index(row[2], dim, where))
-        try:
-            c = field.parse(row[3])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("bad scalar %r (%s)" % (row[3], exc), where=where)
-        if not field.is_zero(c):
-            product.setdefault((i, j), []).append((k, c))
+    for (i, j, k), c in _rows(doc, "product", field, dim, 3):
+        product.setdefault((i, j), []).append((k, c))
     product = {ij: tuple(sorted(terms)) for ij, terms in product.items()}
 
     unit_t = _tensor_from_json(field, dim, _want(doc, "unit", "$"), 1, "$.unit")
     unit = {i: c for (i,), c in unit_t.entries.items()}
 
     delta_rows = {}
-    for pos, row in enumerate(_want(doc, "delta", "$")):
-        where = "$.delta[%d]" % pos
-        if not isinstance(row, list) or len(row) != 4:
-            raise ParseError("delta entry must be [i, j, k, scalar]", where=where)
-        i, j, k = (_index(row[0], dim, where), _index(row[1], dim, where),
-                   _index(row[2], dim, where))
-        try:
-            c = field.parse(row[3])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("bad scalar %r (%s)" % (row[3], exc), where=where)
-        if not field.is_zero(c):
-            delta_rows.setdefault(i, []).append(((j, k), c))
+    for (i, j, k), c in _rows(doc, "delta", field, dim, 3):
+        delta_rows.setdefault(i, []).append(((j, k), c))
     delta_rows = {i: tuple(sorted(r)) for i, r in delta_rows.items()}
 
     eps_doc = _want(doc, "epsilon", "$")
     if not isinstance(eps_doc, list) or len(eps_doc) != dim:
         raise ShapeError("$.epsilon: expected %d scalars" % dim)
-    try:
-        eps = tuple(field.parse(s) for s in eps_doc)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("bad scalar in epsilon (%s)" % exc, where="$.epsilon")
+    eps = tuple(_scalar(field, s, "$.epsilon[%d]" % pos)
+                for pos, s in enumerate(eps_doc))
 
     s_rows = {}
-    for pos, row in enumerate(_want(doc, "antipode", "$")):
-        where = "$.antipode[%d]" % pos
-        if not isinstance(row, list) or len(row) != 3:
-            raise ParseError("antipode entry must be [i, j, scalar]", where=where)
-        i, j = _index(row[0], dim, where), _index(row[1], dim, where)
-        try:
-            c = field.parse(row[2])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("bad scalar %r (%s)" % (row[2], exc), where=where)
-        if not field.is_zero(c):
-            s_rows.setdefault(i, []).append((j, c))
+    for (i, j), c in _rows(doc, "antipode", field, dim, 2):
+        s_rows.setdefault(i, []).append((j, c))
     s_rows = {i: tuple(sorted(r)) for i, r in s_rows.items()}
 
     phi = _tensor_from_json(field, dim, _want(doc, "phi", "$"), 3, "$.phi")

@@ -124,13 +124,13 @@ def check_F_compat(d):
     diff = eq_witness(mult(de.F, de.F_inv, alg), one2)
     if diff is None:
         diff = eq_witness(mult(de.F_inv, de.F, alg), one2)
-    _add(rep, "F_inverse_formula", diff)
+    rep.add_diff("F_inverse_formula", diff)
 
     diff = eq_witness(de.gamma, mult(de.F, d.coproduct(d.alpha), alg))
-    _add(rep, "gamma_is_F_times_coproduct_alpha", diff)
+    rep.add_diff("gamma_is_F_times_coproduct_alpha", diff)
 
     diff = eq_witness(de.delta, mult(d.coproduct(d.beta), de.F_inv, alg))
-    _add(rep, "delta_is_coproduct_beta_times_F_inv", diff)
+    rep.add_diff("delta_is_coproduct_beta_times_F_inv", diff)
 
     name = "antipode_coproduct_conjugation"
     bad = None
@@ -153,15 +153,8 @@ def check_F_compat(d):
                   d.phi,
                   apply_legs(de.F_inv, [d.leg("D"), LEG_ID]),
                   insert_leg(de.F_inv, 2, d.unit))
-    _add(rep, "antipode_associator_transport", eq_witness(lhs, rhs))
+    rep.add_diff("antipode_associator_transport", eq_witness(lhs, rhs))
     return rep
-
-
-def _add(rep, name, diff, **extra):
-    if diff is None:
-        rep.add_pass(name)
-    else:
-        rep.add_fail(name, witness_from(diff, **extra))
 
 
 # ----- antipode modification ------------------------------------------------

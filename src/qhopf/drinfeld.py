@@ -71,11 +71,7 @@ def check_drinfeld_props(d):
                   apply_legs(flip(de.F, 0, 1), [d.leg("S"), d.leg("S")]),
                   concat(u, u),
                   rr_inv)
-    diff = eq_witness(lhs, rhs)
-    if diff is None:
-        rep.add_pass("coproduct_of_u")
-    else:
-        rep.add_fail("coproduct_of_u", witness_from(diff))
+    rep.add_diff("coproduct_of_u", eq_witness(lhs, rhs))
     return rep
 
 
@@ -88,11 +84,7 @@ def check_u_under_modification(d, x):
     ux = drinfeld_u(dx).u
     x_inv = invert(x, alg)
     expected = mul_all(alg, x, d.antipode(x_inv), drinfeld_u(d).u)
-    diff = eq_witness(ux, expected)
-    if diff is None:
-        rep.add_pass("u_transform_under_modification")
-    else:
-        rep.add_fail("u_transform_under_modification", witness_from(diff))
+    rep.add_diff("u_transform_under_modification", eq_witness(ux, expected))
     return rep
 
 
@@ -100,6 +92,8 @@ def u_tilde(d):
     """The canonical element of the opposite-coopposite datum, computed both
     by its closed formula and from scratch; the two must agree."""
     def build():
+        if d.R is None:
+            raise MissingR("datum carries no R-matrix")
         w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
                    [["z"], [("S", [("S", ["x"]), d.alpha, "y"])]])
         ut = d.hsum([(w, ("zz", "w")), (d.R, ("s", "t"))],
@@ -121,9 +115,6 @@ def check_u_tilde(d):
     except InternalInconsistency as exc:
         rep.add_fail("u_tilde_formula_vs_opcop", {"reason": str(exc)})
         return rep
-    diff = eq_witness(drinfeld_u(d).u, d.antipode(ut))
-    if diff is None:
-        rep.add_pass("u_is_antipode_of_u_tilde")
-    else:
-        rep.add_fail("u_is_antipode_of_u_tilde", witness_from(diff))
+    rep.add_diff("u_is_antipode_of_u_tilde",
+                 eq_witness(drinfeld_u(d).u, d.antipode(ut)))
     return rep

@@ -17,7 +17,6 @@ run through the corpus runner.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .derived import big_f
@@ -515,16 +514,10 @@ def check_line(d, line, twist=None):
         return "skipped", {"reason": str(exc)}
 
 
-def run_corpus(d, path=None, twist=None, jobs=1):
+def run_corpus(d, path=None, twist=None):
     """Evaluate every corpus line against the datum; lines referring to
     constants the datum does not carry are reported as skipped."""
-    lines = list(corpus_lines(path))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda ln: check_line(d, ln, twist), lines))
-    else:
-        results = [check_line(d, ln, twist) for ln in lines]
     rep = CheckReport()
-    for line, (status, witness) in zip(lines, results):
-        rep.add(line, status, witness)
+    for line in list(corpus_lines(path)):
+        rep.add(line, *check_line(d, line, twist))
     return rep

@@ -3,9 +3,9 @@ algebras with a 3-cocycle associator, twisted doubles of finite abelian
 groups, and the 4-dimensional Hopf algebra with a one-parameter R-matrix
 family (taken at parameter 0).
 
-Twisted-double sign conventions differ between sources, so the double
-builder carries two boolean convention flags and machine-selects the
-assignment under which the full verifier stack passes.
+Twisted-double sign conventions differ between sources.  The double builder
+uses one fixed assignment (omega^-1 in the associator, theta and gamma as
+written) and runs the full verifier stack once on what it builds.
 """
 
 from itertools import product as iproduct
@@ -176,23 +176,9 @@ def function_algebra(group, omega):
 
 
 def dpr_double(group, omega):
-    """Twisted double of a finite abelian group.  Tries the four convention
-    flag assignments and returns the first datum passing the full verifier
-    stack; the chosen flags are recorded in the metadata."""
-    last = None
-    for invert_phi in (False, True):
-        for invert_tg in (False, True):
-            d = _build_double(group, omega, invert_phi, invert_tg)
-            if (verify_quasi_bialgebra(d, early_stop=True).ok
-                    and verify_quasi_hopf(d, early_stop=True).ok
-                    and verify_quasitriangular(d, early_stop=True).ok):
-                return d
-            last = d
-    raise InternalInconsistency(
-        "no convention assignment passes the verifiers for %r" % group)
-
-
-def _build_double(group, omega, invert_phi, invert_tg):
+    """Twisted double of a finite abelian group, checked by the full verifier
+    stack before it is returned; the conventions are recorded in the
+    metadata."""
     f = omega.field
     g = group
     m = g.order
@@ -206,12 +192,10 @@ def _build_double(group, omega, invert_phi, invert_tg):
         return omega.value(a, b, c)
 
     def theta(gi, x, y):
-        val = f.mul(f.mul(w(gi, x, y), w(x, y, gi)), f.inv(w(x, gi, y)))
-        return f.inv(val) if invert_tg else val
+        return f.mul(f.mul(w(gi, x, y), w(x, y, gi)), f.inv(w(x, gi, y)))
 
     def gam(x, h, k):
-        val = f.mul(f.mul(w(h, k, x), w(x, h, k)), f.inv(w(h, x, k)))
-        return f.inv(val) if invert_tg else val
+        return f.mul(f.mul(w(h, k, x), w(x, h, k)), f.inv(w(h, x, k)))
 
     e = g.index(g.identity)
     product = {}
@@ -235,7 +219,7 @@ def _build_double(group, omega, invert_phi, invert_tg):
     phi_entries = {}
     phi_inv_entries = {}
     for a, b, c in iproduct(range(m), repeat=3):
-        val = w(a, b, c) if invert_phi else f.inv(w(a, b, c))
+        val = f.inv(w(a, b, c))
         key = (idx(a, e), idx(b, e), idx(c, e))
         phi_entries[key] = val
         phi_inv_entries[key] = f.inv(val)
@@ -248,9 +232,8 @@ def _build_double(group, omega, invert_phi, invert_tg):
             c = f.mul(f.inv(theta(ng, x, nx)), f.inv(gam(x, gi, ng)))
             s_rows[idx(gi, x)] = ((idx(ng, nx), c),)
     alpha = SparseTensor.make(f, 1, n, {(idx(gi, e),): one for gi in range(m)})
-    bval = (lambda gi: f.inv(w(gi, g.neg_i(gi), gi))) if invert_phi \
-        else (lambda gi: w(gi, g.neg_i(gi), gi))
-    beta = SparseTensor.make(f, 1, n, {(idx(gi, e),): bval(gi) for gi in range(m)})
+    beta = SparseTensor.make(f, 1, n, {(idx(gi, e),): w(gi, g.neg_i(gi), gi)
+                                       for gi in range(m)})
     r_entries = {(idx(gi, e), idx(h, gi)): one
                  for gi in range(m) for h in range(m)}
     R = SparseTensor.make(f, 2, n, r_entries)
@@ -258,16 +241,16 @@ def _build_double(group, omega, invert_phi, invert_tg):
         "kind": "dpr_double",
         "group": list(g.factors),
         "trivial_cocycle": omega.is_trivial(),
-        "conventions": {"invert_omega_in_phi": invert_phi,
-                        "invert_theta_gamma": invert_tg},
+        "conventions": {"invert_omega_in_phi": False,
+                        "invert_theta_gamma": False},
         "blocks": [[idx(gi, x) for x in range(m)] for gi in range(m)],
     }
     d = QuasiHopfDatum(f, n, product, unit, delta_rows, eps, phi, s_rows,
                        alpha, beta, R=R, metadata=metadata, phi_inv=phi_inv)
     if omega.is_trivial():
-        # closed-form ribbon candidate built from sum_g delta_g (x) g; which
-        # of the element and its inverse satisfies the ribbon laws depends on
-        # the convention flags, so the defining checks decide
+        # closed-form ribbon candidate built from sum_g delta_g (x) g; the
+        # defining checks decide whether it or its inverse is the ribbon
+        # element
         from .ribbon import is_ribbon
         wv = SparseTensor.make(f, 1, n, {(idx(gi, gi),): one for gi in range(m)})
         for cand in (wv, invert(wv, d.algebra)):
@@ -275,6 +258,11 @@ def _build_double(group, omega, invert_phi, invert_tg):
                 d = d.with_changes(v=cand)
                 d.metadata["closed_form_v"] = True
                 break
+    if not (verify_quasi_bialgebra(d, early_stop=True).ok
+            and verify_quasi_hopf(d, early_stop=True).ok
+            and verify_quasitriangular(d, early_stop=True).ok):
+        raise InternalInconsistency(
+            "the twisted double of %r fails the verifiers" % (group,))
     return d
 
 

@@ -1,165 +1,59 @@
-"""Exact linear algebra used by tensor inversion, the antipode inverse
-and the center computation.
+"""Exact linear algebra over any Field: one sparse Gauss-Jordan elimination
+and the three solves built on it.
 
-Three code paths, all exact:
-  * a sparse dict-of-dicts elimination, near-linear on the monomial
-    systems that dominate in practice,
-  * a dense pure-Python elimination over any Field (used for rationals
-    and small prime systems),
-  * a dense numpy int64 elimination mod p for big dense prime systems
-    (products fit in 64 bits because p < 2^31).
+`_eliminate_sparse` brings rows given as {col: value} dicts to reduced row
+echelon form (RREF).  It visits the columns in increasing order; in each it
+takes as pivot the unused row with the fewest entries that is nonzero there
+(ties go to the lowest row index) and clears the column from every other
+row.  The column order is fixed, so the result is the unique RREF of the
+rows, whichever rows serve as pivots; the row rule only keeps fill-in low.
 
-tensor.invert sends one system per block signature, so on an algebra with
-several blocks the systems are small: the 27-unknown systems of an arity-3
-inversion over D^w(Z3) go to the sparse path, not to numpy.
+  * `solve` augments A with b as column n: a pivot there means the system
+    is inconsistent, and free variables are 0.
+  * `invert_matrix` augments with the identity: the matrix is singular when
+    a pivot lands past column n-1.
+  * `nullspace` reads one basis vector off each free column, in increasing
+    order.
+
+tensor.invert sends one system per block signature to `solve`, so on an
+algebra with several blocks the systems are small (27 unknowns for an
+arity-3 inversion over D^w(Z3)).
 """
 
-import numpy as np
 
-
-def solve_dense(field, rows, rhs):
-    """Solve A x = b for one x; rows is a list of row lists.  Returns a list
-    or None if the system is inconsistent.  Free variables are set to 0."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not field.is_zero(aug[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not field.is_zero(aug[i][n]):
-            return None
-    x = [field.zero] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
-
-
-def _solve_mod_numpy(p, a, b):
-    """Same contract as solve_dense but vectorized mod p."""
-    m, n = a.shape
-    aug = np.concatenate([a % p, (b % p)[:, None]], axis=1).astype(np.int64)
-    pivots = []
-    r = 0
-    for c in range(n):
-        col = aug[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            aug[[r, pr]] = aug[[pr, r]]
-        inv = pow(int(aug[r, c]), p - 2, p)
-        aug[r] = (aug[r] * inv) % p
-        f = aug[:, c].copy()
-        f[r] = 0
-        aug -= np.outer(f, aug[r])
-        aug %= p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if r < m and np.any(aug[r:, n]):
-        return None
-    x = [0] * n
-    for i, c in enumerate(pivots):
-        x[c] = int(aug[i, n])
-    return x
-
-
-def solve_sparse(field, n, cols, rhs):
-    """Solve A x = b where A is given column-wise as {col: {row: val}}.
-
-    Chooses sparse elimination when every column is near-monomial,
-    otherwise falls back to the dense paths.  Returns {col: val} or None.
-    """
-    total = sum(len(c) for c in cols.values())
-    dense_enough = total > 4 * n and n >= 48
-    if dense_enough and field.kind == "prime":
-        a = np.zeros((n, n), dtype=np.int64)
-        for j, col in cols.items():
-            for i, v in col.items():
-                a[i, j] = v
-        b = np.zeros(n, dtype=np.int64)
-        for i, v in rhs.items():
-            b[i] = v
-        x = _solve_mod_numpy(field.p, a, b)
-        if x is None:
-            return None
-        return {j: v for j, v in enumerate(x) if v}
-    if dense_enough:
-        rows = [[field.zero] * n for _ in range(n)]
-        for j, col in cols.items():
-            for i, v in col.items():
-                rows[i][j] = v
-        b = [rhs.get(i, field.zero) for i in range(n)]
-        x = solve_dense(field, rows, b)
-        if x is None:
-            return None
-        return {j: v for j, v in enumerate(x) if not field.is_zero(v)}
-    return _eliminate_sparse(field, n, cols, rhs)
-
-
-def _eliminate_sparse(field, n, cols, rhs):
-    # row-wise working copy plus column occupancy for pivot lookup
-    rows = {}
-    for j, col in cols.items():
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    for i, v in rhs.items():
-        if i not in rows and not field.is_zero(v):
-            return None  # zero row with nonzero right-hand side
+def _eliminate_sparse(field, rows, ncols):
+    """RREF of `rows`, a list of {col: value} dicts holding only nonzero
+    values at columns in range(ncols).  The dicts are reduced in place.
+    Returns the nonzero rows as (pivot column, row) pairs in increasing
+    pivot order, each row scaled to 1 at its pivot."""
+    zero, is_zero, mul, sub = field.zero, field.is_zero, field.mul, field.sub
     occupancy = {}
-    for i, row in rows.items():
+    for i, row in enumerate(rows):
         for j in row:
             occupancy.setdefault(j, set()).add(i)
-    b = dict(rhs)
-    solved = {}
-    active = set(rows)
-    while active:
-        r = min(active, key=lambda i: (len(rows[i]), i))
-        row = rows[r]
-        if not row:
-            if not field.is_zero(b.get(r, field.zero)):
-                return None
-            active.discard(r)
+    unused = set(range(len(rows)))
+    rref = []
+    for c in range(ncols):
+        holders = occupancy.get(c, ())
+        candidates = [i for i in holders if i in unused]
+        if not candidates:
             continue
-        c = min(row, key=lambda j: (len(occupancy.get(j, ())), j))
+        r = min(candidates, key=lambda i: (len(rows[i]), i))
+        row = rows[r]
         inv = field.inv(row[c])
-        for j in list(row):
-            row[j] = field.mul(inv, row[j])
-        if r in b:
-            b[r] = field.mul(inv, b[r])
+        for j, v in row.items():
+            row[j] = mul(inv, v)
         # Jordan-style: clear the pivot column from every other row, so no
-        # back-substitution pass is needed afterwards
-        for i in list(occupancy.get(c, ())):
+        # back-substitution pass is needed afterwards.  The pivot row is
+        # zero in every earlier column, so fill-in lands only after c.
+        for i in list(holders):
             if i == r:
                 continue
             other = rows[i]
-            f = other.get(c)
-            if f is None:
-                continue
+            f = other[c]
             for j, v in row.items():
-                newv = field.sub(other.get(j, field.zero), field.mul(f, v))
-                if field.is_zero(newv):
+                newv = sub(other.get(j, zero), mul(f, v))
+                if is_zero(newv):
                     if j in other:
                         del other[j]
                         occupancy[j].discard(i)
@@ -167,92 +61,60 @@ def _eliminate_sparse(field, n, cols, rhs):
                     if j not in other:
                         occupancy.setdefault(j, set()).add(i)
                     other[j] = newv
-            bv = field.sub(b.get(i, field.zero), field.mul(f, b.get(r, field.zero)))
-            if field.is_zero(bv):
-                b.pop(i, None)
-            else:
-                b[i] = bv
-        solved[c] = r
-        active.discard(r)
-    # solved rows hold their pivot plus possibly free columns; free
-    # variables are fixed at zero, so x[pivot] is simply the row's rhs
-    x = {}
-    for c, r in solved.items():
-        v = b.get(r, field.zero)
+        unused.discard(r)
+        rref.append((c, row))
+    return rref
+
+
+def solve(field, rows, n, rhs):
+    """Solve A x = b for one x.  `rows` lists the rows of A as {col: value}
+    dicts of nonzero values with columns in range(n); `rhs` is b as
+    {row: value}.  Returns x as {col: value} with free variables set to 0,
+    or None if the system is inconsistent."""
+    aug = [dict(row) for row in rows]
+    for i, v in rhs.items():
         if not field.is_zero(v):
-            x[c] = v
+            aug[i][n] = v
+    x = {}
+    for c, row in _eliminate_sparse(field, aug, n + 1):
+        if c == n:
+            return None
+        if n in row:
+            x[c] = row[n]
     return x
 
 
 def invert_matrix(field, rows, n):
     """Invert an n x n matrix given as {i: ((j, v), ...)} of rows.
     Returns rows of the inverse in the same format, or None if singular."""
-    dense = [[field.zero] * n for _ in range(n)]
+    aug = [{n + i: field.one} for i in range(n)]
     for i, row in rows.items():
         for j, v in row:
-            dense[i][j] = v
-    aug = [dense[i] + [field.one if k == i else field.zero for k in range(n)]
-           for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if not field.is_zero(aug[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(aug[i], aug[r])]
-        r += 1
-    out = {}
-    for i in range(n):
-        row = tuple((j, aug[i][n + j]) for j in range(n)
-                    if not field.is_zero(aug[i][n + j]))
-        out[i] = row
-    return out
+            if not field.is_zero(v):
+                aug[i][j] = v
+    # [A | I] has rank n, so A is invertible iff its pivots are 0..n-1
+    rref = _eliminate_sparse(field, aug, 2 * n)
+    if any(c >= n for c, _ in rref):
+        return None
+    return {c: tuple(sorted((j - n, v) for j, v in row.items() if j >= n))
+            for c, row in rref}
 
 
 def nullspace(field, rows, n):
-    """Basis of the right nullspace of the given matrix (list of row lists,
-    n columns).  Deterministic: reduced echelon form, free columns in
-    increasing order, pivot coordinates normalized."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not field.is_zero(a[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, v) for v in a[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    pivot_set = set(pivots)
+    """Basis of the right nullspace of the matrix whose rows are given as
+    {col: value} dicts of nonzero values, with n columns.  Deterministic:
+    one vector per free column of the RREF, in increasing order, with 1 at
+    its free column and 0 at the other free columns."""
+    rref = _eliminate_sparse(field, [dict(row) for row in rows], n)
+    pivots = {c for c, _ in rref}
     basis = []
     for free in range(n):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [field.zero] * n
         v[free] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = field.neg(a[i][free])
+        for c, row in rref:
+            if free in row:
+                v[c] = field.neg(row[free])
         basis.append(v)
     return basis

@@ -36,6 +36,14 @@ class CheckReport:
     def add_fail(self, name, witness=None):
         self.add(name, FAIL, witness)
 
+    def add_diff(self, name, diff):
+        """Pass when the eq_witness triple `diff` is None, else fail with
+        the witness built from it."""
+        if diff is None:
+            self.add_pass(name)
+        else:
+            self.add_fail(name, witness_from(diff))
+
     def extend(self, other):
         self.checks.extend(other.checks)
         return self

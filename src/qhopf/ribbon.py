@@ -109,21 +109,22 @@ def check_rtwist_relations(d):
     def sinv_of(t):
         return apply_legs(t, [sinv])
 
-    _add(rep, "inv_antipode_of_alpha_check",
-         eq_witness(sinv_of(el.alpha_check), mult(el.u_hat_inv, d.alpha, alg)))
-    _add(rep, "inv_antipode_of_alpha_hat",
-         eq_witness(sinv_of(el.alpha_hat), mult(el.u_check_inv, d.alpha, alg)))
-    _add(rep, "inv_antipode_of_beta_check",
-         eq_witness(sinv_of(el.beta_check), mult(d.beta, el.u_hat, alg)))
-    _add(rep, "inv_antipode_of_beta_hat",
-         eq_witness(sinv_of(el.beta_hat), mult(d.beta, el.u_check, alg)))
-    _add(rep, "u_equals_u_check", eq_witness(u, el.u_check))
-    _add(rep, "u_equals_antipode_of_u_hat_inv",
-         eq_witness(u, d.antipode(el.u_hat_inv)))
-    _add(rep, "alpha_check_is_antipode_alpha_times_u",
-         eq_witness(el.alpha_check, mult(d.antipode(d.alpha), u, alg)))
-    _add(rep, "u_hat_inv_is_inv_antipode_of_u_check",
-         eq_witness(mult(el.u_hat, sinv_of(el.u_check), alg), d.unit_tensor(1)))
+    add = rep.add_diff
+    add("inv_antipode_of_alpha_check",
+        eq_witness(sinv_of(el.alpha_check), mult(el.u_hat_inv, d.alpha, alg)))
+    add("inv_antipode_of_alpha_hat",
+        eq_witness(sinv_of(el.alpha_hat), mult(el.u_check_inv, d.alpha, alg)))
+    add("inv_antipode_of_beta_check",
+        eq_witness(sinv_of(el.beta_check), mult(d.beta, el.u_hat, alg)))
+    add("inv_antipode_of_beta_hat",
+        eq_witness(sinv_of(el.beta_hat), mult(d.beta, el.u_check, alg)))
+    add("u_equals_u_check", eq_witness(u, el.u_check))
+    add("u_equals_antipode_of_u_hat_inv",
+        eq_witness(u, d.antipode(el.u_hat_inv)))
+    add("alpha_check_is_antipode_alpha_times_u",
+        eq_witness(el.alpha_check, mult(d.antipode(d.alpha), u, alg)))
+    add("u_hat_inv_is_inv_antipode_of_u_check",
+        eq_witness(mult(el.u_hat, sinv_of(el.u_check), alg), d.unit_tensor(1)))
     return rep
 
 
@@ -154,9 +155,9 @@ def is_ribbon(d, v):
 
     rr = mult(flip(d.R, 0, 1), d.R, alg)
     diff = eq_witness(d.coproduct(v), mult(rr, concat(v, v), alg))
-    _add(rep, "ribbon_coproduct", diff)
+    rep.add_diff("ribbon_coproduct", diff)
 
-    _add(rep, "ribbon_antipode_fixed", eq_witness(d.antipode(v), v))
+    rep.add_diff("ribbon_antipode_fixed", eq_witness(d.antipode(v), v))
 
     defining_ok = rep.ok
     val = d.eps_of(v)
@@ -184,10 +185,10 @@ def check_ribbon_lemma(d, v):
     alg = d.algebra
     el = rtwist_elements(d)
     v2 = mult(v, v, alg)
-    _add(rep, "ribbon_square_times_alpha_check",
-         eq_witness(mult(v2, el.alpha_check, alg), el.alpha_hat))
-    _add(rep, "ribbon_square_times_beta_hat",
-         eq_witness(mult(v2, el.beta_hat, alg), el.beta_check))
+    rep.add_diff("ribbon_square_times_alpha_check",
+                 eq_witness(mult(v2, el.alpha_check, alg), el.alpha_hat))
+    rep.add_diff("ribbon_square_times_beta_hat",
+                 eq_witness(mult(v2, el.beta_hat, alg), el.beta_check))
     return rep
 
 
@@ -206,10 +207,10 @@ def check_main_theorem(d, v):
     u = drinfeld_u(d).u
     lhs = mult(v_inv, v_inv, alg)
     rhs = mult(u, d.antipode(u), alg)
-    _add(rep, "ribbon_inverse_square_is_u_Su", eq_witness(lhs, rhs))
+    rep.add_diff("ribbon_inverse_square_is_u_Su", eq_witness(lhs, rhs))
     el = rtwist_elements(d)
-    _add(rep, "ribbon_square_is_uhat_ucheck_inv",
-         eq_witness(mult(v, v, alg), mult(el.u_hat, el.u_check_inv, alg)))
+    rhs = mult(el.u_hat, el.u_check_inv, alg)
+    rep.add_diff("ribbon_square_is_uhat_ucheck_inv", eq_witness(mult(v, v, alg), rhs))
     return rep
 
 
@@ -222,7 +223,7 @@ def center(d):
     rows = []
     for i in range(n):
         for k in range(n):
-            row = [f.zero] * n
+            row = {}
             for j in range(n):
                 c = f.zero
                 for kk, cv in alg.struct.get((j, i), ()):
@@ -370,9 +371,3 @@ def _enumerate_center_roots(d, c, budget):
             out.append(v)
     return out, "center span, %d points (center dim %d)" % (total, k)
 
-
-def _add(rep, name, diff, **extra):
-    if diff is None:
-        rep.add_pass(name)
-    else:
-        rep.add_fail(name, witness_from(diff, **extra))

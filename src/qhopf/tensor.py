@@ -532,9 +532,8 @@ def invert(t, alg):
         unknowns = list(iproduct(*(blocks[b] for b in sig)))
         index = {key: n for n, key in enumerate(unknowns)}
         entries = by_sig.get(sig, ())
-        cols = {}
+        rows = [{} for _ in unknowns]
         for jflat, jkey in enumerate(unknowns):
-            col = {}
             for key, c in entries:
                 lists = []
                 dead = False
@@ -550,16 +549,14 @@ def invert(t, alg):
                     cc = c
                     for _, cv in picks:
                         cc = f.mul(cc, cv)
-                    r = index[tuple(p[0] for p in picks)]
-                    v = f.add(col.get(r, f.zero), cc)
+                    row = rows[index[tuple(p[0] for p in picks)]]
+                    v = f.add(row.get(jflat, f.zero), cc)
                     if f.is_zero(v):
-                        col.pop(r, None)
+                        row.pop(jflat, None)
                     else:
-                        col[r] = v
-            if col:
-                cols[jflat] = col
+                        row[jflat] = v
         rhs = {index[key]: c for key, c in rhs_items}
-        x = linalg.solve_sparse(f, len(unknowns), cols, rhs)
+        x = linalg.solve(f, rows, len(unknowns), rhs)
         if x is None:
             raise NotInvertible("left-multiplication system is singular")
         for j, v in x.items():

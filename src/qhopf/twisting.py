@@ -152,17 +152,17 @@ def check_twist_elements(d, tw):
                    [S, S, LEG_ID, LEG_ID])
     rhs = d.hsum([(p, ("sf1", "sf2", "g1", "g2")), (de.gamma, ("c1", "c2"))],
                  [["sf2", "c1", "g1"], ["sf1", "c2", "g2"]])
-    _add(rep, "twisted_gamma_transform", eq_witness(lhs, rhs))
+    rep.add_diff("twisted_gamma_transform", eq_witness(lhs, rhs))
 
     lhs = mul_all(alg, T_inv, det.delta, apply_legs(flip(T_inv, 0, 1), [S, S]))
     p = apply_legs(apply_legs(T, [d.leg("D"), d.leg("D")]),
                    [LEG_ID, LEG_ID, S, S])
     rhs = d.hsum([(p, ("f1", "f2", "sg1", "sg2")), (de.delta, ("c1", "c2"))],
                  [["f1", "c1", "sg2"], ["f2", "c2", "sg1"]])
-    _add(rep, "twisted_delta_transform", eq_witness(lhs, rhs))
+    rep.add_diff("twisted_delta_transform", eq_witness(lhs, rhs))
 
     rhs = mul_all(alg, apply_legs(flip(T_inv, 0, 1), [S, S]), de.F, T_inv)
-    _add(rep, "twisted_F_transform", eq_witness(det.F, rhs))
+    rep.add_diff("twisted_F_transform", eq_witness(det.F, rhs))
     return rep
 
 
@@ -170,7 +170,7 @@ def check_u_twist_invariance(d, tw):
     rep = CheckReport()
     u_t = drinfeld_u(twist(d, tw)).u
     u = drinfeld_u(d).u
-    _add(rep, "u_twist_invariant", eq_witness(u_t, u))
+    rep.add_diff("u_twist_invariant", eq_witness(u_t, u))
     return rep
 
 
@@ -192,7 +192,7 @@ def opcop_twist_iso(d):
     diff = eq_witness(apply_legs(T, [d.leg("eps"), LEG_ID]), one)
     if diff is None:
         diff = eq_witness(apply_legs(T, [LEG_ID, d.leg("eps")]), one)
-    _add(rep, "twist_counit_normalization", diff)
+    rep.add_diff("twist_counit_normalization", diff)
     if not rep.ok:
         return rep
 
@@ -225,26 +225,20 @@ def opcop_twist_iso(d):
 
     lhs = apply_legs(permute_legs(d.phi, (2, 1, 0)),
                      [d.leg("S"), d.leg("S"), d.leg("S")])
-    _add(rep, "antipode_transports_associator", eq_witness(lhs, dt.phi))
+    rep.add_diff("antipode_transports_associator", eq_witness(lhs, dt.phi))
 
     eb2 = f.mul(eb, eb)
     ea2 = f.mul(ea, ea)
-    _add(rep, "antipode_of_beta_is_twisted_alpha",
-         eq_witness(d.antipode(d.beta), scale(dt.alpha, eb2)))
-    _add(rep, "antipode_of_alpha_is_twisted_beta",
-         eq_witness(d.antipode(d.alpha), scale(dt.beta, ea2)))
+    rep.add_diff("antipode_of_beta_is_twisted_alpha",
+                 eq_witness(d.antipode(d.beta), scale(dt.alpha, eb2)))
+    rep.add_diff("antipode_of_alpha_is_twisted_beta",
+                 eq_witness(d.antipode(d.alpha), scale(dt.beta, ea2)))
 
     if d.R is not None:
         ut = u_tilde(d)
         u_of_twist = drinfeld_u(dt).u
-        _add(rep, "antipode_of_u_tilde_is_twisted_u",
-             eq_witness(d.antipode(ut), u_of_twist))
-        _add(rep, "twisted_u_is_u", eq_witness(u_of_twist, drinfeld_u(d).u))
+        rep.add_diff("antipode_of_u_tilde_is_twisted_u",
+                     eq_witness(d.antipode(ut), u_of_twist))
+        rep.add_diff("twisted_u_is_u", eq_witness(u_of_twist, drinfeld_u(d).u))
     return rep
 
-
-def _add(rep, name, diff, **extra):
-    if diff is None:
-        rep.add_pass(name)
-    else:
-        rep.add_fail(name, witness_from(diff, **extra))

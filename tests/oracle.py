@@ -270,3 +270,64 @@ def dense_drinfeld(d):
             for a in range(n):
                 out[a] = f.add(out[a], f.mul(c, v[a]))
     return out
+
+
+# ----- linear algebra ------------------------------------------------------
+
+
+def dense_rref(f, rows, ncols):
+    """Textbook Gauss-Jordan on dense row lists: columns left to right, the
+    first nonzero row at or below the current one as pivot.  Returns the
+    nonzero rows of the reduced row echelon form and their pivot columns."""
+    a = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(a)) if not f.is_zero(a[i][c])), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, v) for v in a[r]]
+        for i in range(len(a)):
+            if i != r and not f.is_zero(a[i][c]):
+                g = a[i][c]
+                a[i] = [f.sub(x, f.mul(g, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def dense_solve(f, rows, n, b):
+    """One solution of A x = b as {col: value}, free variables 0, or None
+    when the system is inconsistent."""
+    rref, pivots = dense_rref(f, [list(r) + [bi] for r, bi in zip(rows, b)],
+                              n + 1)
+    if n in pivots:
+        return None
+    return {c: row[n] for row, c in zip(rref, pivots) if not f.is_zero(row[n])}
+
+
+def dense_inverse(f, rows, n):
+    """Rows of the inverse as dense lists, or None when A is singular."""
+    ident = [[f.one if j == i else f.zero for j in range(n)] for i in range(n)]
+    rref, pivots = dense_rref(f, [list(r) + e for r, e in zip(rows, ident)],
+                              2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in rref]
+
+
+def dense_nullspace(f, rows, n):
+    """One basis vector per free column of the RREF, in increasing order."""
+    rref, pivots = dense_rref(f, rows, n)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [f.zero] * n
+        v[free] = f.one
+        for row, c in zip(rref, pivots):
+            v[c] = f.neg(row[free])
+        basis.append(v)
+    return basis

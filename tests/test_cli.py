@@ -92,11 +92,33 @@ def test_report_determinism(dz2w_file, capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("field", ["p:5", "q"])
+def test_verify_number_scalar_exits_two(dz2_f5_file, tmp_path, field, capsys):
+    with open(dz2_f5_file) as fh:
+        doc = json.load(fh)
+    if field == "q":
+        doc["field"] = {"kind": "rational"}
+    doc["epsilon"][0] = int(doc["epsilon"][0])
+    bad = tmp_path / "number_scalar.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    assert "must be a string" in capsys.readouterr().err
+
+
 def test_derive_element(dz2w_file, capsys):
     rc = main(["derive", dz2w_file, "--element", "u"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["arity"] == 1 and doc["entries"]
+
+
+@pytest.mark.parametrize("element", ["u", "utilde"])
+def test_derive_without_r_exits_two(tmp_path, element, capsys):
+    path = tmp_path / "fz2w.json"
+    assert main(["example", "--kind", "function", "--group", "Z2", "--q", "1",
+                 "--field", "p:7", "--out", str(path)]) == 0
+    assert main(["derive", str(path), "--element", element]) == 2
+    assert "no R-matrix" in capsys.readouterr().err
 
 
 def test_twist_emit_and_verify(dz2w_file, tmp_path, capsys):
@@ -164,8 +186,12 @@ def test_check_expr_term_prints_tensor(dz2w_file, capsys):
 
 def test_check_corpus(dz2w_file, capsys):
     assert main(["check", "corpus", dz2w_file]) == 0
-    capsys.readouterr()
-    assert main(["check", "corpus", dz2w_file, "--jobs", "4"]) == 0
+
+
+def test_jobs_option_is_gone(dz2w_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "corpus", dz2w_file, "--jobs", "4"])
+    assert exc.value.code == 2
 
 
 def test_check_twist_props(dz2w_file, capsys):

@@ -31,6 +31,46 @@ def test_load_rejects_bad_scalar(kz2):
         load(doc)
 
 
+def test_load_rejects_number_as_prime_scalar(kz2):
+    doc = kz2.to_json()
+    doc["epsilon"] = [1, "1"]
+    with pytest.raises(ParseError) as err:
+        load(doc)
+    assert err.value.where == "$.epsilon[0]"
+
+
+def test_load_rejects_number_as_rational_scalar(sw):
+    doc = sw.to_json()
+    doc["product"][0][3] = 1
+    with pytest.raises(ParseError) as err:
+        load(doc)
+    assert err.value.where == "$.product[0]"
+
+
+def test_load_rejects_bool_index(kz2):
+    doc = kz2.to_json()
+    doc["antipode"][0][1] = True
+    with pytest.raises(ShapeError):
+        load(doc)
+
+
+def test_load_rejects_bool_tensor_key(kz2):
+    doc = kz2.to_json()
+    doc["alpha"] = {"arity": 1, "entries": [[[False], "1"]]}
+    with pytest.raises(ShapeError):
+        load(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("product", 5), ("antipode", None),
+    ("alpha", {"arity": 1, "entries": 5}), ("phi", {"arity": 3, "entries": {}})])
+def test_load_rejects_non_list_rows(kz2, key, value):
+    doc = kz2.to_json()
+    doc[key] = value
+    with pytest.raises(ParseError):
+        load(doc)
+
+
 def test_load_rejects_wrong_arity(kz2):
     doc = kz2.to_json()
     doc["alpha"] = {"arity": 2, "entries": [[[0, 0], "1"]]}

@@ -1,0 +1,130 @@
+"""Differential tests: the sparse elimination behind solve, invert_matrix and
+nullspace against the textbook dense Gauss-Jordan of tests/oracle.py, on
+seeded random systems over F_7, F_13 and Q."""
+
+import pytest
+
+from qhopf import linalg
+from qhopf.rng import SplitMix64
+from qhopf.scalars import PrimeField, RationalField
+
+from oracle import dense_inverse, dense_nullspace, dense_solve
+
+FIELDS = {"F7": PrimeField(7), "F13": PrimeField(13), "Q": RationalField()}
+
+# (rows, columns, rank bound or None, share of nonzero entries)
+SHAPES = {
+    "square": (6, 6, None, 0.5),
+    "square-sparse": (9, 9, None, 0.25),
+    "wide": (4, 7, None, 0.5),
+    "tall": (8, 5, None, 0.5),
+    "singular": (7, 7, 4, 0.5),
+    "deficient-wide": (5, 8, 3, 0.6),
+    "deficient-tall": (9, 6, 2, 0.4),
+}
+SEEDS = range(10)
+
+
+def _scalar(rng, f):
+    if f.kind == "prime":
+        return rng.below(f.p)
+    return f.parse("%d/%d" % (rng.below(9) - 4, 1 + rng.below(3)))
+
+
+def _matrix(rng, f, m, n, rank, fill):
+    """Dense m x n rows; with a rank bound, every row past the first `rank`
+    is a random combination of those."""
+    free = m if rank is None else rank
+    rows = [[_scalar(rng, f) if rng.below(100) < fill * 100 else f.zero
+             for _ in range(n)] for _ in range(free)]
+    for _ in range(m - free):
+        row = [f.zero] * n
+        for src in rows[:free]:
+            c = _scalar(rng, f)
+            row = [f.add(a, f.mul(c, b)) for a, b in zip(row, src)]
+        rows.append(row)
+    return rows
+
+
+def _sparse(f, rows):
+    return [{j: v for j, v in enumerate(r) if not f.is_zero(v)} for r in rows]
+
+
+def _apply(f, rows, x):
+    out = []
+    for r in rows:
+        acc = f.zero
+        for j, v in x.items():
+            acc = f.add(acc, f.mul(r[j], v))
+        out.append(acc)
+    return out
+
+
+def _systems(fname, shape):
+    f = FIELDS[fname]
+    m, n, rank, fill = SHAPES[shape]
+    for seed in SEEDS:
+        rng = SplitMix64(1000 * seed + len(fname) + 17 * len(shape))
+        yield f, rng, _matrix(rng, f, m, n, rank, fill), n
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_solve_matches_dense_rref(fname, shape):
+    inconsistent = 0
+    for f, rng, rows, n in _systems(fname, shape):
+        x0 = {j: _scalar(rng, f) for j in range(n)}
+        b = _apply(f, rows, x0)
+        candidates = [b, [_scalar(rng, f) for _ in rows]]
+        if SHAPES[shape][2] is not None:
+            # break the relation that ties the last row to the first ones
+            candidates.append(b[:-1] + [f.add(b[-1], f.one)])
+        for rhs in candidates:
+            got = linalg.solve(f, _sparse(f, rows), n,
+                               {i: v for i, v in enumerate(rhs) if not f.is_zero(v)})
+            assert got == dense_solve(f, rows, n, rhs)
+            if got is None:
+                inconsistent += 1
+            else:
+                assert _apply(f, rows, got) == rhs
+        assert linalg.solve(f, _sparse(f, rows), n, {}) == {}
+    if SHAPES[shape][2] is not None:
+        assert inconsistent >= len(SEEDS)
+
+
+@pytest.mark.parametrize("shape", ["square", "square-sparse", "singular"])
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_invert_matrix_matches_dense_rref(fname, shape):
+    singular = 0
+    for f, rng, rows, n in _systems(fname, shape):
+        got = linalg.invert_matrix(
+            f, {i: tuple((j, v) for j, v in enumerate(r) if not f.is_zero(v))
+                for i, r in enumerate(rows)}, n)
+        want = dense_inverse(f, rows, n)
+        if want is None:
+            assert got is None
+            singular += 1
+            continue
+        assert got == {i: tuple((j, v) for j, v in enumerate(r) if not f.is_zero(v))
+                       for i, r in enumerate(want)}
+    if shape == "singular":
+        assert singular == len(SEEDS)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_nullspace_matches_dense_rref(fname, shape):
+    for f, rng, rows, n in _systems(fname, shape):
+        basis = linalg.nullspace(f, _sparse(f, rows), n)
+        assert basis == dense_nullspace(f, rows, n)
+        for v in basis:
+            x = {j: c for j, c in enumerate(v) if not f.is_zero(c)}
+            assert all(f.is_zero(c) for c in _apply(f, rows, x))
+
+
+def test_empty_and_zero_systems():
+    f = FIELDS["F7"]
+    assert linalg.solve(f, [{}, {}], 2, {}) == {}
+    assert linalg.solve(f, [{}, {}], 2, {1: 3}) is None
+    assert linalg.nullspace(f, [{}], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.invert_matrix(f, {0: ((0, 2),), 1: ()}, 2) is None

@@ -208,7 +208,8 @@ def test_invert_nilpotent_fails():
 
 
 def test_invert_dense_numpy_path():
-    # dim-7 group algebra, arity 2 -> 49-dimensional system takes the numpy path
+    # dim-7 group algebra, arity 2: a single block, so one dense system of 49
+    # unknowns
     alg = group_algebra_z(7)
     rng = SplitMix64(23)
     t = None
