@@ -245,7 +245,7 @@ def _tensor_from_json(field, dim, obj, arity, where):
                          where=where)
     if obj["arity"] != arity:
         raise ShapeError("%s: arity %r, expected %d" % (where, obj["arity"], arity))
-    items = []
+    items = {}
     for pos, pair in enumerate(obj["entries"]):
         at = "%s.entries[%d]" % (where, pos)
         if (not isinstance(pair, list) or len(pair) != 2
@@ -254,8 +254,10 @@ def _tensor_from_json(field, dim, obj, arity, where):
         key, s = pair
         if len(key) != arity:
             raise ShapeError("%s: bad key %r" % (at, key))
-        items.append((tuple(_index(i, dim, at) for i in key),
-                      _scalar(field, s, at)))
+        key = tuple(_index(i, dim, at) for i in key)
+        if key in items:
+            raise ShapeError("%s: repeated key %r" % (at, list(key)))
+        items[key] = _scalar(field, s, at)
     return SparseTensor.make(field, arity, dim, items)
 
 
@@ -279,17 +281,22 @@ def _scalar(field, s, where):
 
 def _rows(doc, key, field, dim, nidx):
     """The nonzero rows of doc[key], a list of [index, ..., scalar] rows
-    with `nidx` indices each, as (indices, scalar) pairs."""
+    with `nidx` indices each, as (indices, scalar) pairs.  An index tuple
+    may occur in one row only."""
     rows = _want(doc, key, "$")
     if not isinstance(rows, list):
         raise ParseError("%s must be a list" % key, where="$.%s" % key)
     out = []
+    seen = set()
     for pos, row in enumerate(rows):
         where = "$.%s[%d]" % (key, pos)
         if not isinstance(row, list) or len(row) != nidx + 1:
             raise ParseError("%s entry must be [%s, scalar]"
                              % (key, ", ".join("ijk"[:nidx])), where=where)
         idx = tuple(_index(i, dim, where) for i in row[:nidx])
+        if idx in seen:
+            raise ShapeError("%s: repeated index %r" % (where, list(idx)))
+        seen.add(idx)
         c = _scalar(field, row[nidx], where)
         if not field.is_zero(c):
             out.append((idx, c))

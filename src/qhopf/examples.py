@@ -126,17 +126,11 @@ def cocycle_for(group, q, field):
         for m, nm in enumerate(group.factors):
             carry = (eb[m] + ec[m]) // nm
             if carry:
-                val = field.mul(val, pow_scalar(field, roots[m],
-                                                (q * ea[m] * carry) % nm))
+                e = (q * ea[m] * carry) % nm
+                val = field.mul(val, pow(roots[m], e, field.p)
+                                if field.kind == "prime" else roots[m] ** e)
         table[(a, b, c)] = val
     return Cocycle3(group, field, table)
-
-
-def pow_scalar(field, base, exp):
-    out = field.one
-    for _ in range(exp):
-        out = field.mul(out, base)
-    return out
 
 
 # ----- function algebra ---------------------------------------------------

@@ -5,6 +5,7 @@ identities connecting them to the canonical element, verifies ribbon
 candidates, and searches for ribbon elements."""
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 
 from . import linalg
@@ -12,8 +13,8 @@ from .drinfeld import drinfeld_u
 from .errors import (BudgetExceeded, InternalInconsistency, NotInvertible,
                      ShapeError, ShapeMismatch)
 from .report import CheckReport, witness_from
-from .tensor import (SparseTensor, apply_legs, concat, eq_witness, flip,
-                     invert, mul_all, mult)
+from .tensor import (SparseTensor, add, apply_legs, concat, eq_witness, flip,
+                     invert, mul_all, mult, scale)
 
 
 @dataclass
@@ -314,13 +315,7 @@ def _block_roots(d, c, blocks, budget):
                 % (total, budget), required=total)
         c_block = SparseTensor.make(
             f, 1, d.dim, {k: v for k, v in c.entries.items() if k[0] in block})
-        roots = []
-        for coeffs in iproduct(range(f.size), repeat=len(block)):
-            v = SparseTensor.make(f, 1, d.dim,
-                                  {(i,): f.from_int(x)
-                                   for i, x in zip(block, coeffs)})
-            if mult(v, v, alg) == c_block:
-                roots.append(v)
+        roots = _square_roots(alg, [d.basis(i) for i in block], c_block)
         if not roots:
             return [], "blockwise, %d points, no square root in a block" % total
         per_block.append(roots)
@@ -341,7 +336,6 @@ def _block_roots(d, c, blocks, budget):
 
 def _enumerate_center_roots(d, c, budget):
     f = d.field
-    alg = d.algebra
     zs = center(d)
     k = len(zs)
     if f.size is None:
@@ -353,21 +347,66 @@ def _enumerate_center_roots(d, c, budget):
         raise BudgetExceeded(
             "center enumeration needs %d points, budget is %d" % (total, budget),
             required=total)
-    out = []
-    for coeffs in iproduct(range(f.size), repeat=k):
-        entries = {}
-        for x, z in zip(coeffs, zs):
-            if x == 0:
-                continue
-            cx = f.from_int(x)
-            for key, cv in z.entries.items():
-                s = f.add(entries.get(key, f.zero), f.mul(cx, cv))
-                if f.is_zero(s):
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        v = SparseTensor(f, 1, d.dim, entries)
-        if mult(v, v, alg) == c:
-            out.append(v)
-    return out, "center span, %d points (center dim %d)" % (total, k)
+    return (_square_roots(d.algebra, zs, c),
+            "center span, %d points (center dim %d)" % (total, k))
 
+
+def _square_roots(alg, gens, target):
+    """Every v = x_0 gens[0] + ... + x_{n-1} gens[n-1] with coefficients
+    in the prime field F_p and v v == target, in lexicographic order of
+    (x_0, ..., x_{n-1}).
+
+    The n^2 products gens[a] gens[b] are formed once.  Fixing x_0, x_1, ...
+    in turn, with w the sum fixed so far, the enumeration carries two kinds
+    of dense vectors over the coordinates that the products and the target
+    touch: the residual w w - target, and for each later generator g the
+    cross term w g + g w.  Fixing x_a = x moves them by
+    (w + x g) (w + x g) = w w + x (w g + g w) + x^2 g g.  For the last
+    generator the p values of x are tested coordinate by coordinate in
+    integer arithmetic, leaving at the first coordinate that fails."""
+    f = alg.field
+    p = f.p
+    n = len(gens)
+    zero = SparseTensor(f, 1, target.dim, {})
+    if n == 0:
+        return [] if target.entries else [zero]
+    prods = [[mult(a, b, alg) for b in gens] for a in gens]
+    coords = sorted(set(target.entries).union(
+        *(t.entries for row in prods for t in row)))
+
+    def dense(t):
+        return [t.entries.get(k, 0) for k in coords]
+
+    square = [dense(prods[a][a]) for a in range(n)]
+    cross_step = [[[(x + y) % p for x, y in zip(dense(prods[a][b]),
+                                                 dense(prods[b][a]))]
+                   for b in range(n)] for a in range(n)]
+    xs = [0] * n
+    last = n - 1
+    rng = range(len(coords))
+    roots = []
+
+    def descend(a, res, cross):
+        lin, quad = cross[a], square[a]
+        if a == last:
+            for x in range(p):
+                for k in rng:
+                    if (res[k] + x * (lin[k] + x * quad[k])) % p:
+                        break
+                else:
+                    xs[a] = x
+                    roots.append(reduce(add, map(scale, gens, xs), zero))
+            return
+        step = cross_step[a]
+        for x in range(p):
+            xs[a] = x
+            xx = x * x
+            res_x = [(r + x * l + xx * q) % p
+                     for r, l, q in zip(res, lin, quad)]
+            cross_x = cross[:]
+            for b in range(a + 1, n):
+                cross_x[b] = [(c + x * s) % p for c, s in zip(cross[b], step[b])]
+            descend(a + 1, res_x, cross_x)
+
+    descend(0, [-c % p for c in dense(target)], [[0] * len(coords)] * n)
+    return roots

@@ -272,6 +272,26 @@ def dense_drinfeld(d):
     return out
 
 
+# ----- square roots ----------------------------------------------------------
+
+
+def dense_square_roots(d, gens, target):
+    """Every v = sum_a x_a gens[a] with x_a in F_p and v v == target, as
+    dense coefficient lists in lexicographic order of (x_0, ..., x_{n-1}):
+    each point is built and squared on its own."""
+    f = d.field
+    want = dense_of(target)
+    dense_gens = [dense_of(g) for g in gens]
+    out = []
+    for xs in iproduct(range(f.size), repeat=len(gens)):
+        v = [f.zero] * d.dim
+        for x, g in zip(xs, dense_gens):
+            v = [f.add(a, f.mul(f.from_int(x), b)) for a, b in zip(v, g)]
+        if dense_vec_mul(d, v, v) == want:
+            out.append(v)
+    return out
+
+
 # ----- linear algebra ------------------------------------------------------
 
 

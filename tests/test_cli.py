@@ -105,6 +105,19 @@ def test_verify_number_scalar_exits_two(dz2_f5_file, tmp_path, field, capsys):
     assert "must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["product", "delta", "antipode", "phi"])
+def test_verify_repeated_index_exits_two(dz2_f5_file, tmp_path, key, capsys):
+    with open(dz2_f5_file) as fh:
+        doc = json.load(fh)
+    rows = doc[key]["entries"] if key == "phi" else doc[key]
+    rows.append(rows[0])
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "repeated" in err and "Traceback" not in err
+
+
 def test_derive_element(dz2w_file, capsys):
     rc = main(["derive", dz2w_file, "--element", "u"])
     assert rc == 0

@@ -11,10 +11,12 @@ from qhopf.tensor import apply_legs, mult
 from mutation import mutate
 
 
-def test_round_trip_all_examples(kz2, fz2w, fz3w, sw, dz2w, dz3w):
-    for d in (kz2, fz2w, fz3w, sw, dz2w, dz3w):
+def test_round_trip_all_examples(kz2, fz2w, fz3w, sw, dz2_f5, dz2, dz2w, dz3,
+                                 dz3w):
+    for d in (kz2, fz2w, fz3w, sw, dz2_f5, dz2, dz2w, dz3, dz3w):
         assert load(d.to_json()) == d
         assert loads(d.dumps()) == d
+        assert loads(d.dumps()).content_hash() == d.content_hash()
 
 
 def test_load_rejects_bad_index(kz2):
@@ -69,6 +71,27 @@ def test_load_rejects_non_list_rows(kz2, key, value):
     doc[key] = value
     with pytest.raises(ParseError):
         load(doc)
+
+
+@pytest.mark.parametrize("key", ["product", "delta", "antipode"])
+def test_load_rejects_repeated_row_index(kz2, key):
+    doc = kz2.to_json()
+    doc[key].append(list(doc[key][0]))
+    with pytest.raises(ShapeError) as err:
+        load(doc)
+    assert "repeated index" in str(err.value)
+    assert "$.%s[%d]" % (key, len(doc[key]) - 1) in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["unit", "phi", "alpha", "R"])
+def test_load_rejects_repeated_tensor_key(kz2, key):
+    doc = kz2.to_json()
+    entries = doc[key]["entries"]
+    entries.insert(1, [list(entries[0][0]), entries[0][1]])
+    with pytest.raises(ShapeError) as err:
+        load(doc)
+    assert "repeated key" in str(err.value)
+    assert "$.%s.entries[1]" % key in str(err.value)
 
 
 def test_load_rejects_wrong_arity(kz2):

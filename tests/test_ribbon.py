@@ -1,10 +1,19 @@
+from types import SimpleNamespace
+
 import pytest
 
-from qhopf import (center, check_main_theorem, check_rtwist_relations,
-                   check_ribbon_lemma, drinfeld_u, find_ribbon, is_ribbon,
-                   rtwist_elements)
+from qhopf import (FiniteAbelianGroup, center, check_main_theorem,
+                   check_rtwist_relations, check_ribbon_lemma, cocycle_for,
+                   dpr_double, drinfeld_u, find_ribbon, is_ribbon, load,
+                   rtwist_elements, sweedler)
+from qhopf import ribbon
 from qhopf.errors import BudgetExceeded, ShapeMismatch
-from qhopf.tensor import SparseTensor, flip, invert, mult
+from qhopf.rng import SplitMix64
+from qhopf.scalars import PrimeField
+from qhopf.tensor import (Algebra, SparseTensor, basis_vector, flip, invert,
+                          mult)
+
+from oracle import dense_of, dense_square_roots, dense_vec_mul
 
 
 def test_rtwist_trivial_r(kz2):
@@ -184,3 +193,181 @@ def test_ribbon_square_consistency(dz3w):
     rhs = mult(el.u_hat, el.u_check_inv, dz3w.algebra)
     for c in find_ribbon(dz3w, 10 ** 6).candidates:
         assert mult(c.v, c.v, dz3w.algebra) == rhs
+
+
+def _relabel(doc, perm):
+    """The same datum document with basis element i renamed perm[i]."""
+    out = dict(doc)
+    for key in ("product", "delta", "antipode"):
+        out[key] = sorted([perm[i] for i in row[:-1]] + [row[-1]]
+                          for row in doc[key])
+    out["epsilon"] = [None] * len(doc["epsilon"])
+    for i, c in enumerate(doc["epsilon"]):
+        out["epsilon"][perm[i]] = c
+    for key in ("unit", "phi", "alpha", "beta", "R"):
+        out[key] = {"arity": doc[key]["arity"],
+                    "entries": sorted([[perm[i] for i in idx], c]
+                                      for idx, c in doc[key]["entries"])}
+    out["metadata"] = dict(doc["metadata"], blocks=[
+        sorted(perm[i] for i in block) for block in doc["metadata"]["blocks"]])
+    return out
+
+
+def test_find_ribbon_relabelled_z4_double():
+    z4 = FiniteAbelianGroup((4,))
+    d = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
+    rng = SplitMix64(21)
+    perm = list(range(d.dim))
+    for i in range(d.dim - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    dr = load(_relabel(d.to_json(), perm))
+    res = find_ribbon(dr, 10 ** 6)
+    assert res.region == "blockwise over 4 blocks, 114244 points"
+    assert len(res.candidates) == 2
+    for cand in res.candidates:
+        assert is_ribbon(dr, cand.v).ok
+    moved = {tuple(sorted(((perm[i],), c) for (i,), c in cand.v.entries.items()))
+             for cand in find_ribbon(d, 10 ** 6).candidates}
+    assert moved == {tuple(cand.v.sorted_items()) for cand in res.candidates}
+
+
+# ----- the square-root kernel against the dense oracle -----------------------
+
+
+def _check_roots(alg, gens, target):
+    """The kernel's roots, after checking them, order included, against
+    squaring every point with the dense oracle."""
+    fake = SimpleNamespace(field=alg.field, dim=alg.dim, algebra=alg)
+    got = [dense_of(v) for v in ribbon._square_roots(alg, gens, target)]
+    assert got == dense_square_roots(fake, gens, target)
+    return got
+
+
+def _ribbon_target(d):
+    u = drinfeld_u(d).u
+    return invert(mult(u, d.antipode(u), d.algebra), d.algebra)
+
+
+def _restrict(t, block):
+    return SparseTensor(t.field, 1, t.dim,
+                        {k: c for k, c in t.entries.items() if k[0] in block})
+
+
+def _targets(rng, alg, gens, count=3):
+    """Squares of `count` seeded random points of the span of gens (each
+    has a root), the zero vector and one random vector."""
+    f, n = alg.field, alg.dim
+    fake = SimpleNamespace(field=f, dim=n, algebra=alg)
+    out = [SparseTensor(f, 1, n, {}),
+           SparseTensor.make(f, 1, n, {(i,): rng.below(f.p) for i in range(n)})]
+    for _ in range(count):
+        v = [f.zero] * n
+        for g in gens:
+            x = rng.below(f.p)
+            for (i,), c in g.entries.items():
+                v[i] = f.add(v[i], f.mul(x, c))
+        sq = dense_vec_mul(fake, v, v)
+        out.append(SparseTensor.make(f, 1, n, {(i,): c for i, c in enumerate(sq)}))
+    return out
+
+
+def _zero_one_coefficient(alg, ij):
+    """Product mutant: the first structure coefficient of e_i e_j set to 0."""
+    struct = dict(alg.struct)
+    struct[ij] = struct[ij][1:]
+    return Algebra(alg.field, alg.dim, struct, alg.unit_coeffs)
+
+
+def _h4(p):
+    """Sweedler's H4 (one non-commutative block) read over F_p."""
+    f = PrimeField(p)
+    struct = {ij: tuple((k, f.canon(c)) for k, c in terms)
+              for ij, terms in sweedler().algebra.struct.items()}
+    return Algebra(f, 4, struct, {0: f.one})
+
+
+def _random_algebra(rng, p, n):
+    """A seeded random structure table on n basis elements over F_p; it need
+    not be associative or unital."""
+    f = PrimeField(p)
+    struct = {}
+    for ij in ((i, j) for i in range(n) for j in range(n)):
+        ks = sorted({rng.below(n) for _ in range(rng.below(3))})
+        struct[ij] = tuple((k, rng.below(p - 1) + 1) for k in ks)
+    return Algebra(f, n, struct, {0: f.one})
+
+
+def _basis(alg, block):
+    return [basis_vector(alg.field, alg.dim, i) for i in block]
+
+
+def test_square_roots_double_blocks(dz2_f5, dz3w):
+    for d in (dz2_f5, dz3w):
+        c = _ribbon_target(d)
+        for block in d.metadata["blocks"]:
+            assert _check_roots(d.algebra, _basis(d.algebra, block),
+                                _restrict(c, block))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_square_roots_h4(p):
+    alg = _h4(p)
+    gens = _basis(alg, range(4))
+    roots = [_check_roots(alg, gens, t)
+             for t in _targets(SplitMix64(p), alg, gens)]
+    # x^2 = 0: the zero target has the roots a x + b gx besides 0
+    assert len(roots[0]) == p * p
+    assert all(roots[2:])
+
+
+@pytest.mark.parametrize("name", ["dw_z3_f7", "h4_f5"])
+def test_square_roots_zeroed_coefficient_mutants(dz3w, name):
+    if name == "dw_z3_f7":
+        alg = _zero_one_coefficient(dz3w.algebra, (4, 5))
+    else:
+        alg = _zero_one_coefficient(_h4(5), (1, 2))
+    rng = SplitMix64(len(name))
+    for block in alg.blocks:
+        gens = _basis(alg, block)
+        for t in _targets(rng, alg, gens, count=2):
+            _check_roots(alg, gens, t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_roots_random_tables(seed):
+    rng = SplitMix64(seed)
+    alg = _random_algebra(rng, 5, 3)
+    spans = [_basis(alg, range(3)),
+             [SparseTensor.make(alg.field, 1, 3,
+                                {(i,): rng.below(5) for i in range(3)})
+              for _ in range(2)]]
+    for gens in spans:
+        for t in _targets(rng, alg, gens):
+            _check_roots(alg, gens, t)
+
+
+def test_square_roots_edge_cases(fz2w, dz2_f5):
+    f = fz2w.field
+    idem = fz2w.algebra
+    e0 = _basis(idem, [0])
+    # a block of size 1 spanned by an idempotent: x^2 = x only for x = 1, 6
+    assert _check_roots(idem, e0, e0[0]) == [[1, 0], [6, 0]]
+    assert _check_roots(idem, e0, SparseTensor(f, 1, 2, {})) == [[0, 0]]
+    # no generators: the one point is zero
+    assert _check_roots(idem, [], SparseTensor(f, 1, 2, {})) == [[0, 0]]
+    assert _check_roots(idem, [], e0[0]) == []
+    # a target outside the span of the products has no root
+    alg = dz2_f5.algebra
+    first, second = dz2_f5.metadata["blocks"]
+    assert _check_roots(alg, _basis(alg, first), _basis(alg, second)[0]) == []
+
+
+def test_square_roots_center_path(dz2_f5, kz2):
+    for d in (dz2_f5, kz2):
+        c = _ribbon_target(d)
+        roots, _ = ribbon._enumerate_center_roots(d, c, 10 ** 6)
+        assert roots
+        fake = SimpleNamespace(field=d.field, dim=d.dim, algebra=d.algebra)
+        assert [dense_of(v) for v in roots] == dense_square_roots(
+            fake, center(d), c)
