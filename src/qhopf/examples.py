@@ -14,7 +14,7 @@ from .datum import (QuasiHopfDatum, verify_quasi_bialgebra, verify_quasi_hopf,
                     verify_quasitriangular)
 from .errors import InternalInconsistency
 from .scalars import RationalField
-from .tensor import SparseTensor, invert
+from .tensor import SparseTensor
 
 
 class FiniteAbelianGroup:
@@ -242,16 +242,15 @@ def dpr_double(group, omega):
     d = QuasiHopfDatum(f, n, product, unit, delta_rows, eps, phi, s_rows,
                        alpha, beta, R=R, metadata=metadata, phi_inv=phi_inv)
     if omega.is_trivial():
-        # closed-form ribbon candidate built from sum_g delta_g (x) g; the
-        # defining checks decide whether it or its inverse is the ribbon
-        # element
+        # closed-form ribbon element sum_g delta_g (x) g
         from .ribbon import is_ribbon
-        wv = SparseTensor.make(f, 1, n, {(idx(gi, gi),): one for gi in range(m)})
-        for cand in (wv, invert(wv, d.algebra)):
-            if is_ribbon(d, cand).ok:
-                d = d.with_changes(v=cand)
-                d.metadata["closed_form_v"] = True
-                break
+        v = SparseTensor.make(f, 1, n, {(idx(gi, gi),): one for gi in range(m)})
+        if not is_ribbon(d, v).ok:
+            raise InternalInconsistency(
+                "the closed-form ribbon element of the double of %r fails "
+                "the ribbon checks" % (group,))
+        d = d.with_changes(v=v)
+        d.metadata["closed_form_v"] = True
     if not (verify_quasi_bialgebra(d, early_stop=True).ok
             and verify_quasi_hopf(d, early_stop=True).ok
             and verify_quasitriangular(d, early_stop=True).ok):

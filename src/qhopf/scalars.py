@@ -7,6 +7,7 @@ scalars is plain equality of representations.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch, NoSuchRoot
 
@@ -123,14 +124,17 @@ class PrimeField(Field):
         """Smallest residue that is a primitive n-th root of unity."""
         if n == 1:
             return self.one
-        if (self.p - 1) % n != 0:
+        p = self.p
+        if (p - 1) % n != 0:
             raise NoSuchRoot("%r has no primitive %d-th root of unity" % (self, n))
         proper = [n // q for q in range(2, n + 1) if n % q == 0]
-        for r in range(2, self.p):
-            if pow(r, n, self.p) != 1:
-                continue
-            if all(pow(r, m, self.p) != 1 for m in proper):
-                return r
+        # x^((p-1)/n) is an n-th root of unity for every x, and a primitive
+        # one z for some x; the primitive roots are then the z^k with k prime
+        # to n.  Scanning residues instead takes up to p steps.
+        for x in range(2, p):
+            z = pow(x, (p - 1) // n, p)
+            if all(pow(z, m, p) != 1 for m in proper):
+                return min(pow(z, k, p) for k in range(1, n) if gcd(k, n) == 1)
         raise NoSuchRoot("no primitive %d-th root found in %r" % (n, self))
 
     def sample(self, rng):

@@ -16,6 +16,17 @@ algebra such as H4 or K[G] has a single block.  A multi-index has a block
 signature, the block of each leg.  mult() pairs each entry of t1 only with
 the entries of t2 of the same signature, since every other pair is zero, and
 invert() solves one independent linear system per signature.
+
+Scalars in the kernels.  Every accumulation loop adds and multiplies scalars
+with the plain Python operators and passes its accumulator once through
+_canon(), which brings each value to canonical form and drops the zeros.
+Over Q the operators are exact.  Over F_p the accumulated values are
+unreduced integers, and one reduction at the end gives the same residues as
+reducing after every step, because reduction mod p is a ring map.  So one
+loop serves both fields.  Algebra.mono, a property of the structure
+constants, still selects a dedicated loop in mult() and hom_sum() for bases
+whose products are single terms, where the general loops are 1.4 (mult) and
+3.5 (hom_sum) times slower.
 """
 
 from itertools import product as iproduct
@@ -129,7 +140,7 @@ class Algebra:
                             if not field.is_zero(field.canon(c))}
         self._units = {}
         # group-like bases have at most one product term per pair; that case
-        # gets a dedicated fast path in mult()
+        # gets a dedicated loop in mult() and hom_sum()
         if all(len(terms) <= 1 for terms in struct.values()):
             self.mono = {ij: terms[0] for ij, terms in struct.items() if terms}
         else:
@@ -153,23 +164,6 @@ class Algebra:
 
     def vec_mul(self, a, b):
         """Product of two elements given as {index: scalar} dicts."""
-        f = self.field
-        mono = self.mono
-        if mono is not None and f.kind == "prime":
-            p = f.p
-            get = mono.get
-            out = {}
-            for i, ca in a.items():
-                for j, cb in b.items():
-                    t = get((i, j))
-                    if t is None:
-                        continue
-                    v = (out.get(t[0], 0) + ca * cb * t[1]) % p
-                    if v:
-                        out[t[0]] = v
-                    else:
-                        out.pop(t[0], None)
-            return out
         struct = self.struct
         out = {}
         for i, ca in a.items():
@@ -177,14 +171,26 @@ class Algebra:
                 terms = struct.get((i, j))
                 if not terms:
                     continue
-                cab = f.mul(ca, cb)
+                cab = ca * cb
                 for k, ck in terms:
-                    v = f.add(out.get(k, f.zero), f.mul(cab, ck))
-                    if f.is_zero(v):
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
+                    out[k] = out.get(k, 0) + cab * ck
+        return _canon(self.field, out)
+
+
+def _canon(f, acc):
+    """Bring the values of an accumulator filled with the plain operators
+    to canonical form, in place, and drop the zeros; returns acc."""
+    canon = f.canon
+    zeros = []
+    for key, v in acc.items():
+        v = canon(v)
+        if v:
+            acc[key] = v
+        else:
+            zeros.append(key)
+    for key in zeros:
+        del acc[key]
+    return acc
 
 
 def _block_partition(dim, struct):
@@ -236,6 +242,24 @@ def _block_pairs(t1, t2, alg):
             yield k1, c1, partners
 
 
+def _basis_product(struct, k1, k2, c):
+    """The terms (key, scalar) of c e_k1 e_k2 in the tensor power, scalars
+    unreduced; none when some leg multiplies to zero."""
+    lists = []
+    for ij in zip(k1, k2):
+        terms = struct.get(ij)
+        if not terms:
+            return ()
+        lists.append(terms)
+    out = []
+    for picks in iproduct(*lists):
+        cc = c
+        for _, cv in picks:
+            cc *= cv
+        out.append((tuple([k for k, _ in picks]), cc))
+    return out
+
+
 def mult(t1, t2, alg):
     """Componentwise product in the k-th tensor power of the algebra."""
     if t1.arity != t2.arity:
@@ -243,85 +267,31 @@ def mult(t1, t2, alg):
     if t1.dim != t2.dim:
         raise ShapeMismatch("dim %d vs %d" % (t1.dim, t2.dim))
     t1.field.assert_same(t2.field)
-    f = alg.field
+    acc = {}
     if alg.mono is not None:
-        if f.kind == "prime":
-            return _mult_mono_prime(t1, t2, alg)
-        return _mult_mono(t1, t2, alg)
-    struct = alg.struct
-    k = t1.arity
-    acc = {}
-    for k1, c1, partners in _block_pairs(t1, t2, alg):
-        for k2, c2 in partners:
-            lists = []
-            dead = False
-            for l in range(k):
-                terms = struct.get((k1[l], k2[l]))
-                if not terms:
-                    dead = True
-                    break
-                lists.append(terms)
-            if dead:
-                continue
-            c12 = f.mul(c1, c2)
-            for picks in iproduct(*lists):
-                c = c12
-                for _, cv in picks:
-                    c = f.mul(c, cv)
-                key = tuple(p[0] for p in picks)
-                v = f.add(acc.get(key, f.zero), c)
-                if f.is_zero(v):
-                    acc.pop(key, None)
+        get_term = alg.mono.get
+        rng = range(t1.arity)
+        for k1, c1, partners in _block_pairs(t1, t2, alg):
+            for k2, c2 in partners:
+                c = c1 * c2
+                key = []
+                push = key.append
+                for l in rng:
+                    term = get_term((k1[l], k2[l]))
+                    if term is None:
+                        break
+                    push(term[0])
+                    c *= term[1]
                 else:
-                    acc[key] = v
-    return SparseTensor(f, k, t1.dim, acc)
-
-
-def _mult_mono_prime(t1, t2, alg):
-    p = alg.field.p
-    mono = alg.mono
-    rng = range(t1.arity)
-    acc = {}
-    get_term = mono.get
-    for k1, c1, partners in _block_pairs(t1, t2, alg):
-        for k2, c2 in partners:
-            c = c1 * c2
-            key = []
-            push = key.append
-            for l in rng:
-                term = get_term((k1[l], k2[l]))
-                if term is None:
-                    break
-                push(term[0])
-                c = c * term[1] % p
-            else:
-                kk = tuple(key)
-                acc[kk] = (acc.get(kk, 0) + c) % p
-    return SparseTensor(alg.field, t1.arity, t1.dim,
-                        {kk: v for kk, v in acc.items() if v})
-
-
-def _mult_mono(t1, t2, alg):
-    f = alg.field
-    mono = alg.mono
-    rng = range(t1.arity)
-    acc = {}
-    mul, add_, zero = f.mul, f.add, f.zero
-    for k1, c1, partners in _block_pairs(t1, t2, alg):
-        for k2, c2 in partners:
-            c = mul(c1, c2)
-            key = []
-            for l in rng:
-                term = mono.get((k1[l], k2[l]))
-                if term is None:
-                    break
-                key.append(term[0])
-                c = mul(c, term[1])
-            else:
-                kk = tuple(key)
-                acc[kk] = add_(acc.get(kk, zero), c)
-    return SparseTensor(f, t1.arity, t1.dim,
-                        {kk: v for kk, v in acc.items() if not f.is_zero(v)})
+                    key = tuple(key)
+                    acc[key] = acc.get(key, 0) + c
+    else:
+        struct = alg.struct
+        for k1, c1, partners in _block_pairs(t1, t2, alg):
+            for k2, c2 in partners:
+                for key, c in _basis_product(struct, k1, k2, c1 * c2):
+                    acc[key] = acc.get(key, 0) + c
+    return SparseTensor(alg.field, t1.arity, t1.dim, _canon(alg.field, acc))
 
 
 def mul_all(alg, *tensors):
@@ -367,13 +337,12 @@ def apply_legs(t, legs):
     f = t.field
     out_arity = sum(l.width for l in legs)
     acc = {}
-    one = f.one
     for key, c in t.entries.items():
         parts = []
         dead = False
         for idx, leg in zip(key, legs):
             if leg.kind == "id":
-                parts.append((((idx,), one),))
+                parts.append((((idx,), 1),))
             elif leg.kind == "lin":
                 exp = leg.rows.get(idx, ())
                 if not exp:
@@ -382,7 +351,7 @@ def apply_legs(t, legs):
                 parts.append(tuple(((j,), cv) for j, cv in exp))
             elif leg.kind == "eps":
                 ev = leg.rows[idx]
-                if f.is_zero(ev):
+                if not ev:
                     dead = True
                     break
                 parts.append((((), ev),))
@@ -391,7 +360,7 @@ def apply_legs(t, legs):
                 if not exp:
                     dead = True
                     break
-                parts.append(tuple((jk, cv) for jk, cv in exp))
+                parts.append(exp)
         if dead:
             continue
         for picks in iproduct(*parts):
@@ -399,13 +368,9 @@ def apply_legs(t, legs):
             kk = ()
             for sub, cv in picks:
                 kk += sub
-                cc = f.mul(cc, cv)
-            v = f.add(acc.get(kk, f.zero), cc)
-            if f.is_zero(v):
-                acc.pop(kk, None)
-            else:
-                acc[kk] = v
-    return SparseTensor(f, out_arity, t.dim, acc)
+                cc *= cv
+            acc[kk] = acc.get(kk, 0) + cc
+    return SparseTensor(f, out_arity, t.dim, _canon(f, acc))
 
 
 # ----- index plumbing -------------------------------------------------------
@@ -458,7 +423,6 @@ def mul_adjacent(t, pos, alg):
     """Merge legs pos and pos+1 by multiplying them in the algebra."""
     if pos < 0 or pos + 1 >= t.arity:
         raise ShapeMismatch("cannot merge legs %d,%d of arity %d" % (pos, pos + 1, t.arity))
-    f = alg.field
     struct = alg.struct
     acc = {}
     for key, c in t.entries.items():
@@ -468,12 +432,8 @@ def mul_adjacent(t, pos, alg):
         head, tail = key[:pos], key[pos + 2:]
         for k, ck in terms:
             kk = head + (k,) + tail
-            v = f.add(acc.get(kk, f.zero), f.mul(c, ck))
-            if f.is_zero(v):
-                acc.pop(kk, None)
-            else:
-                acc[kk] = v
-    return SparseTensor(f, t.arity - 1, t.dim, acc)
+            acc[kk] = acc.get(kk, 0) + c * ck
+    return SparseTensor(alg.field, t.arity - 1, t.dim, _canon(alg.field, acc))
 
 
 def scale(t, c):
@@ -486,15 +446,10 @@ def scale(t, c):
 
 
 def add(t1, t2):
-    f = t1.field
     out = dict(t1.entries)
     for k, v in t2.entries.items():
-        s = f.add(out.get(k, f.zero), v)
-        if f.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return SparseTensor(f, t1.arity, t1.dim, out)
+        out[k] = out.get(k, 0) + v
+    return SparseTensor(t1.field, t1.arity, t1.dim, _canon(t1.field, out))
 
 
 def sub(t1, t2):
@@ -535,26 +490,11 @@ def invert(t, alg):
         rows = [{} for _ in unknowns]
         for jflat, jkey in enumerate(unknowns):
             for key, c in entries:
-                lists = []
-                dead = False
-                for l in range(k):
-                    terms = struct.get((key[l], jkey[l]))
-                    if not terms:
-                        dead = True
-                        break
-                    lists.append(terms)
-                if dead:
-                    continue
-                for picks in iproduct(*lists):
-                    cc = c
-                    for _, cv in picks:
-                        cc = f.mul(cc, cv)
-                    row = rows[index[tuple(p[0] for p in picks)]]
-                    v = f.add(row.get(jflat, f.zero), cc)
-                    if f.is_zero(v):
-                        row.pop(jflat, None)
-                    else:
-                        row[jflat] = v
+                for ikey, cc in _basis_product(struct, key, jkey, c):
+                    row = rows[index[ikey]]
+                    row[jflat] = row.get(jflat, 0) + cc
+        for row in rows:
+            _canon(f, row)
         rhs = {index[key]: c for key, c in rhs_items}
         x = linalg.solve(f, rows, len(unknowns), rhs)
         if x is None:
@@ -585,15 +525,14 @@ def hom_sum(alg, unary, factors, out):
     entry_lists = [list(t.entries.items()) for t, _ in factors]
     name_lists = [names for _, names in factors]
     plain = all(isinstance(a, str) for leg in out for a in leg)
-    if plain and alg.mono is not None and f.kind == "prime":
-        return _hom_sum_plain_prime(alg, entry_lists, name_lists, out)
+    if plain and alg.mono is not None:
+        return _hom_sum_plain(alg, entry_lists, name_lists, out)
     acc = {}
-    one = f.one
     for combo in iproduct(*entry_lists):
-        coeff = one
+        coeff = 1
         env = {}
         for (key, c), names in zip(combo, name_lists):
-            coeff = f.mul(coeff, c)
+            coeff *= c
             for nm, idx in zip(names, key):
                 env[nm] = idx
         legs = []
@@ -609,20 +548,15 @@ def hom_sum(alg, unary, factors, out):
         for picks in iproduct(*[tuple(v.items()) for v in legs]):
             c = coeff
             for _, cv in picks:
-                c = f.mul(c, cv)
+                c *= cv
             key = tuple(i for i, _ in picks)
-            s = f.add(acc.get(key, f.zero), c)
-            if f.is_zero(s):
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-    return SparseTensor(f, len(out), alg.dim, acc)
+            acc[key] = acc.get(key, 0) + c
+    return SparseTensor(f, len(out), alg.dim, _canon(f, acc))
 
 
-def _hom_sum_plain_prime(alg, entry_lists, name_lists, out):
+def _hom_sum_plain(alg, entry_lists, name_lists, out):
     # every atom is a leg name and every basis product is a monomial, so the
     # whole contraction reduces to index chasing with running coefficients
-    p = alg.field.p
     get = alg.mono.get
     pos = {}
     for fi, names in enumerate(name_lists):
@@ -633,7 +567,7 @@ def _hom_sum_plain_prime(alg, entry_lists, name_lists, out):
     for combo in iproduct(*entry_lists):
         c = 1
         for _, cv in combo:
-            c = c * cv % p
+            c *= cv
         outkey = []
         dead = False
         for leg in legs_compiled:
@@ -645,24 +579,22 @@ def _hom_sum_plain_prime(alg, entry_lists, name_lists, out):
                     dead = True
                     break
                 cur = t[0]
-                c = c * t[1] % p
+                c *= t[1]
             if dead:
                 break
             outkey.append(cur)
         if dead:
             continue
         kk = tuple(outkey)
-        acc[kk] = (acc.get(kk, 0) + c) % p
-    return SparseTensor(alg.field, len(out), alg.dim,
-                        {k: v for k, v in acc.items() if v})
+        acc[kk] = acc.get(kk, 0) + c
+    return SparseTensor(alg.field, len(out), alg.dim, _canon(alg.field, acc))
 
 
 def _eval_atoms(alg, unary, env, atoms):
-    f = alg.field
     v = None
     for a in atoms:
         if isinstance(a, str):
-            w = {env[a]: f.one}
+            w = {env[a]: alg.field.one}
         elif isinstance(a, SparseTensor):
             w = {i: c for (i,), c in a.entries.items()}
         else:
@@ -672,12 +604,9 @@ def _eval_atoms(alg, unary, env, atoms):
             w = {}
             for i, ci in u.items():
                 for j, cj in rows.get(i, ()):
-                    s = f.add(w.get(j, f.zero), f.mul(ci, cj))
-                    if f.is_zero(s):
-                        w.pop(j, None)
-                    else:
-                        w[j] = s
-        v = dict(w) if v is None else alg.vec_mul(v, w)
+                    w[j] = w.get(j, 0) + ci * cj
+            _canon(alg.field, w)
+        v = w if v is None else alg.vec_mul(v, w)
         if not v:
             return {}
     return v

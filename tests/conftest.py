@@ -9,6 +9,8 @@ from qhopf import (FiniteAbelianGroup, cocycle_for, cocycle_zn, dpr_double,
                    function_algebra, group_algebra, sweedler)
 from qhopf.scalars import PrimeField, RationalField
 
+from basis import rebased
+
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 Z2 = FiniteAbelianGroup((2,))
@@ -86,3 +88,14 @@ def dz3():
 @pytest.fixture(scope="session")
 def dz3w():
     return dpr_double(Z3, cocycle_for(Z3, 1, F7))
+
+
+@pytest.fixture(scope="session")
+def sw_rebased():
+    """H4 in a basis whose products have several terms (tests/basis.py)."""
+    return rebased("h4_q")
+
+
+@pytest.fixture(scope="session")
+def dz2_f5_rebased():
+    return rebased("dw_z2_f5")

@@ -22,24 +22,43 @@ def mutate_tensor(field, t, rng):
     return SparseTensor.make(field, t.arity, t.dim, items)
 
 
+def _mutate_rows(field, rows, rng):
+    """rows: {key: ((index, scalar), ...)}, the layout of the product,
+    coproduct and antipode tables.  One scalar of one row is replaced; a
+    term set to zero is dropped, and so is a row left empty."""
+    pairs = [(key, pos) for key, row in sorted(rows.items())
+             for pos in range(len(row))]
+    key, pos = pairs[rng.below(len(pairs))]
+    row = list(rows[key])
+    idx, c = row[pos]
+    new = _different(field, c, rng)
+    if field.is_zero(new):
+        del row[pos]
+    else:
+        row[pos] = (idx, new)
+    rows = dict(rows)
+    if row:
+        rows[key] = tuple(row)
+    else:
+        del rows[key]
+    return rows
+
+
 def mutate(d, layer, rng):
     """One coefficient of the chosen structure layer replaced by a different
     field value (possibly zero)."""
     f = d.field
+    if layer == "product":
+        return d.with_changes(product=_mutate_rows(f, d.algebra.struct, rng))
+    if layer == "delta":
+        return d.with_changes(delta_rows=_mutate_rows(f, d.delta_rows, rng))
+    if layer == "epsilon":
+        eps = list(d.eps)
+        i = rng.below(len(eps))
+        eps[i] = _different(f, eps[i], rng)
+        return d.with_changes(eps=eps)
     if layer == "S":
-        pairs = [(i, pos) for i, row in sorted(d.s_rows.items())
-                 for pos in range(len(row))]
-        i, pos = pairs[rng.below(len(pairs))]
-        row = list(d.s_rows[i])
-        j, c = row[pos]
-        new = _different(f, c, rng)
-        if f.is_zero(new):
-            del row[pos]
-        else:
-            row[pos] = (j, new)
-        rows = dict(d.s_rows)
-        rows[i] = tuple(row)
-        return d.with_changes(s_rows=rows)
+        return d.with_changes(s_rows=_mutate_rows(f, d.s_rows, rng))
     if layer == "phi":
         return d.with_changes(phi=mutate_tensor(f, d.phi, rng))
     if layer == "R":
@@ -56,3 +75,8 @@ def layers_of(d):
     if d.R is not None:
         out.insert(1, "R")
     return out
+
+
+def all_layers_of(d):
+    """layers_of plus the product, coproduct and counit tables."""
+    return ["product", "delta", "epsilon"] + layers_of(d)

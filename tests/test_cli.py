@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhopf.cli import main
 from qhopf import loads
+from qhopf.rng import SplitMix64
+
+from mutation import all_layers_of, mutate
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +236,46 @@ def test_emitted_twist_round_trips(dz2w_file, tmp_path, capsys):
     capsys.readouterr()
     d = loads(out.read_text())
     assert d.R is not None
+
+
+@pytest.mark.parametrize("example, reason", [
+    (["--kind", "sweedler"], "the zero tensor has no inverse"),
+    (["--kind", "dpr", "--group", "Z3", "--q", "1", "--field", "p:7"],
+     "left-multiplication system is singular")])
+def test_verify_singular_associator_exits_one(example, reason, tmp_path,
+                                              capsys):
+    path = tmp_path / "d.json"
+    assert main(["example"] + example + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["phi"]["entries"][0][1] = "0"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["verify", str(path), "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert out["checks"][-1] == {"name": "phi_invertible", "status": "fail",
+                                 "witness": {"reason": reason}}
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.json"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(base=st.sampled_from(["sw", "dz2_f5"]), layer_pos=st.integers(0, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_single_coefficient_mutation_gives_a_verdict(sw, dz2_f5, mutant_path,
+                                                     base, layer_pos, seed):
+    # exit 1 with a failing check or 0 with all passing, whichever layer
+    # the mutation hits; never exit 2 and never an escaped exception
+    d = {"sw": sw, "dz2_f5": dz2_f5}[base]
+    layers = all_layers_of(d)
+    bad = mutate(d, layers[layer_pos % len(layers)], SplitMix64(seed))
+    mutant_path.write_text(bad.dumps())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", str(mutant_path), "--format", "json"])
+    assert rc in (0, 1), err.getvalue()
+    checks = json.loads(out.getvalue())["checks"]
+    assert (rc == 1) == any(c["status"] == "fail" for c in checks)

@@ -200,3 +200,27 @@ def _random_vec(d, rng):
     items = {(i,): d.field.from_int(rng.below(d.field.size))
              for i in range(d.dim)}
     return SparseTensor.make(d.field, 1, d.dim, items)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("sw", "the zero tensor has no inverse"),
+    ("dz3w", "left-multiplication system is singular")])
+def test_singular_associator_stops_before_later_layers(name, reason, request):
+    # the antipode and R-matrix layers use the inverse associator, so they
+    # do not run; the failure is a check, not an escaped error
+    doc = request.getfixturevalue(name).to_json()
+    doc["phi"]["entries"][0][1] = "0"
+    rep = verify(load(doc))
+    assert not rep.ok
+    assert rep.checks[-1].name == "phi_invertible"
+    assert rep.checks[-1].witness == {"reason": reason}
+
+
+def test_ribbon_layer_needs_the_layers_below(dz2_f5):
+    # a broken evaluation element breaks the quasi-Hopf layer; the ribbon
+    # builders assume it and are not run
+    bad = mutate(dz2_f5, "alpha", SplitMix64(0))
+    rep = verify(bad)
+    assert not rep.ok
+    names = [c.name for c in rep.checks]
+    assert names[-1] == "r_antipode" and "ribbon_nonzero" not in names

@@ -43,8 +43,9 @@ def test_gamma_agrees_with_alternative(fz2w, fz3w, dz2w, dz3w):
         assert _delta_alt(d) == delta(d)
 
 
-def test_gamma_delta_f_match_dense_oracle(fz2w, dz2w, dz3w, sw):
-    for d in (fz2w, dz2w, dz3w, sw):
+def test_gamma_delta_f_match_dense_oracle(fz2w, dz2w, dz3w, sw, sw_rebased,
+                                         dz2_f5_rebased):
+    for d in (fz2w, dz2w, dz3w, sw, sw_rebased, dz2_f5_rebased):
         g = gamma(d)
         assert dense_of(g) == dense_gamma(d)
         dl = delta(d)

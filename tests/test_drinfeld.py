@@ -26,8 +26,9 @@ def test_u_sweedler_closed_form(sw):
     assert drinfeld_u(sw).u_inv == sw.basis(1)
 
 
-def test_u_matches_dense_oracle(sw, dz2w, dz3w, dz2_f5):
-    for d in (sw, dz2w, dz3w, dz2_f5):
+def test_u_matches_dense_oracle(sw, dz2w, dz3w, dz2_f5, sw_rebased,
+                                dz2_f5_rebased):
+    for d in (sw, dz2w, dz3w, dz2_f5, sw_rebased, dz2_f5_rebased):
         assert dense_of(drinfeld_u(d).u) == dense_drinfeld(d)
 
 

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from qhopf import (Cocycle3, FiniteAbelianGroup, cocycle_for, cocycle_zn,
-                   function_algebra, group_algebra, verify_quasi_bialgebra,
+                   dpr_double, function_algebra, group_algebra, verify_quasi_bialgebra,
                    verify_quasi_hopf, verify_quasitriangular, is_ribbon)
 from qhopf.errors import InternalInconsistency, NoSuchRoot
 from qhopf.scalars import PrimeField, RationalField
@@ -118,6 +118,22 @@ def test_trivial_double_carries_closed_form_ribbon(dz2_f5, dz3):
         assert d.v is not None
         assert d.metadata.get("closed_form_v")
         assert is_ribbon(d, d.v).ok
+
+
+def test_closed_form_ribbon_is_checked(monkeypatch, z2, f5):
+    # the closed form is pinned; the ribbon checks stay as a consistency
+    # check on it
+    from qhopf import ribbon
+    from qhopf.report import CheckReport
+
+    def failing(d, v):
+        rep = CheckReport()
+        rep.add_fail("ribbon_central")
+        return rep
+
+    monkeypatch.setattr(ribbon, "is_ribbon", failing)
+    with pytest.raises(InternalInconsistency):
+        dpr_double(z2, cocycle_for(z2, 0, f5))
 
 
 def test_twisted_double_has_no_attached_ribbon(dz2w, dz3w):

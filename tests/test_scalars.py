@@ -69,6 +69,30 @@ def test_root_of_unity_f7():
         f.root_of_unity(5)
 
 
+def test_root_of_unity_is_the_smallest_primitive_root():
+    # against a scan of every residue, for each prime below 200 and each
+    # order dividing p - 1
+    for p in range(3, 200):
+        if not is_prime(p):
+            continue
+        f = PrimeField(p)
+        for n in range(2, p):
+            if (p - 1) % n:
+                continue
+            proper = [n // q for q in range(2, n + 1) if n % q == 0]
+            want = next(r for r in range(2, p) if pow(r, n, p) == 1
+                        and all(pow(r, m, p) != 1 for m in proper))
+            assert f.root_of_unity(n) == want
+
+
+def test_root_of_unity_largest_prime():
+    # a scan of residues would take about 6e8 steps here
+    f = PrimeField(2147483647)
+    z = f.root_of_unity(3)
+    assert z == 634005911
+    assert pow(z, 3, f.p) == 1 and z != 1 and z < pow(z, 2, f.p)
+
+
 def test_root_of_unity_rational():
     q = RationalField()
     assert q.root_of_unity(1) == 1

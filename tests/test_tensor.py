@@ -13,6 +13,7 @@ from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, conca
                           insert_leg, invert, lin_leg, mul_adjacent, mult,
                           permute_legs, LEG_ID)
 
+from basis import REBASED, rebased
 from oracle import dense_apply_legs, dense_mult, dense_of
 
 F7 = PrimeField(7)
@@ -289,12 +290,19 @@ def triangular_algebra(field=F7):
     return Algebra(field, 3, struct, {0: field.one, 2: field.one})
 
 
+# the "rebased" ones are written in a basis whose products have several
+# terms, so they run the general loops instead of the monomial ones
 BLOCK_ALGEBRAS = ("dw_z3_f7", "dw_z2_f3", "h4_q", "dw_z3_f7_mutant",
-                  "h4_q_mutant", "t2_f7_split_mutant")
+                  "h4_q_mutant", "t2_f7_split_mutant") + tuple(
+                      "rebased_" + name for name in REBASED)
 
 
 @functools.lru_cache(maxsize=None)
 def block_algebra(name):
+    if name.startswith("rebased_"):
+        alg = rebased(name[len("rebased_"):]).algebra
+        assert alg.mono is None
+        return alg
     if name.startswith("dw_z3_f7"):
         z3 = FiniteAbelianGroup((3,))
         alg = dpr_double(z3, cocycle_for(z3, 1, F7)).algebra
