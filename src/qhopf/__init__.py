@@ -12,7 +12,7 @@ from .drinfeld import (DrinfeldElements, drinfeld_u, check_drinfeld_props,
                        check_u_under_modification, u_tilde, check_u_tilde)
 from .twisting import (Twist, make_twist, twist, random_twist,
                        random_invertible, check_twist_elements,
-                       check_u_twist_invariance, opcop_twist_iso)
+                       opcop_twist_iso)
 from .ribbon import (RTwistElements, RibbonCandidate, RibbonSearch,
                      rtwist_elements, check_rtwist_relations, is_ribbon,
                      check_ribbon_lemma, check_main_theorem, center,
@@ -32,7 +32,7 @@ __all__ = [
     "DrinfeldElements", "drinfeld_u", "check_drinfeld_props",
     "check_u_under_modification", "u_tilde", "check_u_tilde",
     "Twist", "make_twist", "twist", "random_twist", "random_invertible",
-    "check_twist_elements", "check_u_twist_invariance", "opcop_twist_iso",
+    "check_twist_elements", "opcop_twist_iso",
     "RTwistElements", "RibbonCandidate", "RibbonSearch", "rtwist_elements",
     "check_rtwist_relations", "is_ribbon", "check_ribbon_lemma",
     "check_main_theorem", "center", "find_ribbon",

@@ -19,11 +19,11 @@ from .drinfeld import drinfeld_u, u_tilde
 from .errors import BudgetExceeded, ParseError, QhopfError, ShapeError
 from .examples import (FiniteAbelianGroup, Cocycle3, cocycle_for, dpr_double,
                        function_algebra, group_algebra, sweedler)
+from .report import CheckReport
 from .ribbon import (check_main_theorem, check_ribbon_lemma, find_ribbon,
                      is_ribbon, rtwist_elements)
 from .scalars import PrimeField, RationalField
-from .twisting import (check_twist_elements, check_u_twist_invariance,
-                       random_twist, twist)
+from .twisting import check_twist_elements, random_twist, twist
 
 
 def main(argv=None):
@@ -126,6 +126,18 @@ def emit_report(args, d, level, rep, t0):
     return 0 if rep.ok else 1
 
 
+def _verified(args, d, t0):
+    """Run `verify` up to the layer the builders rest on: the quasitriangular
+    one, or the quasi-Hopf one when there is no R-matrix.  The builders
+    assume those axioms, so when a check fails its report is printed and
+    the command stops there, with exit 1."""
+    level = "qt" if d.R is not None else "hopf"
+    rep = verify(d, level=level)
+    if not rep.ok:
+        emit_report(args, d, level, rep, t0)
+    return rep.ok
+
+
 def cmd_verify(args):
     t0 = time.perf_counter()
     d = load_path(args.file)
@@ -136,7 +148,10 @@ def cmd_verify(args):
 
 
 def cmd_derive(args):
+    t0 = time.perf_counter()
     d = load_path(args.file)
+    if not _verified(args, d, t0):
+        return 1
     name = args.element
     if name in ("gamma", "delta"):
         t = gamma(d) if name == "gamma" else delta(d)
@@ -161,7 +176,10 @@ def _default_seed(args):
 
 
 def cmd_twist(args):
+    t0 = time.perf_counter()
     d = load_path(args.file)
+    if not _verified(args, d, t0):
+        return 1
     tw = random_twist(d, _default_seed(args))
     dt = twist(d, tw)
     text = dt.dumps()
@@ -177,6 +195,12 @@ def cmd_twist(args):
 def cmd_ribbon(args):
     t0 = time.perf_counter()
     d = load_path(args.file)
+    if args.action == "check" and d.v is None:
+        print("input error: datum carries no ribbon candidate v",
+              file=sys.stderr)
+        return 2
+    if not _verified(args, d, t0):
+        return 1
     if args.action == "find":
         res = find_ribbon(d, args.budget, method=args.method)
         doc = {"datum": d.content_hash(), "region": res.region,
@@ -185,10 +209,6 @@ def cmd_ribbon(args):
                "elapsed_ms": _elapsed_ms(t0)}
         print(json.dumps(doc, sort_keys=True, indent=1))
         return 0
-    if d.v is None:
-        print("input error: datum carries no ribbon candidate v",
-              file=sys.stderr)
-        return 2
     rep = is_ribbon(d, d.v)
     rep.extend(check_ribbon_lemma(d, d.v))
     rep.extend(check_main_theorem(d, d.v))
@@ -200,7 +220,8 @@ def _parse_group(text):
     factors = []
     for part in parts:
         part = part.strip()
-        if not part.startswith("Z") or not part[1:].isdigit():
+        if (not part.startswith("Z") or not part[1:].isdecimal()
+                or int(part[1:]) == 0):
             raise ParseError("bad group %r (expected e.g. Z2, Z3, Z2xZ2)" % text)
         factors.append(int(part[1:]))
     return FiniteAbelianGroup(tuple(factors))
@@ -210,7 +231,10 @@ def _parse_field(text):
     if text.upper() in ("Q", "RATIONAL"):
         return RationalField()
     if text.startswith("p:"):
-        return PrimeField(int(text[2:]))
+        try:
+            return PrimeField(int(text[2:]))
+        except ValueError as exc:
+            raise ParseError("bad field %r: %s" % (text, exc))
     raise ParseError("bad field %r (expected p:<prime> or Q)" % text)
 
 
@@ -263,35 +287,39 @@ def cmd_check(args):
         value = dsl.evaluate(expr, d)
         print(json.dumps(value.to_json(), sort_keys=True, indent=1))
         return 0
+    if args.what == "twist-props":
+        first, last = _parse_seed_range(args.seeds)
+    if args.what == "ribbon-theorem" and d.v is None:
+        print("input error: datum carries no ribbon candidate v", file=sys.stderr)
+        return 2
+    if not _verified(args, d, t0):
+        return 1
     if args.what == "corpus":
         rep = dsl.run_corpus(d, path=args.corpus)
         return emit_report(args, d, "corpus", rep, t0)
     if args.what == "twist-props":
-        first, last = _parse_seed_range(args.seeds)
-        from .report import CheckReport
         rep = CheckReport()
         for seed in range(first, last + 1):
-            tw = random_twist(d, seed)
-            sub = check_twist_elements(d, tw)
-            sub.extend(check_u_twist_invariance(d, tw))
+            sub = check_twist_elements(d, random_twist(d, seed))
             for c in sub.checks:
                 rep.add("seed %d: %s" % (seed, c.name), c.status, c.witness)
         return emit_report(args, d, "twist-props", rep, t0)
     # ribbon-theorem
-    if d.v is None:
-        print("input error: datum carries no ribbon candidate v", file=sys.stderr)
-        return 2
     rep = check_ribbon_lemma(d, d.v)
     rep.extend(check_main_theorem(d, d.v))
     return emit_report(args, d, "ribbon-theorem", rep, t0)
 
 
 def _parse_seed_range(text):
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return int(a), int(b)
-    n = int(text)
-    return n, n
+    """(first, last) from "A..B" or "N"; an empty range is an error."""
+    a, sep, b = text.partition("..")
+    try:
+        first, last = int(a), int(b if sep else a)
+    except ValueError:
+        raise ParseError("bad seed range %r (expected A..B or N)" % text)
+    if first > last:
+        raise ParseError("empty seed range %r" % text)
+    return first, last
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ and its counterpart in the opposite-coopposite datum."""
 from dataclasses import dataclass
 
 from .derived import big_f, modify_antipode, op_cop
-from .errors import InternalInconsistency, MissingR, NotInvertible
+from .errors import MissingR
 from .report import CheckReport, witness_from
 from .tensor import (SparseTensor, apply_legs, concat, eq_witness, flip,
                      invert, mul_all, mult)
@@ -19,8 +19,8 @@ class DrinfeldElements:
 
 
 def drinfeld_u(d):
-    """u and its inverse.  Failure to invert contradicts the theory, so it
-    surfaces as InternalInconsistency rather than NotInvertible."""
+    """u and its inverse.  On a datum that passes `verify` u is invertible by
+    theorem; elsewhere `invert` may raise NotInvertible."""
     def build():
         if d.R is None:
             raise MissingR("datum carries no R-matrix")
@@ -28,13 +28,7 @@ def drinfeld_u(d):
                    [[("S", ["y", d.beta, ("S", ["z"])])], ["x"]])
         u = d.hsum([(w, ("w", "x")), (d.R, ("s", "t"))],
                    [["w", ("S", ["t"]), d.alpha, "s", "x"]])
-        try:
-            u_inv = invert(u, d.algebra)
-        except NotInvertible as exc:
-            raise InternalInconsistency(
-                "the canonical element is not invertible (%s); the datum "
-                "violates a quasitriangularity axiom" % exc)
-        return DrinfeldElements(u=u, u_inv=u_inv)
+        return DrinfeldElements(u=u, u_inv=invert(u, d.algebra))
     return d.cache("drinfeld", build)
 
 
@@ -89,32 +83,25 @@ def check_u_under_modification(d, x):
 
 
 def u_tilde(d):
-    """The canonical element of the opposite-coopposite datum, computed both
-    by its closed formula and from scratch; the two must agree."""
+    """The canonical element of the opposite-coopposite datum, by its closed
+    formula; `check_u_tilde` compares it with the from-scratch computation."""
     def build():
         if d.R is None:
             raise MissingR("datum carries no R-matrix")
         w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
                    [["z"], [("S", [("S", ["x"]), d.alpha, "y"])]])
-        ut = d.hsum([(w, ("zz", "w")), (d.R, ("s", "t"))],
-                    [["zz", "s", d.beta, ("S", ["t"]), "w"]])
-        independent = drinfeld_u(op_cop(d)).u
-        if ut != independent:
-            raise InternalInconsistency(
-                "the closed formula for the opposite-coopposite canonical "
-                "element disagrees with the from-scratch computation")
-        return ut
+        return d.hsum([(w, ("zz", "w")), (d.R, ("s", "t"))],
+                      [["zz", "s", d.beta, ("S", ["t"]), "w"]])
     return d.cache("u_tilde", build)
 
 
 def check_u_tilde(d):
+    """The closed formula for u_tilde against the canonical element of the
+    opposite-coopposite datum, and u = S(u_tilde)."""
     rep = CheckReport()
-    try:
-        ut = u_tilde(d)
-        rep.add_pass("u_tilde_formula_vs_opcop")
-    except InternalInconsistency as exc:
-        rep.add_fail("u_tilde_formula_vs_opcop", {"reason": str(exc)})
-        return rep
+    ut = u_tilde(d)
+    rep.add_diff("u_tilde_formula_vs_opcop",
+                 eq_witness(ut, drinfeld_u(op_cop(d)).u))
     rep.add_diff("u_is_antipode_of_u_tilde",
                  eq_witness(drinfeld_u(d).u, d.antipode(ut)))
     return rep

@@ -392,7 +392,18 @@ def _resolve(d, name, twist):
     raise UndefinedName("unknown constant %r" % name)
 
 
-def _eval(node, d, twist, bindings):
+def _eval(node, d, twist, bindings, memo):
+    """The value of node.  memo holds the values of subterms without a basis
+    variable, which stay the same while a corpus line loops over the basis."""
+    if node in memo:
+        return memo[node]
+    val = _eval_node(node, d, twist, bindings, memo)
+    if not _basis_vars(node):
+        memo[node] = val
+    return val
+
+
+def _eval_node(node, d, twist, bindings, memo):
     f = d.field
     if isinstance(node, Name):
         return _resolve(d, node.name, twist)
@@ -408,8 +419,8 @@ def _eval(node, d, twist, bindings):
     if isinstance(node, ScalarLit):
         return _Scalar(f.parse(node.text))
     if isinstance(node, Prod):
-        a = _eval(node.left, d, twist, bindings)
-        b = _eval(node.right, d, twist, bindings)
+        a = _eval(node.left, d, twist, bindings, memo)
+        b = _eval(node.right, d, twist, bindings, memo)
         if node.op == "#":
             from .tensor import concat
             return concat(a, b)
@@ -421,14 +432,14 @@ def _eval(node, d, twist, bindings):
             return scale(a, b.value)
         return mult(a, b, d.algebra)
     if isinstance(node, Inv):
-        val = _eval(node.expr, d, twist, bindings)
+        val = _eval(node.expr, d, twist, bindings, memo)
         if isinstance(val, _Scalar):
             return _Scalar(f.inv(val.value))
         return invert(val, d.algebra)
     if isinstance(node, Flip):
-        return flip(_eval(node.expr, d, twist, bindings), node.i, node.j)
+        return flip(_eval(node.expr, d, twist, bindings, memo), node.i, node.j)
     if isinstance(node, MapLegs):
-        val = _eval(node.expr, d, twist, bindings)
+        val = _eval(node.expr, d, twist, bindings, memo)
         return apply_legs(val, [d.leg(l) for l in node.legs])
     raise TypeError(node)
 
@@ -439,15 +450,19 @@ def evaluate(expr, d, twist=None, bindings=None):
     if isinstance(expr, str):
         expr = parse(expr)
     if isinstance(expr, Eq):
-        lhs = _eval(expr.left, d, twist, bindings)
-        rhs = _eval(expr.right, d, twist, bindings)
-        lhs, rhs = _coerce_pair(d, lhs, rhs)
-        diff = eq_witness(lhs, rhs)
-        return (diff is None), diff
-    val = _eval(expr, d, twist, bindings)
+        return _compare(expr, d, twist, bindings, {})
+    val = _eval(expr, d, twist, bindings, {})
     if isinstance(val, _Scalar):
         return scale(d.unit_tensor(0), val.value)
     return val
+
+
+def _compare(eq, d, twist, bindings, memo):
+    lhs = _eval(eq.left, d, twist, bindings, memo)
+    rhs = _eval(eq.right, d, twist, bindings, memo)
+    lhs, rhs = _coerce_pair(d, lhs, rhs)
+    diff = eq_witness(lhs, rhs)
+    return (diff is None), diff
 
 
 def _coerce_pair(d, lhs, rhs):
@@ -496,9 +511,10 @@ def check_line(d, line, twist=None):
     except (ArityError, UndefinedName) as exc:
         return "skipped", {"reason": str(exc)}
     variables = sorted(_basis_vars(expr))
+    memo = {}
     try:
         if not variables:
-            ok, diff = evaluate(expr, d, twist=twist)
+            ok, diff = _compare(expr, d, twist, None, memo)
             if ok:
                 return "pass", None
             return "fail", witness_from(diff)
@@ -506,7 +522,7 @@ def check_line(d, line, twist=None):
         if len(variables) > 1:
             return "skipped", {"reason": "multiple basis variables"}
         for i in range(d.dim):
-            ok, diff = evaluate(expr, d, twist=twist, bindings={var: i})
+            ok, diff = _compare(expr, d, twist, {var: i}, memo)
             if not ok:
                 return "fail", witness_from(diff, basis=i)
         return "pass", None

@@ -73,11 +73,10 @@ class BudgetExceeded(QhopfError):
 
 
 class InternalInconsistency(QhopfError):
-    """A property guaranteed by theory failed on concrete data.
-
-    This never indicates a bug in the caller's usage: it means the input
-    datum violates an axiom in a way the structural checks did not catch.
-    Re-run the full verifier on the input.
+    """A property guaranteed by theory failed on concrete data: a built-in
+    example or cocycle fails its own construction check, or the inputs of
+    `recover_modifier` are not antipode variants of each other.  Builders
+    that run on a verified datum do not raise it; they assume the axioms.
     """
 
 

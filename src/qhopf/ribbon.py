@@ -10,11 +10,10 @@ from itertools import product as iproduct
 
 from . import linalg
 from .drinfeld import drinfeld_u
-from .errors import (BudgetExceeded, InternalInconsistency, NotInvertible,
-                     ShapeError, ShapeMismatch)
+from .errors import BudgetExceeded, NotInvertible, ShapeError, ShapeMismatch
 from .report import CheckReport, witness_from
 from .tensor import (SparseTensor, add, apply_legs, concat, eq_witness, flip,
-                     invert, mul_all, mult, scale)
+                     invert, mult, scale)
 
 
 @dataclass
@@ -42,10 +41,11 @@ class RibbonSearch:
 
 
 def rtwist_elements(d):
-    """All eight elements arising from the two R-twists, with their inverse
-    formulas and comparison relations verified before returning."""
+    """All eight elements arising from the two R-twists.  Nothing is checked
+    here: the inverse formulas and comparison relations hold by theorem on a
+    datum that passes `verify`, and the identity corpus states the
+    comparison relations."""
     def build():
-        alg = d.algebra
         R, R_inv = d.R, d.r_inv
         alpha_hat = d.hsum([(R_inv, ("s", "t"))], [[("S", ["s"]), d.alpha, "t"]])
         beta_hat = d.hsum([(R, ("s", "t"))], [["s", d.beta, ("S", ["t"])]])
@@ -66,31 +66,6 @@ def rtwist_elements(d):
         u_hat_inv = comparison_inv(beta_hat)
         u_check = comparison(alpha_check)
         u_check_inv = comparison_inv(beta_check)
-
-        one = d.unit_tensor(1)
-        for name, a, b in (("hat", u_hat, u_hat_inv),
-                           ("check", u_check, u_check_inv)):
-            if mult(a, b, alg) != one or mult(b, a, alg) != one:
-                raise InternalInconsistency(
-                    "the %s comparison element fails its inverse formula; "
-                    "the datum violates an axiom" % name)
-        for name, uu, uu_inv, ev, coev in (
-                ("hat", u_hat, u_hat_inv, alpha_hat, beta_hat),
-                ("check", u_check, u_check_inv, alpha_check, beta_check)):
-            for i in range(d.dim):
-                lhs = d.antipode(d.basis(i))
-                rhs = mul_all(alg, uu,
-                              apply_legs(d.basis(i), [d.leg("Sinv")]), uu_inv)
-                if lhs != rhs:
-                    raise InternalInconsistency(
-                        "the %s comparison element does not conjugate the "
-                        "inverse antipode to the antipode" % name)
-            if ev != mult(uu, apply_legs(d.alpha, [d.leg("Sinv")]), alg):
-                raise InternalInconsistency(
-                    "%s evaluation element fails its comparison relation" % name)
-            if coev != mult(apply_legs(d.beta, [d.leg("Sinv")]), uu_inv, alg):
-                raise InternalInconsistency(
-                    "%s coevaluation element fails its comparison relation" % name)
         return RTwistElements(alpha_hat=alpha_hat, beta_hat=beta_hat,
                               alpha_check=alpha_check, beta_check=beta_check,
                               u_hat=u_hat, u_hat_inv=u_hat_inv,
@@ -160,7 +135,6 @@ def is_ribbon(d, v):
 
     rep.add_diff("ribbon_antipode_fixed", eq_witness(d.antipode(v), v))
 
-    defining_ok = rep.ok
     val = d.eps_of(v)
     if val == f.one:
         rep.add_pass("ribbon_counit")
@@ -171,10 +145,6 @@ def is_ribbon(d, v):
         invert(v, alg)
         rep.add_pass("ribbon_invertible")
     except NotInvertible as exc:
-        if defining_ok:
-            raise InternalInconsistency(
-                "candidate passes the defining ribbon checks but is not "
-                "invertible; the datum violates an axiom")
         rep.add_fail("ribbon_invertible", {"reason": str(exc)})
     return rep
 

@@ -2,9 +2,15 @@
 operations used as an oracle.  Everything here loops over all index tuples
 and stores dense coefficient lists; nothing is shared with the sparse code
 paths in the package.
+
+The last section is the exception: alternative formulas for derived
+elements, evaluated with the engine's own kernels.  They check the
+package's formula, not its kernels.
 """
 
 from itertools import product as iproduct
+
+from qhopf.tensor import LEG_ID, apply_legs
 
 
 def dense_of(t):
@@ -351,3 +357,28 @@ def dense_nullspace(f, rows, n):
             v[c] = f.neg(row[free])
         basis.append(v)
     return basis
+
+
+# ----- alternative formulas -------------------------------------------------
+
+
+def gamma_alt(d):
+    """The first pairing element summed over the associator, then the
+    inverse associator: the mirror of the package's formula, equal to it on
+    every quasi-Hopf datum."""
+    g1 = d.hsum([(d.phi, ("x", "y", "z"))],
+                [[("S", ["y"]), d.alpha, "z"], [("S", ["x"]), d.alpha]])
+    p = apply_legs(d.phi_inv, [d.leg("D"), LEG_ID, LEG_ID])
+    q = apply_legs(p, [d.leg("S"), d.leg("S"), LEG_ID, LEG_ID])
+    return d.hsum([(q, ("sx1", "sx2", "y", "z")), (g1, ("g1", "g2"))],
+                  [["sx2", "g1", "y"], ["sx1", "g2", "z"]])
+
+
+def delta_alt(d):
+    """The second pairing element by the mirror formula of `gamma_alt`."""
+    d1 = d.hsum([(d.phi, ("x", "y", "z"))],
+                [[d.beta, ("S", ["z"])], ["x", d.beta, ("S", ["y"])]])
+    p = apply_legs(d.phi_inv, [LEG_ID, LEG_ID, d.leg("D")])
+    q = apply_legs(p, [LEG_ID, LEG_ID, d.leg("S"), d.leg("S")])
+    return d.hsum([(q, ("x", "y", "sz1", "sz2")), (d1, ("d1", "d2"))],
+                  [["x", "d1", "sz2"], ["y", "d2", "sz1"]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhopf.cli import main
-from qhopf import loads
+from qhopf import loads, verify
 from qhopf.rng import SplitMix64
 
 from mutation import all_layers_of, mutate
@@ -257,6 +257,13 @@ def test_verify_singular_associator_exits_one(example, reason, tmp_path,
                                  "witness": {"reason": reason}}
 
 
+def _run(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(args)
+    return rc, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def mutant_path(tmp_path_factory):
     return tmp_path_factory.mktemp("mutants") / "mutant.json"
@@ -273,9 +280,80 @@ def test_single_coefficient_mutation_gives_a_verdict(sw, dz2_f5, mutant_path,
     layers = all_layers_of(d)
     bad = mutate(d, layers[layer_pos % len(layers)], SplitMix64(seed))
     mutant_path.write_text(bad.dumps())
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["verify", str(mutant_path), "--format", "json"])
-    assert rc in (0, 1), err.getvalue()
-    checks = json.loads(out.getvalue())["checks"]
+    rc, out, err = _run(["verify", str(mutant_path), "--format", "json"])
+    assert rc in (0, 1), err
+    checks = json.loads(out)["checks"]
     assert (rc == 1) == any(c["status"] == "fail" for c in checks)
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "twist-props", "FILE", "--seeds", "x"],
+    ["check", "twist-props", "FILE", "--seeds", "3..1"],
+    ["check", "twist-props", "FILE", "--seeds", "1.."],
+    ["example", "--kind", "dpr", "--field", "p:abc"],
+    ["example", "--kind", "dpr", "--field", "p:4"],
+    ["example", "--kind", "dpr", "--group", "Z0"]])
+def test_bad_arguments_exit_two(dz2w_file, args, capsys):
+    args = [dz2w_file if a == "FILE" else a for a in args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and not captured.out
+
+
+def _failing(out):
+    """Names of the failing checks in a JSON or text report."""
+    try:
+        return [c["name"] for c in json.loads(out)["checks"]
+                if c["status"] == "fail"]
+    except ValueError:
+        return [line.split()[1] for line in out.splitlines()
+                if line.startswith("FAIL ")]
+
+
+# every command that runs builders, with FILE for the datum; the first two
+# need a ribbon candidate in the file
+GATED = [
+    ["ribbon", "check", "FILE", "--format", "json"],
+    ["check", "ribbon-theorem", "FILE", "--format", "json"],
+    ["check", "corpus", "FILE", "--format", "json"],
+    ["ribbon", "find", "FILE", "--format", "json"],
+    ["derive", "FILE", "--element", "F"],
+    ["derive", "FILE", "--element", "uhat"],
+    ["derive", "FILE", "--element", "utilde"],
+    ["twist", "FILE"],
+    ["check", "twist-props", "FILE", "--seeds", "0..0", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("args", GATED, ids=[
+    "ribbon-check", "ribbon-theorem", "corpus", "ribbon-find", "derive-F",
+    "derive-uhat", "derive-utilde", "twist", "twist-props"])
+def test_builder_commands_verify_first(dz2_f5, tmp_path, args):
+    # the alpha mutant breaks the antipode layer: every builder command
+    # stops at the failing checks of verify
+    path = tmp_path / "alpha.json"
+    path.write_text(mutate(dz2_f5, "alpha", SplitMix64(0)).dumps())
+    rc, out, err = _run([str(path) if a == "FILE" else a for a in args])
+    assert rc == 1, err
+    assert _failing(out)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(base=st.sampled_from(["sw", "dz2_f5"]), layer_pos=st.integers(0, 7),
+       seed=st.integers(0, 2 ** 32 - 1), command_pos=st.integers(0, 8))
+def test_mutants_fail_builder_commands_like_verify(sw, dz2_f5, mutant_path,
+                                                  base, layer_pos, seed,
+                                                  command_pos):
+    # whenever verify at the layer the builders rest on fails, the command
+    # exits 1 with a failing check; an exception escaping main fails the test
+    d = {"sw": sw, "dz2_f5": dz2_f5}[base]
+    layers = all_layers_of(d)
+    bad = loads(mutate(d, layers[layer_pos % len(layers)],
+                       SplitMix64(seed)).dumps())
+    mutant_path.write_text(bad.dumps())
+    commands = GATED if bad.v is not None else GATED[2:]
+    args = commands[command_pos % len(commands)]
+    rc, out, err = _run([str(mutant_path) if a == "FILE" else a for a in args])
+    if not verify(bad, level="qt" if bad.R is not None else "hopf").ok:
+        assert rc == 1, err
+        assert _failing(out)

@@ -4,13 +4,13 @@ from qhopf import (big_f, check_F_compat, coopposite, delta, gamma,
                    modify_antipode, op_cop, recover_modifier,
                    verify_quasi_bialgebra, verify_quasi_hopf,
                    verify_quasitriangular, random_invertible, rtwist_elements)
-from qhopf.derived import _gamma_alt, _delta_alt
 from qhopf.errors import IncompatibleDatum, InternalInconsistency, NotInvertible
 from qhopf.rng import SplitMix64
 from qhopf.tensor import (SparseTensor, apply_legs, concat, invert, mul_all,
                           mult)
 
-from oracle import dense_gamma, dense_delta_elt, dense_big_f, dense_of
+from oracle import (dense_gamma, dense_delta_elt, dense_big_f, dense_of,
+                    delta_alt, gamma_alt)
 
 from mutation import mutate
 
@@ -37,10 +37,11 @@ def test_gamma_with_general_alpha_trivial_phi(sw):
     assert delta(d) == concat(beta2, beta2)
 
 
-def test_gamma_agrees_with_alternative(fz2w, fz3w, dz2w, dz3w):
-    for d in (fz2w, fz3w, dz2w, dz3w):
-        assert _gamma_alt(d) == gamma(d)
-        assert _delta_alt(d) == delta(d)
+def test_gamma_agrees_with_alternative(fz2w, fz3w, dz2w, dz3w, sw_rebased,
+                                       dz2_f5_rebased):
+    for d in (fz2w, fz3w, dz2w, dz3w, sw_rebased, dz2_f5_rebased):
+        assert gamma_alt(d) == gamma(d)
+        assert delta_alt(d) == delta(d)
 
 
 def test_gamma_delta_f_match_dense_oracle(fz2w, dz2w, dz3w, sw, sw_rebased,

@@ -7,7 +7,7 @@ from qhopf import (FiniteAbelianGroup, center, check_main_theorem,
                    dpr_double, drinfeld_u, find_ribbon, is_ribbon, load,
                    rtwist_elements, sweedler)
 from qhopf import ribbon
-from qhopf.errors import BudgetExceeded, ShapeMismatch
+from qhopf.errors import BudgetExceeded, NotInvertible, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
 from qhopf.tensor import (Algebra, SparseTensor, basis_vector, flip, invert,
@@ -53,6 +53,17 @@ def test_rtwist_swap_under_r_replacement(dz2w, sw):
         assert b.u_check == a.u_hat
 
 
+def test_comparison_elements_inverse_formulas(kz2, sw, dz2, dz2w, dz3, dz3w,
+                                              dz2_f5):
+    # the inverse formulas of u_hat and u_check, both ways round
+    for d in (kz2, sw, dz2, dz2w, dz3, dz3w, dz2_f5):
+        el = rtwist_elements(d)
+        one = d.unit_tensor(1)
+        for a, b in ((el.u_hat, el.u_hat_inv), (el.u_check, el.u_check_inv)):
+            assert mult(a, b, d.algebra) == one
+            assert mult(b, a, d.algebra) == one
+
+
 def test_r_prime_inverse_is_r_matrix(dz2w, dz3w):
     from qhopf import verify_quasitriangular
     for d in (dz2w, dz3w):
@@ -81,6 +92,17 @@ def test_is_ribbon_closed_form(dz2_f5, dz3):
         assert is_ribbon(d, d.v).ok
         assert check_ribbon_lemma(d, d.v).ok
         assert check_main_theorem(d, d.v).ok
+
+
+def test_is_ribbon_records_a_singular_candidate(dz2_f5, monkeypatch):
+    # a candidate that passes the defining checks but does not invert gives
+    # a failing check, not an exception
+    def singular(t, alg):
+        raise NotInvertible("singular")
+    monkeypatch.setattr(ribbon, "invert", singular)
+    rep = is_ribbon(dz2_f5, dz2_f5.v)
+    assert [c.name for c in rep.failures()] == ["ribbon_invertible"]
+    assert rep.checks[-1].witness == {"reason": "singular"}
 
 
 def test_non_ribbon_candidate_fails(sw):
