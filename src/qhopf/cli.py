@@ -78,8 +78,6 @@ def build_parser():
     q.add_argument("action", choices=["find", "check"])
     q.add_argument("file")
     q.add_argument("--budget", type=int, default=10 ** 6)
-    q.add_argument("--method", choices=["auto", "enumerate", "blocks"],
-                   default="auto")
     _common(q)
     q.set_defaults(handler=cmd_ribbon)
 
@@ -172,7 +170,11 @@ def cmd_derive(args):
 def _default_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get("QHOPF_SEED", "0"))
+    text = os.environ.get("QHOPF_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("bad QHOPF_SEED %r (expected an integer)" % text)
 
 
 def cmd_twist(args):
@@ -202,7 +204,7 @@ def cmd_ribbon(args):
     if not _verified(args, d, t0):
         return 1
     if args.action == "find":
-        res = find_ribbon(d, args.budget, method=args.method)
+        res = find_ribbon(d, args.budget)
         doc = {"datum": d.content_hash(), "region": res.region,
                "candidates": [{"v": c.v.to_json(), "provenance": c.provenance}
                               for c in res.candidates],

@@ -10,10 +10,10 @@ from itertools import product as iproduct
 
 from . import linalg
 from .drinfeld import drinfeld_u
-from .errors import BudgetExceeded, NotInvertible, ShapeError, ShapeMismatch
+from .errors import BudgetExceeded, NotInvertible, ShapeMismatch
 from .report import CheckReport, witness_from
-from .tensor import (SparseTensor, add, apply_legs, concat, eq_witness, flip,
-                     invert, mult, scale)
+from .tensor import (SparseTensor, _canon, add, apply_legs, concat, eq_witness,
+                     flip, invert, mult, scale)
 
 
 @dataclass
@@ -186,106 +186,78 @@ def check_main_theorem(d, v):
 
 
 def center(d):
-    """Basis of the center, from the nullspace of the stacked commutator
-    system; exact and deterministic."""
-    f = d.field
-    n = d.dim
-    alg = d.algebra
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = {}
-            for j in range(n):
-                c = f.zero
-                for kk, cv in alg.struct.get((j, i), ()):
-                    if kk == k:
-                        c = f.add(c, cv)
-                for kk, cv in alg.struct.get((i, j), ()):
-                    if kk == k:
-                        c = f.sub(c, cv)
-                if not f.is_zero(c):
-                    row[j] = c
-            rows.append(row)
-    basis = linalg.nullspace(f, rows, n)
-    return [SparseTensor.make(f, 1, n, {(j,): c for j, c in enumerate(vec)})
-            for vec in basis]
+    """Basis of the center: the bases of the block centers, block by block
+    in the order of `Algebra.blocks`."""
+    return [z for members in d.algebra.blocks
+            for z in _block_center(d.algebra, members)]
 
 
-def find_ribbon(d, budget, method="auto"):
-    """All ribbon elements found inside the searched region, each verified
-    by the defining checks before being returned.
+def _block_center(alg, members):
+    """Basis of the center of the block spanned by the basis indices
+    `members`, from the nullspace of its commutator system; exact and
+    deterministic.
 
-    The search space is cut by the necessary condition that the square of a
-    ribbon element equals the inverse of u S(u).  With a tagged orthogonal
-    block decomposition the square roots are found blockwise; otherwise the
-    span of the center is enumerated when the field is small enough."""
-    f = d.field
+    A block is a two-sided ideal, so the center of the algebra is the direct
+    sum of the block centers, and an element of a block is central iff it
+    commutes with the block's own basis.  Coordinate k of
+    sum_j x_j (e_j e_i - e_i e_j) = 0 gives one row per (i, k)."""
+    f = alg.field
+    acc = {}
+    for i in members:
+        for c, j in enumerate(members):
+            for k, cv in alg.struct.get((j, i), ()):
+                acc[i, k, c] = acc.get((i, k, c), 0) + cv
+            for k, cv in alg.struct.get((i, j), ()):
+                acc[i, k, c] = acc.get((i, k, c), 0) - cv
+    rows = {}
+    for (i, k, c), cv in _canon(f, acc).items():
+        rows.setdefault((i, k), {})[c] = cv
+    return [SparseTensor.make(f, 1, alg.dim,
+                              {(members[c],): x for c, x in enumerate(vec)})
+            for vec in linalg.nullspace(f, list(rows.values()), len(members))]
+
+
+def find_ribbon(d, budget):
+    """All ribbon elements, each verified by the defining checks before
+    being returned, in increasing order of their sorted entries.
+
+    A ribbon element v is central and satisfies v v = c with
+    c = (u S(u))^-1.  The center is the direct sum of the block centers, so
+    v is the sum of one square root of the block part of c in the span of
+    each block's center.  Each block's roots are enumerated over F_p on
+    their own; the search needs a finite field and at most `budget` points
+    and combinations."""
+    if d.field.size is None:
+        raise BudgetExceeded("ribbon search needs a finite field",
+                             required=None)
     alg = d.algebra
     u = drinfeld_u(d).u
     c = invert(mult(u, d.antipode(u), alg), alg)
-    blocks = d.metadata.get("blocks") if method in ("auto", "blocks") else None
-    if method == "blocks" and not blocks:
-        raise BudgetExceeded("no block decomposition available", required=None)
-    if blocks:
-        _check_blocks(d, blocks)
-        roots, region = _block_roots(d, c, blocks, budget)
-    else:
-        roots, region = _enumerate_center_roots(d, c, budget)
-    out = []
-    seen = set()
-    for v in roots:
-        key = tuple(v.sorted_items())
-        if key in seen:
-            continue
-        seen.add(key)
-        if is_ribbon(d, v).ok:
-            out.append(RibbonCandidate(v=v, provenance="solver"))
+    roots, region = _block_roots(d, c, budget)
+    out = [RibbonCandidate(v=v, provenance="solver")
+           for v in roots if is_ribbon(d, v).ok]
     out.sort(key=lambda cand: tuple(cand.v.sorted_items()))
     return RibbonSearch(candidates=out, region=region)
 
 
-def _check_blocks(d, blocks):
-    """Raise ShapeError unless the metadata blocks partition the basis into
-    unions of the algebra's own blocks.  Only then do elements of different
-    metadata blocks multiply to zero, which blockwise root finding needs to
-    find every root."""
-    bad = ShapeError("metadata blocks must partition the basis indices "
-                     "0..%d" % (d.dim - 1))
-    if not isinstance(blocks, list) or not all(isinstance(b, list)
-                                               for b in blocks):
-        raise bad
-    label = {}
-    for n, block in enumerate(blocks):
-        for i in block:
-            if type(i) is not int or not 0 <= i < d.dim or i in label:
-                raise bad
-            label[i] = n
-    if len(label) != d.dim:
-        raise bad
-    for members in d.algebra.blocks:
-        if len({label[i] for i in members}) > 1:
-            raise ShapeError("metadata blocks split the product block %r"
-                             % list(members))
-
-
-def _block_roots(d, c, blocks, budget):
+def _block_roots(d, c, budget):
+    """Every central square root of c, as the sums of one root per block.
+    The roots of different blocks have disjoint supports, so the sums are
+    distinct."""
     f = d.field
-    if f.size is None:
-        raise BudgetExceeded("blockwise enumeration needs a finite field",
-                             required=None)
     alg = d.algebra
     per_block = []
     total = 0
-    for block in blocks:
-        block = list(block)
-        total += f.size ** len(block)
+    for b, members in enumerate(alg.blocks):
+        zs = _block_center(alg, members)
+        total += f.size ** len(zs)
         if total > budget:
             raise BudgetExceeded(
                 "block enumeration needs %d points, budget is %d"
                 % (total, budget), required=total)
-        c_block = SparseTensor.make(
-            f, 1, d.dim, {k: v for k, v in c.entries.items() if k[0] in block})
-        roots = _square_roots(alg, [d.basis(i) for i in block], c_block)
+        c_block = SparseTensor(f, 1, d.dim, {
+            k: v for k, v in c.entries.items() if alg.block_of[k[0]] == b})
+        roots = _square_roots(alg, zs, c_block)
         if not roots:
             return [], "blockwise, %d points, no square root in a block" % total
         per_block.append(roots)
@@ -301,24 +273,7 @@ def _block_roots(d, c, blocks, budget):
         for part in pick:
             entries.update(part.entries)
         out.append(SparseTensor(f, 1, d.dim, entries))
-    return out, "blockwise over %d blocks, %d points" % (len(blocks), total)
-
-
-def _enumerate_center_roots(d, c, budget):
-    f = d.field
-    zs = center(d)
-    k = len(zs)
-    if f.size is None:
-        raise BudgetExceeded(
-            "cannot enumerate the center span over an infinite field",
-            required=None)
-    total = f.size ** k
-    if total > budget:
-        raise BudgetExceeded(
-            "center enumeration needs %d points, budget is %d" % (total, budget),
-            required=total)
-    return (_square_roots(d.algebra, zs, c),
-            "center span, %d points (center dim %d)" % (total, k))
+    return out, "blockwise over %d blocks, %d points" % (len(alg.blocks), total)
 
 
 def _square_roots(alg, gens, target):

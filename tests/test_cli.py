@@ -160,26 +160,45 @@ def test_twist_seed_env_default(dz2w_file, tmp_path, monkeypatch, capsys):
 
 
 def test_ribbon_find(dz2_f5_file, capsys):
-    rc = main(["ribbon", "find", dz2_f5_file, "--budget", "1000000",
-               "--method", "enumerate"])
+    rc = main(["ribbon", "find", dz2_f5_file, "--budget", "1000000"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["candidates"]) >= 1
-    assert "625" in doc["region"]
+    assert doc["region"] == "blockwise over 2 blocks, 50 points"
+
+
+def test_ribbon_find_has_no_method_option(dz2_f5_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ribbon", "find", dz2_f5_file, "--method", "enumerate"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
+def _ribbon_find_doc(path, capsys):
+    assert main(["ribbon", "find", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["datum"], doc["elapsed_ms"]
+    return doc
 
 
 @pytest.mark.parametrize("blocks", [[[0, 2], [1, 3]], [[0, 1], [2]],
                                     [[0, 1], [1, 2, 3]], [[0, 1], [2, True]],
-                                    "0123"])
-def test_ribbon_find_rejects_wrong_blocks(dz2_f5_file, tmp_path, blocks, capsys):
+                                    "0123", None])
+def test_ribbon_find_ignores_metadata_blocks(dz2_f5_file, tmp_path, blocks,
+                                             capsys):
+    # the search uses the blocks derived from the structure constants, so
+    # wrong or deleted metadata blocks change nothing
     with open(dz2_f5_file) as fh:
         doc = json.load(fh)
     assert doc["metadata"]["blocks"] == [[0, 1], [2, 3]]
-    doc["metadata"]["blocks"] = blocks
-    bad = tmp_path / "bad_blocks.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["ribbon", "find", str(bad)]) == 2
-    assert "metadata blocks" in capsys.readouterr().err
+    if blocks is None:
+        del doc["metadata"]["blocks"]
+    else:
+        doc["metadata"]["blocks"] = blocks
+    other = tmp_path / "other_blocks.json"
+    other.write_text(json.dumps(doc))
+    assert (_ribbon_find_doc(other, capsys)
+            == _ribbon_find_doc(dz2_f5_file, capsys))
 
 
 def test_ribbon_check(dz2_f5_file, capsys):
@@ -292,8 +311,14 @@ def test_single_coefficient_mutation_gives_a_verdict(sw, dz2_f5, mutant_path,
     ["check", "twist-props", "FILE", "--seeds", "1.."],
     ["example", "--kind", "dpr", "--field", "p:abc"],
     ["example", "--kind", "dpr", "--field", "p:4"],
-    ["example", "--kind", "dpr", "--group", "Z0"]])
-def test_bad_arguments_exit_two(dz2w_file, args, capsys):
+    ["example", "--kind", "dpr", "--group", "Z0"],
+    ["QHOPF_SEED=abc", "twist", "FILE"]])
+def test_bad_arguments_exit_two(dz2w_file, args, monkeypatch, capsys):
+    # leading NAME=VALUE items set environment variables, as in a shell
+    while "=" in args[0]:
+        name, _, value = args[0].partition("=")
+        monkeypatch.setenv(name, value)
+        args = args[1:]
     args = [dz2w_file if a == "FILE" else a for a in args]
     assert main(args) == 2
     captured = capsys.readouterr()

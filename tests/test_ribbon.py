@@ -1,3 +1,6 @@
+from fractions import Fraction
+from functools import reduce
+from itertools import product as iproduct
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +16,8 @@ from qhopf.scalars import PrimeField
 from qhopf.tensor import (Algebra, SparseTensor, basis_vector, flip, invert,
                           mult)
 
-from oracle import dense_of, dense_square_roots, dense_vec_mul
+from oracle import (dense_nullspace, dense_of, dense_square_roots,
+                    dense_vec_mul, struct_coeff)
 
 
 def test_rtwist_trivial_r(kz2):
@@ -157,18 +161,31 @@ def test_center_symmetric_group_class_sums(q):
     assert len(center(d)) == 3
 
 
+def test_center_matches_dense_commutator_nullspace(dz3w, sw):
+    # the block centers together span the nullspace of the commutator system
+    # of the whole algebra (coordinate k of e_j e_i - e_i e_j, column j),
+    # also when a relabelling interleaves the blocks
+    shuffled = load(_relabel(dz3w.to_json(), _shuffle(dz3w.dim, 5)))
+    for d in (dz3w, shuffled, sw, _h4(5)):
+        f, n = d.field, d.dim
+        rows = [[f.sub(struct_coeff(d, j, i, k), struct_coeff(d, i, j, k))
+                 for j in range(n)] for i in range(n) for k in range(n)]
+        assert (sorted(dense_of(z) for z in center(d))
+                == sorted(dense_nullspace(f, rows, n)))
+
+
 def test_find_ribbon_enumeration(dz2_f5):
-    res = find_ribbon(dz2_f5, 10 ** 6, method="enumerate")
+    res = find_ribbon(dz2_f5, 10 ** 6)
     assert res.candidates
     assert any(c.v == dz2_f5.v for c in res.candidates)
     assert all(c.provenance == "solver" for c in res.candidates)
-    assert "625" in res.region
+    assert res.region == "blockwise over 2 blocks, 50 points"
     for c in res.candidates:
         assert is_ribbon(dz2_f5, c.v).ok
 
 
 def test_find_ribbon_blockwise(dz3w):
-    res = find_ribbon(dz3w, 10 ** 6, method="blocks")
+    res = find_ribbon(dz3w, 10 ** 6)
     assert res.candidates
     for c in res.candidates:
         assert is_ribbon(dz3w, c.v).ok
@@ -198,14 +215,15 @@ def test_find_ribbon_trivial_case(kz2):
 
 
 def test_find_ribbon_budget_exceeded(dz3w):
+    # the first block's center spans 7^3 points
     with pytest.raises(BudgetExceeded) as err:
-        find_ribbon(dz3w, 10, method="enumerate")
-    assert err.value.required is not None
+        find_ribbon(dz3w, 10)
+    assert err.value.required == 343
 
 
 def test_find_ribbon_rational_needs_blocks(sw):
-    with pytest.raises(BudgetExceeded):
-        find_ribbon(sw, 10 ** 6, method="enumerate")
+    with pytest.raises(BudgetExceeded, match="needs a finite field"):
+        find_ribbon(sw, 10 ** 6)
 
 
 def test_ribbon_square_consistency(dz3w):
@@ -235,14 +253,20 @@ def _relabel(doc, perm):
     return out
 
 
+def _shuffle(n, seed):
+    """A seeded permutation of range(n)."""
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def test_find_ribbon_relabelled_z4_double():
     z4 = FiniteAbelianGroup((4,))
     d = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
-    rng = SplitMix64(21)
-    perm = list(range(d.dim))
-    for i in range(d.dim - 1, 0, -1):
-        j = rng.below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
+    perm = _shuffle(d.dim, 21)
     dr = load(_relabel(d.to_json(), perm))
     res = find_ribbon(dr, 10 ** 6)
     assert res.region == "blockwise over 4 blocks, 114244 points"
@@ -302,11 +326,21 @@ def _zero_one_coefficient(alg, ij):
 
 
 def _h4(p):
-    """Sweedler's H4 (one non-commutative block) read over F_p."""
-    f = PrimeField(p)
-    struct = {ij: tuple((k, f.canon(c)) for k, c in terms)
-              for ij, terms in sweedler().algebra.struct.items()}
-    return Algebra(f, 4, struct, {0: f.one})
+    """Sweedler's H4 (one non-commutative block, center spanned by 1) with
+    its rational scalars read in F_p, p odd."""
+    def mod_p(text):
+        x = Fraction(text)
+        return str(x.numerator * pow(x.denominator, -1, p) % p)
+
+    doc = sweedler().to_json()
+    out = dict(doc, field={"kind": "prime", "p": p},
+               epsilon=[mod_p(c) for c in doc["epsilon"]])
+    for key in ("product", "delta", "antipode"):
+        out[key] = [row[:-1] + [mod_p(row[-1])] for row in doc[key]]
+    for key in ("unit", "phi", "alpha", "beta", "R"):
+        out[key] = dict(doc[key], entries=[[idx, mod_p(c)]
+                                           for idx, c in doc[key]["entries"]])
+    return load(out)
 
 
 def _random_algebra(rng, p, n):
@@ -327,14 +361,14 @@ def _basis(alg, block):
 def test_square_roots_double_blocks(dz2_f5, dz3w):
     for d in (dz2_f5, dz3w):
         c = _ribbon_target(d)
-        for block in d.metadata["blocks"]:
+        for block in d.algebra.blocks:
             assert _check_roots(d.algebra, _basis(d.algebra, block),
                                 _restrict(c, block))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_square_roots_h4(p):
-    alg = _h4(p)
+    alg = _h4(p).algebra
     gens = _basis(alg, range(4))
     roots = [_check_roots(alg, gens, t)
              for t in _targets(SplitMix64(p), alg, gens)]
@@ -348,7 +382,7 @@ def test_square_roots_zeroed_coefficient_mutants(dz3w, name):
     if name == "dw_z3_f7":
         alg = _zero_one_coefficient(dz3w.algebra, (4, 5))
     else:
-        alg = _zero_one_coefficient(_h4(5), (1, 2))
+        alg = _zero_one_coefficient(_h4(5).algebra, (1, 2))
     rng = SplitMix64(len(name))
     for block in alg.blocks:
         gens = _basis(alg, block)
@@ -381,15 +415,42 @@ def test_square_roots_edge_cases(fz2w, dz2_f5):
     assert _check_roots(idem, [], e0[0]) == []
     # a target outside the span of the products has no root
     alg = dz2_f5.algebra
-    first, second = dz2_f5.metadata["blocks"]
+    first, second = dz2_f5.algebra.blocks
     assert _check_roots(alg, _basis(alg, first), _basis(alg, second)[0]) == []
 
 
 def test_square_roots_center_path(dz2_f5, kz2):
-    for d in (dz2_f5, kz2):
+    # the generators find_ribbon passes: a basis of each block's center
+    for d in (dz2_f5, kz2, _h4(5)):
         c = _ribbon_target(d)
-        roots, _ = ribbon._enumerate_center_roots(d, c, 10 ** 6)
-        assert roots
-        fake = SimpleNamespace(field=d.field, dim=d.dim, algebra=d.algebra)
-        assert [dense_of(v) for v in roots] == dense_square_roots(
-            fake, center(d), c)
+        alg = d.algebra
+        for block in alg.blocks:
+            assert _check_roots(alg, ribbon._block_center(alg, block),
+                                _restrict(c, block))
+
+
+@pytest.mark.parametrize("name", ["dz2_f5", "dz3w", "kz2", "h4_f3", "h4_f5"])
+def test_find_ribbon_against_dense_block_roots(name, request):
+    # the dense oracle's square roots over each block's full basis, combined
+    # and filtered by is_ribbon, are exactly the candidates of find_ribbon
+    if name.startswith("h4_f"):
+        d = _h4(int(name[4:]))
+    else:
+        d = request.getfixturevalue(name)
+    f, alg = d.field, d.algebra
+    fake = SimpleNamespace(field=f, dim=d.dim, algebra=alg)
+    c = _ribbon_target(d)
+    per_block = [dense_square_roots(fake, _basis(alg, block), _restrict(c, block))
+                 for block in alg.blocks]
+    want = []
+    for pick in iproduct(*per_block):
+        v = SparseTensor.make(f, 1, d.dim, {
+            (i,): reduce(f.add, xs) for i, xs in enumerate(zip(*pick))})
+        if is_ribbon(d, v).ok:
+            want.append(tuple(v.sorted_items()))
+    res = find_ribbon(d, 10 ** 6)
+    got = [tuple(cand.v.sorted_items()) for cand in res.candidates]
+    assert want and got == sorted(want)
+    if name.startswith("h4_f"):
+        # one block, whose center is spanned by 1
+        assert res.region == "blockwise over 1 blocks, %d points" % f.p
