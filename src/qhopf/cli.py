@@ -4,6 +4,10 @@ Exit codes: 0 when everything requested passed, 1 when any check failed,
 2 for usage or input errors.  Reports are plain text by default or JSON
 behind --format json; JSON reports are byte-identical across runs for the
 same input and seeds (apart from elapsed_ms).
+
+Start-up is most of the wall time of a small command, so only `datum` and
+`errors` are imported here; every other module is imported inside the
+handler or branch that runs it.
 """
 
 import argparse
@@ -12,18 +16,8 @@ import os
 import sys
 import time
 
-from . import dsl
-from .datum import (LEVELS, default_level, load_path, verify)
-from .derived import big_f, gamma, delta
-from .drinfeld import drinfeld_u, u_tilde
+from .datum import LEVELS, default_level, load_path, verify
 from .errors import BudgetExceeded, ParseError, QhopfError, ShapeError
-from .examples import (FiniteAbelianGroup, Cocycle3, cocycle_for, dpr_double,
-                       function_algebra, group_algebra, sweedler)
-from .report import CheckReport
-from .ribbon import (check_main_theorem, check_ribbon_lemma, find_ribbon,
-                     is_ribbon, rtwist_elements)
-from .scalars import PrimeField, RationalField
-from .twisting import check_twist_elements, random_twist, twist
 
 
 def main(argv=None):
@@ -152,15 +146,20 @@ def cmd_derive(args):
         return 1
     name = args.element
     if name in ("gamma", "delta"):
+        from .derived import delta, gamma
         t = gamma(d) if name == "gamma" else delta(d)
     elif name in ("F", "Finv"):
+        from .derived import big_f
         de = big_f(d)
         t = de.F if name == "F" else de.F_inv
     elif name == "u":
+        from .drinfeld import drinfeld_u
         t = drinfeld_u(d).u
     elif name == "utilde":
+        from .drinfeld import u_tilde
         t = u_tilde(d)
     else:
+        from .ribbon import rtwist_elements
         el = rtwist_elements(d)
         t = el.u_hat if name == "uhat" else el.u_check
     print(json.dumps(t.to_json(), sort_keys=True, indent=1))
@@ -182,6 +181,7 @@ def cmd_twist(args):
     d = load_path(args.file)
     if not _verified(args, d, t0):
         return 1
+    from .twisting import random_twist, twist
     tw = random_twist(d, _default_seed(args))
     dt = twist(d, tw)
     text = dt.dumps()
@@ -203,6 +203,8 @@ def cmd_ribbon(args):
         return 2
     if not _verified(args, d, t0):
         return 1
+    from .ribbon import (check_main_theorem, check_ribbon_lemma, find_ribbon,
+                         is_ribbon)
     if args.action == "find":
         res = find_ribbon(d, args.budget)
         doc = {"datum": d.content_hash(), "region": res.region,
@@ -218,6 +220,7 @@ def cmd_ribbon(args):
 
 
 def _parse_group(text):
+    from .examples import FiniteAbelianGroup
     parts = text.upper().split("X")
     factors = []
     for part in parts:
@@ -230,6 +233,7 @@ def _parse_group(text):
 
 
 def _parse_field(text):
+    from .scalars import PrimeField, RationalField
     if text.upper() in ("Q", "RATIONAL"):
         return RationalField()
     if text.startswith("p:"):
@@ -241,6 +245,8 @@ def _parse_field(text):
 
 
 def cmd_example(args):
+    from .examples import (Cocycle3, cocycle_for, dpr_double, function_algebra,
+                           group_algebra, sweedler)
     if args.kind == "sweedler":
         d = sweedler()
     else:
@@ -270,6 +276,7 @@ def cmd_check(args):
         if not args.expr:
             print("usage error: check expr requires --expr", file=sys.stderr)
             return 2
+        from . import dsl
         expr = dsl.parse(args.expr)
         if isinstance(expr, dsl.Eq):
             status, witness = dsl.check_line(d, args.expr)
@@ -297,9 +304,12 @@ def cmd_check(args):
     if not _verified(args, d, t0):
         return 1
     if args.what == "corpus":
+        from . import dsl
         rep = dsl.run_corpus(d, path=args.corpus)
         return emit_report(args, d, "corpus", rep, t0)
     if args.what == "twist-props":
+        from .report import CheckReport
+        from .twisting import check_twist_elements, random_twist
         rep = CheckReport()
         for seed in range(first, last + 1):
             sub = check_twist_elements(d, random_twist(d, seed))
@@ -307,6 +317,7 @@ def cmd_check(args):
                 rep.add("seed %d: %s" % (seed, c.name), c.status, c.witness)
         return emit_report(args, d, "twist-props", rep, t0)
     # ribbon-theorem
+    from .ribbon import check_main_theorem, check_ribbon_lemma
     rep = check_ribbon_lemma(d, d.v)
     rep.extend(check_main_theorem(d, d.v))
     return emit_report(args, d, "ribbon-theorem", rep, t0)

@@ -12,7 +12,6 @@ Layer 3 (quasitriangular): invertible R-matrix, quasi-cocommutativity, the
 two hexagon identities, counit and antipode compatibility of R.
 """
 
-import hashlib
 import json
 
 from . import linalg
@@ -206,6 +205,7 @@ class QuasiHopfDatum:
 
     def content_hash(self):
         if self._hash is None:
+            import hashlib
             blob = json.dumps(self.to_json(), sort_keys=True,
                               separators=(",", ":")).encode()
             self._hash = hashlib.sha256(blob).hexdigest()
@@ -310,8 +310,11 @@ def load(doc):
     """
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object", where="$")
+    spec = _want(doc, "field", "$")
+    if not isinstance(spec, dict):
+        raise ParseError("field must be an object", where="$.field")
     try:
-        field = field_from_spec(_want(doc, "field", "$"))
+        field = field_from_spec(spec)
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError("bad field spec (%s)" % exc, where="$.field")
     dim = _want(doc, "dim", "$")

@@ -13,21 +13,15 @@ identities they satisfy are stated once, as named checks (`check_F_compat`
 and the identity corpus).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IncompatibleDatum, InternalInconsistency
 from .report import CheckReport, witness_from
-from .tensor import (LEG_ID, SparseTensor, apply_legs, eq_witness, flip,
-                     hom_sum, insert_leg, invert, mul_all, mult,
-                     permute_legs)
+from .tensor import (LEG_ID, apply_legs, eq_witness, flip, hom_sum,
+                     insert_leg, invert, mul_all, mult, permute_legs)
 
 
-@dataclass
-class DerivedElements:
-    gamma: SparseTensor
-    delta: SparseTensor
-    F: SparseTensor
-    F_inv: SparseTensor
+DerivedElements = namedtuple("DerivedElements", "gamma delta F F_inv")
 
 
 def gamma(d):

@@ -2,20 +2,16 @@
 its characterizing properties, its behaviour under antipode modification,
 and its counterpart in the opposite-coopposite datum."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .derived import big_f, modify_antipode, op_cop
 from .errors import MissingR
 from .report import CheckReport, witness_from
-from .tensor import (SparseTensor, apply_legs, concat, eq_witness, flip,
-                     invert, mul_all, mult)
+from .tensor import (apply_legs, concat, eq_witness, flip, invert, mul_all,
+                     mult)
 
 
-@dataclass
-class DrinfeldElements:
-    u: SparseTensor
-    u_inv: SparseTensor
-    u_tilde: SparseTensor = None
+DrinfeldElements = namedtuple("DrinfeldElements", "u u_inv")
 
 
 def drinfeld_u(d):

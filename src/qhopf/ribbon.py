@@ -4,7 +4,7 @@ invertible comparison elements.  This module computes them, checks the
 identities connecting them to the canonical element, verifies ribbon
 candidates, and searches for ribbon elements."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import product as iproduct
 
@@ -16,28 +16,12 @@ from .tensor import (SparseTensor, _canon, add, apply_legs, concat, eq_witness,
                      flip, invert, mult, scale)
 
 
-@dataclass
-class RTwistElements:
-    alpha_hat: SparseTensor
-    beta_hat: SparseTensor
-    alpha_check: SparseTensor
-    beta_check: SparseTensor
-    u_hat: SparseTensor
-    u_hat_inv: SparseTensor
-    u_check: SparseTensor
-    u_check_inv: SparseTensor
-
-
-@dataclass
-class RibbonCandidate:
-    v: SparseTensor
-    provenance: str  # user | closed-form | solver
-
-
-@dataclass
-class RibbonSearch:
-    candidates: list
-    region: str
+RTwistElements = namedtuple(
+    "RTwistElements", "alpha_hat beta_hat alpha_check beta_check "
+    "u_hat u_hat_inv u_check u_check_inv")
+# provenance: user | closed-form | solver
+RibbonCandidate = namedtuple("RibbonCandidate", "v provenance")
+RibbonSearch = namedtuple("RibbonSearch", "candidates region")
 
 
 def rtwist_elements(d):

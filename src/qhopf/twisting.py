@@ -3,7 +3,7 @@ the second tensor power, the transformation laws for the derived elements,
 twist invariance of the canonical element, and the twist isomorphism from
 the opposite-coopposite datum."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .derived import big_f
 from .drinfeld import drinfeld_u, u_tilde
@@ -15,10 +15,7 @@ from .tensor import (LEG_ID, SparseTensor, add, apply_legs, concat,
                      permute_legs, scale, sub)
 
 
-@dataclass
-class Twist:
-    T: SparseTensor
-    T_inv: SparseTensor
+Twist = namedtuple("Twist", "T T_inv")
 
 
 def make_twist(d, T, T_inv=None):

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,12 +84,82 @@ def test_verify_verbose_full_diff(dz2w_file, tmp_path, capsys):
     assert diffs and len(diffs[0]) > 1  # all differing coordinates reported
 
 
+@pytest.mark.parametrize("value", ["p:7", None, 1, 2.5, [], True],
+                         ids=["string", "null", "int", "float", "list", "bool"])
+def test_verify_non_object_field_exits_two(dz2_f5_file, tmp_path, value,
+                                           capsys):
+    with open(dz2_f5_file) as fh:
+        doc = json.load(fh)
+    doc["field"] = value
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "$.field" in err and "Traceback" not in err
+
+
 def test_verify_malformed_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["verify", str(bad)]) == 2
     missing = tmp_path / "nope.json"
     assert main(["verify", str(missing)]) == 2
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from qhopf.cli import main
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "dataclasses" or m.startswith("qhopf"))]))
+"""
+
+# modules every command loads: the CLI, and `datum` with what it imports
+BASE_MODULES = {"qhopf", "qhopf.cli", "qhopf.datum", "qhopf.errors",
+                "qhopf.linalg", "qhopf.report", "qhopf.scalars",
+                "qhopf.tensor"}
+
+
+def _startup_modules(args):
+    """(exit code, loaded qhopf modules and dataclasses) of `main(args)` run
+    in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE] + args,
+                         check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    code, modules = json.loads(out)
+    return code, set(modules)
+
+
+@pytest.fixture(scope="module")
+def h4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "h4.json"
+    assert main(["example", "--kind", "sweedler", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("case, extra", [
+    ("malformed", set()),
+    ("verify_qt", {"qhopf.derived"}),
+    ("twist_props", {"qhopf.derived", "qhopf.drinfeld", "qhopf.rng",
+                     "qhopf.twisting"}),
+])
+def test_commands_import_only_what_they_run(case, extra, h4_file, tmp_path):
+    # a command imports only the modules it runs: no dsl, examples or ribbon
+    # for these, and no dataclasses on the verify and twist paths
+    if case == "malformed":
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"field": ')
+        args, want_code = ["verify", str(bad)], 2
+    elif case == "verify_qt":
+        args, want_code = ["verify", h4_file, "--level", "qt"], 0
+    else:
+        args, want_code = ["check", "twist-props", h4_file, "--seeds", "0"], 0
+    code, modules = _startup_modules(args)
+    assert code == want_code
+    assert modules == BASE_MODULES | extra
 
 
 def test_report_determinism(dz2w_file, capsys):

@@ -94,6 +94,16 @@ def test_load_rejects_repeated_tensor_key(kz2, key):
     assert "$.%s.entries[1]" % key in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["p:7", None, 1, 2.5, [], True],
+                         ids=["string", "null", "int", "float", "list", "bool"])
+def test_load_rejects_non_object_field(kz2, value):
+    doc = kz2.to_json()
+    doc["field"] = value
+    with pytest.raises(ParseError) as err:
+        load(doc)
+    assert err.value.where == "$.field"
+
+
 def test_load_rejects_wrong_arity(kz2):
     doc = kz2.to_json()
     doc["alpha"] = {"arity": 2, "entries": [[[0, 0], "1"]]}
