@@ -277,7 +277,7 @@ def cmd_check(args):
             print("usage error: check expr requires --expr", file=sys.stderr)
             return 2
         from . import dsl
-        expr = dsl.parse(args.expr)
+        expr = dsl.parse(args.expr, d.field)
         if isinstance(expr, dsl.Eq):
             status, witness = dsl.check_line(d, args.expr)
             rep_ok = status == "pass"

@@ -16,12 +16,11 @@ import json
 
 from . import linalg
 from .errors import MissingR, NotInvertible, ParseError, ShapeError
-from .report import CheckReport, witness_from
+from .report import CheckReport, diff_witness, witness_from
 from .scalars import field_from_spec
 from .tensor import (Algebra, SparseTensor, LEG_ID, apply_legs, basis_vector,
-                     concat, coprod_leg, counit_leg, diff_entries, flip,
-                     hom_sum, insert_leg, invert, lin_leg, mul_adjacent,
-                     mul_all, mult, permute_legs, scale)
+                     coprod_leg, counit_leg, flip, hom_sum, insert_leg, invert,
+                     lin_leg, mul_adjacent, mul_all, mult, scale)
 
 
 class _UnaryMaps(dict):
@@ -374,41 +373,22 @@ def load_path(path):
 
 
 # ----- verifiers ---------------------------------------------------------
+# Each identity with a line in the identity corpus is stated there once,
+# under the check's name, and run by name (`dsl.check_named`); the checks
+# over pairs of basis elements, the antipode equations, duality, the
+# invertibility checks and r_antipode (see there) are stated here.
 
 
-def _diffw(lhs, rhs, limit, **extra):
-    """Witness dict (or None) with up to `limit` differing coordinates;
-    limit None means the full diff."""
-    diffs = diff_entries(lhs, rhs, limit)
-    if not diffs:
-        return None
-    w = witness_from(diffs[0], **extra)
-    if limit != 1 and len(diffs) > 1:
-        w["diffs"] = [{"index": list(k), "lhs": a, "rhs": b}
-                      for k, a, b in diffs]
-    return w
+def _named(rep, d, names, limit):
+    from .dsl import check_named
+    return rep.extend(check_named(d, names, limit))
 
 
-def _record(rep, name, witness, early_stop):
-    if witness is None:
-        rep.add_pass(name)
-        return False
-    rep.add_fail(name, witness)
-    return early_stop
+def _add(rep, name, witness):
+    rep.add(name, "fail" if witness else "pass", witness)
 
 
-def _per_basis(rep, name, d, make_lhs_rhs, early_stop, limit):
-    for i in range(d.dim):
-        lhs, rhs = make_lhs_rhs(i)
-        w = _diffw(lhs, rhs, limit, basis=i)
-        if w is not None:
-            rep.add_fail(name, w)
-            return early_stop
-    rep.add_pass(name)
-    return False
-
-
-def verify_quasi_bialgebra(d, early_stop=False, witness_limit=1):
+def verify_quasi_bialgebra(d, witness_limit=1):
     """Check every axiom of the first layer; failures carry witnesses (the
     first differing coordinate, or the full diff when witness_limit is
     None)."""
@@ -433,8 +413,7 @@ def verify_quasi_bialgebra(d, early_stop=False, witness_limit=1):
                 break
         if diff:
             break
-    if _record(rep, "product_associative", diff, early_stop):
-        return rep
+    _add(rep, "product_associative", diff)
 
     diff = None
     u = alg.unit_coeffs
@@ -443,8 +422,7 @@ def verify_quasi_bialgebra(d, early_stop=False, witness_limit=1):
         if alg.vec_mul(u, ei) != ei or alg.vec_mul(ei, u) != ei:
             diff = witness_from(((i,), "1*e_i or e_i*1", "e_i"))
             break
-    if _record(rep, "product_unital", diff, early_stop):
-        return rep
+    _add(rep, "product_unital", diff)
 
     # counit is an algebra map
     diff = None
@@ -460,86 +438,43 @@ def verify_quasi_bialgebra(d, early_stop=False, witness_limit=1):
                     break
             if diff:
                 break
-    if _record(rep, "epsilon_alg_hom", diff, early_stop):
-        return rep
-
-    # counitality
-    stop = _per_basis(
-        rep, "counitality", d,
-        lambda i: (concat(apply_legs(d.coproduct(d.basis(i)),
-                                     [d.leg("eps"), LEG_ID]),
-                          apply_legs(d.coproduct(d.basis(i)),
-                                     [LEG_ID, d.leg("eps")])),
-                   concat(d.basis(i), d.basis(i))),
-        early_stop, limit)
-    if stop:
-        return rep
+    _add(rep, "epsilon_alg_hom", diff)
+    _named(rep, d, ("counitality",), limit)
 
     # coproduct is an algebra map
-    diff = _diffw(d.coproduct(d.unit), d.unit_tensor(2), limit)
+    diff = diff_witness(d.coproduct(d.unit), d.unit_tensor(2), limit)
     if diff is None:
         for i in range(d.dim):
             di = d.coproduct(d.basis(i))
             for j in range(d.dim):
                 lhs = d.coproduct(d.mul(d.basis(i), d.basis(j)))
                 rhs = mult(di, d.coproduct(d.basis(j)), alg)
-                diff = _diffw(lhs, rhs, limit, basis=[i, j])
+                diff = diff_witness(lhs, rhs, limit, basis=[i, j])
                 if diff is not None:
                     break
             if diff:
                 break
-    if _record(rep, "delta_alg_hom", diff, early_stop):
-        return rep
-
-    # counit-associator axiom
-    diff = _diffw(apply_legs(d.phi, [LEG_ID, d.leg("eps"), LEG_ID]),
-                  d.unit_tensor(2), limit)
-    if _record(rep, "counit_associator_axiom", diff, early_stop):
-        return rep
+    _add(rep, "delta_alg_hom", diff)
+    _named(rep, d, ("counit_associator_axiom",), limit)
 
     # invertibility of the associator
     try:
-        phi_inv = d.phi_inv
+        d.phi_inv
         rep.add_pass("phi_invertible")
     except NotInvertible as exc:
         rep.add_fail("phi_invertible", {"reason": str(exc)})
         return rep  # nothing below makes sense without the inverse
 
-    # quasi-coassociativity
-    def qc(i):
-        dd = d.coproduct(d.basis(i))
-        lhs = mult(apply_legs(dd, [LEG_ID, d.leg("D")]), d.phi, alg)
-        rhs = mult(d.phi, apply_legs(dd, [d.leg("D"), LEG_ID]), alg)
-        return lhs, rhs
-
-    if _per_basis(rep, "quasi_coassociativity", d, qc, early_stop, limit):
-        return rep
-
-    # pentagon
-    lhs = mult(apply_legs(d.phi, [LEG_ID, LEG_ID, d.leg("D")]),
-               apply_legs(d.phi, [d.leg("D"), LEG_ID, LEG_ID]), alg)
-    rhs = mul_all(alg,
-                  insert_leg(d.phi, 0, d.unit),
-                  apply_legs(d.phi, [LEG_ID, d.leg("D"), LEG_ID]),
-                  insert_leg(d.phi, 3, d.unit))
-    if _record(rep, "pentagon", _diffw(lhs, rhs, limit), early_stop):
-        return rep
-
-    # derived property: the counit kills the outer associator legs too
-    one2 = d.unit_tensor(2)
-    diff = _diffw(apply_legs(d.phi, [d.leg("eps"), LEG_ID, LEG_ID]), one2, limit)
-    if diff is None:
-        diff = _diffw(apply_legs(d.phi, [LEG_ID, LEG_ID, d.leg("eps")]), one2,
-                      limit)
-    _record(rep, "counit_associator_property", diff, early_stop)
-    return rep
+    # counit_associator_property: the counit kills the outer associator
+    # legs too (a consequence of the axioms, checked as well)
+    return _named(rep, d, ("quasi_coassociativity", "pentagon",
+                           "counit_associator_property"), limit)
 
 
-def verify_quasi_hopf(d, early_stop=False, witness_limit=1):
+def verify_quasi_hopf(d, witness_limit=1):
     """Check the antipode layer; assumes the quasi-bialgebra layer holds."""
     rep = CheckReport()
     alg = d.algebra
-    f = d.field
     limit = witness_limit
 
     diff = None
@@ -556,113 +491,59 @@ def verify_quasi_hopf(d, early_stop=False, witness_limit=1):
             for j in range(d.dim):
                 lhs = d.antipode(d.mul(d.basis(i), d.basis(j)))
                 rhs = d.mul(d.antipode(d.basis(j)), d.antipode(d.basis(i)))
-                diff = _diffw(lhs, rhs, limit, basis=[i, j])
+                diff = diff_witness(lhs, rhs, limit, basis=[i, j])
                 if diff is not None:
                     break
             if diff:
                 break
-    if _record(rep, "antipode_antiautomorphism", diff, early_stop):
-        return rep
+    _add(rep, "antipode_antiautomorphism", diff)
 
-    def left_eq(i):
-        t = apply_legs(d.coproduct(d.basis(i)), [d.leg("S"), LEG_ID])
-        lhs = mul_adjacent(mul_adjacent(insert_leg(t, 1, d.alpha), 0, alg), 0, alg)
-        return lhs, scale(d.alpha, d.eps[i])
-
-    if _per_basis(rep, "left_antipode_equation", d, left_eq, early_stop, limit):
-        return rep
-
-    def right_eq(i):
-        t = apply_legs(d.coproduct(d.basis(i)), [LEG_ID, d.leg("S")])
-        lhs = mul_adjacent(mul_adjacent(insert_leg(t, 1, d.beta), 0, alg), 0, alg)
-        return lhs, scale(d.beta, d.eps[i])
-
-    if _per_basis(rep, "right_antipode_equation", d, right_eq, early_stop, limit):
-        return rep
+    # the two antipode equations, per basis element
+    for name, legs, elt in (("left_antipode_equation", ("S", "id"), d.alpha),
+                            ("right_antipode_equation", ("id", "S"), d.beta)):
+        diff = None
+        for i in range(d.dim):
+            t = apply_legs(d.coproduct(d.basis(i)), d.legs(*legs))
+            lhs = mul_adjacent(mul_adjacent(insert_leg(t, 1, elt), 0, alg),
+                               0, alg)
+            diff = diff_witness(lhs, scale(elt, d.eps[i]), limit, basis=i)
+            if diff is not None:
+                break
+        _add(rep, name, diff)
 
     one = d.unit_tensor(1)
     lhs = d.hsum([(d.phi, ("x", "y", "z"))],
                  [["x", d.beta, ("S", ["y"]), d.alpha, "z"]])
-    if _record(rep, "duality_left", _diffw(lhs, one, limit), early_stop):
-        return rep
+    _add(rep, "duality_left", diff_witness(lhs, one, limit))
 
     lhs = d.hsum([(d.phi_inv, ("x", "y", "z"))],
                  [[("S", ["x"]), d.alpha, "y", d.beta, ("S", ["z"])]])
-    if _record(rep, "duality_right", _diffw(lhs, one, limit), early_stop):
-        return rep
-
-    diff = None
-    for i in range(d.dim):
-        lhs = d.eps_of(d.antipode(d.basis(i)))
-        if lhs != d.eps[i]:
-            diff = witness_from(((i,), f.to_str(lhs), f.to_str(d.eps[i])))
-            break
-    if _record(rep, "counit_antipode", diff, early_stop):
-        return rep
-
-    prod = f.mul(d.eps_of(d.alpha), d.eps_of(d.beta))
-    diff = None if prod == f.one \
-        else witness_from(((), f.to_str(prod), "1"))
-    _record(rep, "counit_alpha_beta", diff, early_stop)
-    return rep
+    _add(rep, "duality_right", diff_witness(lhs, one, limit))
+    return _named(rep, d, ("counit_antipode", "counit_alpha_beta"), limit)
 
 
-def verify_quasitriangular(d, early_stop=False, witness_limit=1):
+def verify_quasitriangular(d, witness_limit=1):
     """Check the R-matrix layer; assumes the quasi-Hopf layer holds."""
     if d.R is None:
         raise MissingR("datum carries no R-matrix")
     rep = CheckReport()
-    alg = d.algebra
-    limit = witness_limit
-
     try:
-        r_inv = d.r_inv
+        d.r_inv
         rep.add_pass("r_invertible")
     except NotInvertible as exc:
         rep.add_fail("r_invertible", {"reason": str(exc)})
         return rep
+    _named(rep, d, ("r_counit_left", "r_counit_right", "quasi_cocommutativity",
+                    "hexagon_left", "hexagon_right"), witness_limit)
 
-    one = d.unit_tensor(1)
-    diff = _diffw(apply_legs(d.R, [d.leg("eps"), LEG_ID]), one, limit)
-    if _record(rep, "r_counit_left", diff, early_stop):
-        return rep
-    diff = _diffw(apply_legs(d.R, [LEG_ID, d.leg("eps")]), one, limit)
-    if _record(rep, "r_counit_right", diff, early_stop):
-        return rep
-
-    def qcc(i):
-        dt = d.coproduct(d.basis(i))
-        return mult(flip(dt, 0, 1), d.R, alg), mult(d.R, dt, alg)
-
-    if _per_basis(rep, "quasi_cocommutativity", d, qcc, early_stop, limit):
-        return rep
-
-    # both hexagons, right-hand sides as fully factored 5-term products
-    lhs = apply_legs(d.R, [d.leg("D"), LEG_ID])
-    rhs = mul_all(alg,
-                  permute_legs(d.phi, (1, 2, 0)),
-                  insert_leg(d.R, 1, d.unit),
-                  permute_legs(d.phi_inv, (0, 2, 1)),
-                  insert_leg(d.R, 0, d.unit),
-                  d.phi)
-    if _record(rep, "hexagon_left", _diffw(lhs, rhs, limit), early_stop):
-        return rep
-
-    lhs = apply_legs(d.R, [LEG_ID, d.leg("D")])
-    rhs = mul_all(alg,
-                  permute_legs(d.phi_inv, (2, 0, 1)),
-                  insert_leg(d.R, 1, d.unit),
-                  permute_legs(d.phi, (1, 0, 2)),
-                  insert_leg(d.R, 2, d.unit),
-                  d.phi_inv)
-    if _record(rep, "hexagon_right", _diffw(lhs, rhs, limit), early_stop):
-        return rep
-
+    # stated here, not by its corpus line, which inverts F where this check
+    # uses the inverse formula F_inv: on data that break the antipode layer
+    # the two differ, and either may fail alone
     from .derived import big_f  # local import to avoid a module cycle
     de = big_f(d)
-    lhs = apply_legs(d.R, [d.leg("S"), d.leg("S")])
-    rhs = mul_all(alg, flip(de.F, 0, 1), d.R, de.F_inv)
-    _record(rep, "r_antipode", _diffw(lhs, rhs, limit), early_stop)
+    lhs = apply_legs(d.R, d.legs("S", "S"))
+    rhs = mul_all(d.algebra, flip(de.F, 0, 1), d.R, de.F_inv)
+    _add(rep, "r_antipode", diff_witness(lhs, rhs, witness_limit))
     return rep
 
 
@@ -677,33 +558,28 @@ def default_level(d):
     return "hopf"
 
 
-def verify(d, level=None, early_stop=False, witness_limit=1):
+def verify(d, level=None, witness_limit=1):
     """Run all verifier layers up to the requested level, merged into one
     report.  The ribbon layer needs a candidate stored in the datum."""
     level = level or default_level(d)
     if level not in LEVELS:
         raise ValueError("unknown level %r" % level)
-    rep = verify_quasi_bialgebra(d, early_stop=early_stop,
-                                 witness_limit=witness_limit)
+    rep = verify_quasi_bialgebra(d, witness_limit=witness_limit)
     # a layer runs only when its preconditions hold: the antipode and
     # R-matrix layers use the inverse associator, and the ribbon layer's
     # builders assume every axiom below it
-    if (level == "bialgebra" or (early_stop and not rep.ok)
+    if (level == "bialgebra"
             or any(c.name == "phi_invertible" for c in rep.failures())):
         return rep
-    rep.extend(verify_quasi_hopf(d, early_stop=early_stop,
-                                 witness_limit=witness_limit))
-    if level == "hopf" or (early_stop and not rep.ok):
+    rep.extend(verify_quasi_hopf(d, witness_limit=witness_limit))
+    if level == "hopf":
         return rep
-    rep.extend(verify_quasitriangular(d, early_stop=early_stop,
-                                      witness_limit=witness_limit))
+    rep.extend(verify_quasitriangular(d, witness_limit=witness_limit))
     if level == "qt" or not rep.ok:
         return rep
     from .ribbon import check_main_theorem, check_ribbon_lemma, is_ribbon
     if d.v is None:
         raise MissingR("ribbon level requested but the datum has no candidate v")
-    rep.extend(is_ribbon(d, d.v))
-    if not (early_stop and not rep.ok):
-        rep.extend(check_ribbon_lemma(d, d.v))
-        rep.extend(check_main_theorem(d, d.v))
-    return rep
+    rep.extend(is_ribbon(d, d.v, witness_limit))
+    rep.extend(check_ribbon_lemma(d, d.v, witness_limit))
+    return rep.extend(check_main_theorem(d, d.v, witness_limit))

@@ -17,14 +17,12 @@ run through the corpus runner.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .derived import big_f
-from .drinfeld import drinfeld_u, u_tilde
-from .errors import ArityError, ParseError, UndefinedName
-from .report import CheckReport, witness_from
-from .ribbon import rtwist_elements
-from .tensor import apply_legs, eq_witness, flip, invert, mult, scale
+from .errors import ArityError, NotInvertible, ParseError, UndefinedName
+from .report import CheckReport, diff_witness
+from .tensor import (apply_legs, concat, eq_witness, flip, invert, mult,
+                     scale)
 
 LEG_NAMES = ("id", "S", "Sinv", "eps", "D", "Dcop")
 LEG_WIDTH = {"id": 1, "S": 1, "Sinv": 1, "eps": 0, "D": 2, "Dcop": 2}
@@ -40,51 +38,23 @@ NAME_ARITY = {
 
 
 # ----- AST -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Name:
-    name: str
-
-
-@dataclass(frozen=True)
-class Basis:
-    index: object  # int or variable name
+# Named tuples with the node kind as a trailing field, so that nodes of
+# different kinds never compare equal: Name("u") != Basis("u").  Evaluation
+# gives equal subterms one value.
 
 
-@dataclass(frozen=True)
-class ScalarLit:
-    text: str
+def _node(kind, fields):
+    return namedtuple(kind, fields + " kind", defaults=(kind,))
 
 
-@dataclass(frozen=True)
-class Prod:
-    op: str  # '*' or '#'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Inv:
-    expr: object
-
-
-@dataclass(frozen=True)
-class Flip:
-    expr: object
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class MapLegs:
-    legs: tuple
-    expr: object
-
-
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
+Name = _node("Name", "name")
+Basis = _node("Basis", "index")          # int or variable name
+ScalarLit = _node("ScalarLit", "text")
+Prod = _node("Prod", "op left right")    # op is '*' or '#'
+Inv = _node("Inv", "expr")
+Flip = _node("Flip", "expr i j")
+MapLegs = _node("MapLegs", "legs expr")
+Eq = _node("Eq", "left right")
 
 
 # ----- tokenizer / parser ---------------------------------------------------
@@ -140,9 +110,10 @@ def _tokenize(src):
 
 
 class _Parser:
-    def __init__(self, src):
+    def __init__(self, src, field):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.field = field
 
     def peek(self):
         return self.toks[self.pos]
@@ -192,10 +163,10 @@ class _Parser:
         if t[0] == "sym" and t[1] == "-":
             self.next()
             num = self.expect("int")[1]
-            return self._scalar_tail("-" + num)
+            return self._scalar_tail("-" + num, t)
         if t[0] == "int":
             self.next()
-            return self._scalar_tail(t[1])
+            return self._scalar_tail(t[1], t)
         if t[0] != "name":
             raise ParseError("expected a factor, found %r" % t[1],
                              line=t[2], column=t[3])
@@ -240,15 +211,22 @@ class _Parser:
             return Basis(idx)
         return Name(word)
 
-    def _scalar_tail(self, num):
+    def _scalar_tail(self, num, start):
         if self.peek()[0] == "sym" and self.peek()[1] == "/":
             save = self.pos
             self.next()
             t = self.peek()
             if t[0] == "int":
                 self.next()
-                return ScalarLit(num + "/" + t[1])
-            self.pos = save
+                num += "/" + t[1]
+            else:
+                self.pos = save
+        if self.field is not None:
+            try:
+                self.field.parse(num)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError("bad scalar %r (%s)" % (num, exc),
+                                 line=start[2], column=start[3])
         return ScalarLit(num)
 
     def _leg(self):
@@ -258,10 +236,11 @@ class _Parser:
         return t[1]
 
 
-def parse(source):
+def parse(source, field=None):
     """Parse one identity or term; raises ParseError with position info and
-    ArityError if the arities cannot be made consistent."""
-    node = _Parser(source).parse()
+    ArityError if the arities cannot be made consistent.  With a field, a
+    scalar literal it cannot read is a ParseError too."""
+    node = _Parser(source, field).parse()
     infer_arity(node)
     return node
 
@@ -346,7 +325,11 @@ class _Scalar:
         self.value = value
 
 
-def _resolve(d, name, twist):
+def _resolve(d, name, consts):
+    """The value of a named constant: from `consts` when bound there (the
+    candidate v of a ribbon check, a twist T), else from the datum."""
+    if consts and name in consts:
+        return consts[name]
     if name.startswith("one_"):
         return d.unit_tensor(int(name[4:]))
     if name == "Phi":
@@ -366,17 +349,20 @@ def _resolve(d, name, twist):
             return d.r_inv
         return flip(d.R, 0, 1)
     if name in ("F", "Finv", "Fp", "gamma", "delta"):
+        from .derived import big_f
         de = big_f(d)
         return {"F": de.F, "Finv": de.F_inv, "Fp": flip(de.F, 0, 1),
                 "gamma": de.gamma, "delta": de.delta}[name]
     if name in ("u", "utilde"):
         if d.R is None:
             raise UndefinedName("datum has no R-matrix")
+        from .drinfeld import drinfeld_u, u_tilde
         return drinfeld_u(d).u if name == "u" else u_tilde(d)
     if name in ("uhat", "ucheck", "alphahat", "betahat",
                 "alphacheck", "betacheck"):
         if d.R is None:
             raise UndefinedName("datum has no R-matrix")
+        from .ribbon import rtwist_elements
         el = rtwist_elements(d)
         return {"uhat": el.u_hat, "ucheck": el.u_check,
                 "alphahat": el.alpha_hat, "betahat": el.beta_hat,
@@ -386,43 +372,93 @@ def _resolve(d, name, twist):
             raise UndefinedName("datum has no ribbon candidate")
         return d.v
     if name in ("T", "Tinv"):
-        if twist is None:
-            raise UndefinedName("no twist bound in this context")
-        return twist.T if name == "T" else twist.T_inv
+        raise UndefinedName("no twist bound in this context")
     raise UndefinedName("unknown constant %r" % name)
 
 
-def _eval(node, d, twist, bindings, memo):
-    """The value of node.  memo holds the values of subterms without a basis
-    variable, which stay the same while a corpus line loops over the basis."""
-    if node in memo:
-        return memo[node]
-    val = _eval_node(node, d, twist, bindings, memo)
-    if not _basis_vars(node):
-        memo[node] = val
-    return val
+_Plan = namedtuple("_Plan", "expr keys free variables")
 
 
-def _eval_node(node, d, twist, bindings, memo):
+def _plan(expr):
+    """What evaluating expr needs besides a datum: a key per subterm, equal
+    for equal subterms (`keys`, by node identity), the keys of the subterms
+    without a basis variable (`free`), and the sorted basis variables."""
+    keys, free = {}, set()
+    variables = sorted(_scan(expr, keys, free, {}))
+    return _Plan(expr, keys, free, variables)
+
+
+class _Run:
+    """The state of one evaluation of a plan: the datum, bound constants,
+    the basis variable's value, and the value of every subterm evaluated so
+    far.  The values of the free subterms stay in `memo` while a line loops
+    over the basis; the others (`local`) are dropped when the variable
+    moves on."""
+
+    __slots__ = ("d", "consts", "keys", "free", "bindings", "memo", "local")
+
+    def __init__(self, d, consts, p):
+        self.d = d
+        self.consts = consts
+        self.keys = p.keys
+        self.free = p.free
+        self.bindings = None
+        self.memo = {}
+        self.local = {}
+
+    def bind(self, bindings):
+        self.bindings = bindings
+        self.local = {}
+
+
+def _scan(node, keys, free, first):
+    """The basis variables of node.  Sets keys[id(n)] for node and each of
+    its subterms n, equal for equal subterms (`first` maps each distinct
+    subterm to its key), and adds the keys of those without a basis
+    variable to `free`."""
+    if isinstance(node, Basis):
+        found = {node.index} if isinstance(node.index, str) else set()
+    elif isinstance(node, (Name, ScalarLit)):
+        found = set()
+    elif isinstance(node, (Prod, Eq)):
+        found = (_scan(node.left, keys, free, first)
+                 | _scan(node.right, keys, free, first))
+    else:
+        found = _scan(node.expr, keys, free, first)
+    key = keys[id(node)] = first.setdefault(node, id(node))
+    if not found:
+        free.add(key)
+    return found
+
+
+def _eval(node, run):
+    key = run.keys[id(node)]
+    cache = run.memo if key in run.free else run.local
+    if key not in cache:
+        cache[key] = _eval_node(node, run)
+    return cache[key]
+
+
+def _eval_node(node, run):
+    d = run.d
     f = d.field
     if isinstance(node, Name):
-        return _resolve(d, node.name, twist)
+        return _resolve(d, node.name, run.consts)
     if isinstance(node, Basis):
         idx = node.index
         if isinstance(idx, str):
-            if not bindings or idx not in bindings:
+            if not run.bindings or idx not in run.bindings:
                 raise UndefinedName("unbound basis variable %r" % idx)
-            idx = bindings[idx]
+            idx = run.bindings[idx]
         if idx < 0 or idx >= d.dim:
             raise ArityError("basis index %d out of range" % idx)
         return d.basis(idx)
     if isinstance(node, ScalarLit):
         return _Scalar(f.parse(node.text))
     if isinstance(node, Prod):
-        a = _eval(node.left, d, twist, bindings, memo)
-        b = _eval(node.right, d, twist, bindings, memo)
+        a = _eval(node.left, run)
+        b = _eval(node.right, run)
         if node.op == "#":
-            from .tensor import concat
             return concat(a, b)
         if isinstance(a, _Scalar) and isinstance(b, _Scalar):
             return _Scalar(f.mul(a.value, b.value))
@@ -432,40 +468,39 @@ def _eval_node(node, d, twist, bindings, memo):
             return scale(a, b.value)
         return mult(a, b, d.algebra)
     if isinstance(node, Inv):
-        val = _eval(node.expr, d, twist, bindings, memo)
+        val = _eval(node.expr, run)
         if isinstance(val, _Scalar):
             return _Scalar(f.inv(val.value))
         return invert(val, d.algebra)
     if isinstance(node, Flip):
-        return flip(_eval(node.expr, d, twist, bindings, memo), node.i, node.j)
+        return flip(_eval(node.expr, run), node.i, node.j)
     if isinstance(node, MapLegs):
-        val = _eval(node.expr, d, twist, bindings, memo)
-        return apply_legs(val, [d.leg(l) for l in node.legs])
+        return apply_legs(_eval(node.expr, run), d.legs(*node.legs))
     raise TypeError(node)
 
 
-def evaluate(expr, d, twist=None, bindings=None):
+def evaluate(expr, d, consts=None, bindings=None):
     """A term evaluates to a tensor; an identity evaluates to
     (bool, witness-or-None)."""
     if isinstance(expr, str):
-        expr = parse(expr)
+        expr = parse(expr, d.field)
+    run = _Run(d, consts, _plan(expr))
+    run.bind(bindings)
     if isinstance(expr, Eq):
-        return _compare(expr, d, twist, bindings, {})
-    val = _eval(expr, d, twist, bindings, {})
+        diff = eq_witness(*_sides(expr, run))
+        return (diff is None), diff
+    val = _eval(expr, run)
     if isinstance(val, _Scalar):
         return scale(d.unit_tensor(0), val.value)
     return val
 
 
-def _compare(eq, d, twist, bindings, memo):
-    lhs = _eval(eq.left, d, twist, bindings, memo)
-    rhs = _eval(eq.right, d, twist, bindings, memo)
-    lhs, rhs = _coerce_pair(d, lhs, rhs)
-    diff = eq_witness(lhs, rhs)
-    return (diff is None), diff
-
-
-def _coerce_pair(d, lhs, rhs):
+def _sides(eq, run):
+    """Both sides of an identity as tensors of one arity; a scalar side
+    becomes that multiple of the unit."""
+    d = run.d
+    lhs = _eval(eq.left, run)
+    rhs = _eval(eq.right, run)
     if isinstance(lhs, _Scalar) and isinstance(rhs, _Scalar):
         return (scale(d.unit_tensor(0), lhs.value),
                 scale(d.unit_tensor(0), rhs.value))
@@ -476,64 +511,96 @@ def _coerce_pair(d, lhs, rhs):
     return lhs, rhs
 
 
+def _check(p, d, consts, limit):
+    """(status, witness) of the identity of plan p.  A line with a basis
+    variable holds when it holds at every basis index; the first index where
+    it does not is the witness's `basis`.  `limit` caps the differing
+    coordinates listed (None: all of them)."""
+    variables = p.variables
+    if len(variables) > 1:
+        return "skipped", {"reason": "multiple basis variables"}
+    run = _Run(d, consts, p)
+    for i in range(d.dim) if variables else [None]:
+        extra = {}
+        if variables:
+            run.bind({variables[0]: i})
+            extra["basis"] = i
+        witness = diff_witness(*_sides(p.expr, run), limit, **extra)
+        if witness is not None:
+            return "fail", witness
+    return "pass", None
+
+
 # ----- corpus ----------------------------------------------------------------
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "corpus.txt")
 
 
-def corpus_lines(path=None):
+def corpus_entries(path=None):
+    """(name, identity) for each line of a corpus.  A line may begin with
+    `name:`, the named check that it states; name is None otherwise."""
     # '#' doubles as the concatenation operator, so comments are whole lines
     with open(path or CORPUS_PATH, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if line and not line.startswith("#"):
-                yield line
+            if not line or line.startswith("#"):
+                continue
+            head, sep, rest = line.partition(":")
+            if sep and head.strip().isidentifier():
+                yield head.strip(), rest.strip()
+            else:
+                yield None, line
 
 
-def _basis_vars(node):
-    if isinstance(node, Basis):
-        return {node.index} if isinstance(node.index, str) else set()
-    if isinstance(node, (Name, ScalarLit)):
-        return set()
-    if isinstance(node, Prod):
-        return _basis_vars(node.left) | _basis_vars(node.right)
-    if isinstance(node, Eq):
-        return _basis_vars(node.left) | _basis_vars(node.right)
-    if isinstance(node, (Inv, Flip, MapLegs)):
-        return _basis_vars(node.expr)
-    raise TypeError(node)
+def corpus_lines(path=None):
+    for _, line in corpus_entries(path):
+        yield line
 
 
-def check_line(d, line, twist=None):
-    """(status, witness) for one corpus line, expanding basis variables."""
+def check_line(d, line, consts=None):
+    """(status, witness) for one corpus line, expanding basis variables;
+    a line whose constants the datum does not carry is skipped."""
     try:
-        expr = parse(line)
+        expr = parse(line, d.field)
     except (ArityError, UndefinedName) as exc:
         return "skipped", {"reason": str(exc)}
-    variables = sorted(_basis_vars(expr))
-    memo = {}
     try:
-        if not variables:
-            ok, diff = _compare(expr, d, twist, None, memo)
-            if ok:
-                return "pass", None
-            return "fail", witness_from(diff)
-        var = variables[0]
-        if len(variables) > 1:
-            return "skipped", {"reason": "multiple basis variables"}
-        for i in range(d.dim):
-            ok, diff = _compare(expr, d, twist, {var: i}, memo)
-            if not ok:
-                return "fail", witness_from(diff, basis=i)
-        return "pass", None
+        return _check(_plan(expr), d, consts, 1)
     except UndefinedName as exc:
         return "skipped", {"reason": str(exc)}
 
 
-def run_corpus(d, path=None, twist=None):
+def run_corpus(d, path=None, consts=None):
     """Evaluate every corpus line against the datum; lines referring to
-    constants the datum does not carry are reported as skipped."""
+    constants the datum does not carry are reported as skipped.  A check is
+    named by its identity, not by its tag."""
     rep = CheckReport()
-    for line in list(corpus_lines(path)):
-        rep.add(line, *check_line(d, line, twist))
+    for _, line in list(corpus_entries(path)):
+        rep.add(line, *check_line(d, line, consts))
+    return rep
+
+
+_NAMED = {}
+
+
+def check_named(d, names, witness_limit=1, consts=None):
+    """A report with one check per name, in the order given: the lines of
+    the shipped corpus tagged with that name, in corpus order, up to the
+    first that fails.  An inverse that does not exist fails the check.  A
+    name that tags no line raises KeyError."""
+    if not _NAMED:
+        for name, line in corpus_entries():
+            if name:
+                _NAMED.setdefault(name, []).append(_plan(parse(line)))
+    rep = CheckReport()
+    for name in names:
+        status, witness = "pass", None
+        for p in _NAMED[name]:
+            try:
+                status, witness = _check(p, d, consts, witness_limit)
+            except NotInvertible as exc:
+                status, witness = "fail", {"reason": str(exc)}
+            if status != "pass":
+                break
+        rep.add(name, status, witness)
     return rep

@@ -251,9 +251,8 @@ def dpr_double(group, omega):
                 "the ribbon checks" % (group,))
         d = d.with_changes(v=v)
         d.metadata["closed_form_v"] = True
-    if not (verify_quasi_bialgebra(d, early_stop=True).ok
-            and verify_quasi_hopf(d, early_stop=True).ok
-            and verify_quasitriangular(d, early_stop=True).ok):
+    if not (verify_quasi_bialgebra(d).ok and verify_quasi_hopf(d).ok
+            and verify_quasitriangular(d).ok):
         raise InternalInconsistency(
             "the twisted double of %r fails the verifiers" % (group,))
     return d

@@ -1,5 +1,7 @@
 """Pass/fail reports with witnesses, shared by every verifier."""
 
+from .tensor import diff_entries
+
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
@@ -78,4 +80,18 @@ def witness_from(diff, **extra):
     key, lhs, rhs = diff
     w = {"index": list(key), "lhs": lhs, "rhs": rhs}
     w.update(extra)
+    return w
+
+
+def diff_witness(lhs, rhs, limit=1, **extra):
+    """Witness dict (or None) for two tensors: the first differing
+    coordinate, and with a limit other than 1 up to `limit` of them under
+    "diffs" (None means the full diff)."""
+    diffs = diff_entries(lhs, rhs, limit)
+    if not diffs:
+        return None
+    w = witness_from(diffs[0], **extra)
+    if limit != 1 and len(diffs) > 1:
+        w["diffs"] = [{"index": list(k), "lhs": a, "rhs": b}
+                      for k, a, b in diffs]
     return w

@@ -6,7 +6,6 @@ the rationals.  All arithmetic goes through a Field object, so equality of
 scalars is plain equality of representations.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch, NoSuchRoot
@@ -145,6 +144,10 @@ class RationalField(Field):
     kind = "rational"
 
     def __init__(self):
+        # `fractions` (which loads `decimal` and `numbers`) is imported only
+        # when a rational field is made, so prime-field data never pays for it
+        from fractions import Fraction
+        self.frac = Fraction
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
@@ -165,16 +168,16 @@ class RationalField(Field):
         return None
 
     def canon(self, x):
-        return Fraction(x)
+        return self.frac(x)
 
     def parse(self, s):
-        return Fraction(s)
+        return self.frac(s)
 
     def to_str(self, v):
         return str(v)
 
     def from_int(self, n):
-        return Fraction(n)
+        return self.frac(n)
 
     def is_zero(self, v):
         return v == 0
@@ -194,23 +197,23 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
-        return 1 / Fraction(a)
+        return 1 / self.frac(a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0 in Q")
-        return Fraction(a) / b
+        return self.frac(a) / b
 
     def root_of_unity(self, n):
         if n == 1:
-            return Fraction(1)
+            return self.frac(1)
         if n == 2:
-            return Fraction(-1)
+            return self.frac(-1)
         raise NoSuchRoot("Q contains no primitive %d-th root of unity" % n)
 
     def sample(self, rng):
         # small integers keep numerators under control in long products
-        return Fraction(rng.below(7)) - 3
+        return self.frac(rng.below(7)) - 3
 
 
 def field_from_spec(spec):

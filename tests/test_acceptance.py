@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from qhopf import (big_f, check_drinfeld_props, check_F_compat,
+from qhopf import (big_f, check_F_compat,
                    check_main_theorem, check_ribbon_lemma,
                    check_rtwist_relations, check_twist_elements,
                    check_u_tilde, coopposite,
@@ -17,7 +17,8 @@ from qhopf import (big_f, check_drinfeld_props, check_F_compat,
                    random_invertible, random_twist, rtwist_elements, u_tilde,
                    verify, verify_quasi_bialgebra, verify_quasi_hopf,
                    verify_quasitriangular)
-from qhopf.dsl import corpus_lines, parse, print_expr, run_corpus
+from qhopf.dsl import (check_named, corpus_lines, parse, print_expr,
+                       run_corpus)
 from qhopf.rng import SplitMix64
 from qhopf.tensor import apply_legs, concat, flip, invert, mul_all, mult
 
@@ -130,7 +131,9 @@ def test_criterion_07_drinfeld_properties(qt_examples):
     ok = True
     for name, d in qt_examples.items():
         ok = ok and check_rtwist_relations(d).ok
-        ok = ok and check_drinfeld_props(d).ok
+        ok = ok and check_named(d, ("counit_of_u",
+                                    "antipode_square_is_u_conjugation",
+                                    "coproduct_of_u")).ok
     _stamp(7, "u = ucheck = S(uhat^-1), alpha_check = S(alpha)u, "
            "counit/conjugation/coproduct of u", ok)
 
@@ -215,7 +218,7 @@ def test_criterion_11_mutation_sensitivity(all_examples):
             bad = mutate(d, layer, rng)
             try:
                 level = "qt" if bad.R is not None else "hopf"
-                failed = not verify(bad, level=level, early_stop=True).ok
+                failed = not verify(bad, level=level).ok
             except Exception:
                 failed = True
             caught += 1 if failed else 0

@@ -113,7 +113,8 @@ sink = io.StringIO()
 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "dataclasses" or m.startswith("qhopf"))]))
+                               if m in ("dataclasses", "fractions")
+                               or m.startswith("qhopf"))]))
 """
 
 # modules every command loads: the CLI, and `datum` with what it imports
@@ -123,8 +124,8 @@ BASE_MODULES = {"qhopf", "qhopf.cli", "qhopf.datum", "qhopf.errors",
 
 
 def _startup_modules(args):
-    """(exit code, loaded qhopf modules and dataclasses) of `main(args)` run
-    in a fresh interpreter."""
+    """(exit code, loaded qhopf modules, dataclasses and fractions) of
+    `main(args)` run in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE] + args,
                          check=True, capture_output=True, text=True,
@@ -142,19 +143,24 @@ def h4_file(tmp_path_factory):
 
 @pytest.mark.parametrize("case, extra", [
     ("malformed", set()),
-    ("verify_qt", {"qhopf.derived"}),
-    ("twist_props", {"qhopf.derived", "qhopf.drinfeld", "qhopf.rng",
-                     "qhopf.twisting"}),
+    ("verify_qt", {"qhopf.derived", "qhopf.dsl", "fractions"}),
+    ("twist_props", {"qhopf.derived", "qhopf.drinfeld", "qhopf.dsl",
+                     "qhopf.rng", "qhopf.twisting", "fractions"}),
+    ("verify_qt_prime", {"qhopf.derived", "qhopf.dsl"}),
 ])
-def test_commands_import_only_what_they_run(case, extra, h4_file, tmp_path):
-    # a command imports only the modules it runs: no dsl, examples or ribbon
-    # for these, and no dataclasses on the verify and twist paths
+def test_commands_import_only_what_they_run(case, extra, h4_file, dz2w_file,
+                                            tmp_path):
+    # a command imports only the modules it runs: no examples or ribbon for
+    # these, no dataclasses on the verify and twist paths, and fractions
+    # only for rational data (H4 is over Q, D^w(Z2) over F_7)
     if case == "malformed":
         bad = tmp_path / "bad.json"
         bad.write_text('{"field": ')
         args, want_code = ["verify", str(bad)], 2
     elif case == "verify_qt":
         args, want_code = ["verify", h4_file, "--level", "qt"], 0
+    elif case == "verify_qt_prime":
+        args, want_code = ["verify", dz2w_file, "--level", "qt"], 0
     else:
         args, want_code = ["check", "twist-props", h4_file, "--seeds", "0"], 0
     code, modules = _startup_modules(args)
@@ -294,6 +300,28 @@ def test_check_expr_term_prints_tensor(dz2w_file, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["arity"] == 1
+
+
+@pytest.mark.parametrize("example, expr", [
+    (["--kind", "dpr", "--group", "Z2", "--q", "1", "--field", "p:7"],
+     "1/2 * one_1 == 4 * one_1"),
+    (["--kind", "sweedler"], "1/0 * one_1 == one_1"),
+], ids=["fraction-over-prime-field", "zero-denominator-over-Q"])
+def test_check_expr_bad_scalar_literal_exits_two(example, expr, tmp_path):
+    # a literal the datum's field cannot read is an input error at its
+    # position, not an escaped ValueError or ZeroDivisionError
+    path = tmp_path / "d.json"
+    assert _run(["example"] + example + ["--out", str(path)])[0] == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qhopf.cli import main; sys.exit(main())",
+         "check", "expr", str(path), "--expr", expr],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("input error: bad scalar")
+    assert "at line 1, column 1" in res.stderr
 
 
 def test_check_corpus(dz2w_file, capsys):

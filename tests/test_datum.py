@@ -168,6 +168,19 @@ def test_pentagon_failure_has_witness(fz2w):
         assert c.witness is not None
 
 
+def test_counitality_sees_a_negated_counit(kz2):
+    # with eps(g) = -1 both sides of the counit axiom give -g for g, and
+    # (-g) (x) (-g) = g (x) g: each side is checked on its own
+    f = kz2.field
+    g = next(i for i in range(kz2.dim) if kz2.basis(i) != kz2.unit)
+    eps = list(kz2.eps)
+    eps[g] = f.neg(f.one)
+    rep = verify_quasi_bialgebra(kz2.with_changes(eps=eps))
+    status = {c.name: c.status for c in rep.checks}
+    assert status["epsilon_alg_hom"] == "pass"
+    assert status["counitality"] == "fail"
+
+
 def test_alpha_zeroed_breaks_duality(sw):
     from qhopf.tensor import SparseTensor
     bad = sw.with_changes(alpha=SparseTensor.make(sw.field, 1, 4, {}))

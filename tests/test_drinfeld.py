@@ -1,8 +1,8 @@
 import pytest
 
-from qhopf import (check_drinfeld_props, check_u_tilde,
-                   check_u_under_modification, drinfeld_u, op_cop,
-                   random_invertible, u_tilde)
+from qhopf import (check_u_tilde, check_u_under_modification, drinfeld_u,
+                   op_cop, random_invertible, u_tilde)
+from qhopf.dsl import check_named
 from qhopf.errors import MissingR
 from qhopf.rng import SplitMix64
 from qhopf.tensor import SparseTensor, mult
@@ -10,6 +10,10 @@ from qhopf.tensor import SparseTensor, mult
 from oracle import dense_drinfeld, dense_of
 
 from mutation import mutate
+
+# the characterizing properties of u, stated once as named corpus lines
+DRINFELD_PROPS = ("counit_of_u", "antipode_square_is_u_conjugation",
+                  "coproduct_of_u")
 
 
 def test_u_trivial_r(kz2):
@@ -46,7 +50,7 @@ def test_u_two_sided_inverse(dz3w):
 
 def test_drinfeld_props_all_examples(kz2, sw, dz2, dz2w, dz3, dz3w):
     for d in (kz2, sw, dz2, dz2w, dz3, dz3w):
-        rep = check_drinfeld_props(d)
+        rep = check_named(d, DRINFELD_PROPS)
         assert rep.ok, [(c.name, c.witness) for c in rep.failures()]
 
 
@@ -63,7 +67,7 @@ def test_hopf_case_coproduct_of_u(sw):
 def test_mutated_r_breaks_conjugation(sw, dz2w):
     # the conjugation check needs a noncommutative algebra to have teeth
     bad = mutate(sw, "R", SplitMix64(0))
-    rep = check_drinfeld_props(bad)
+    rep = check_named(bad, DRINFELD_PROPS)
     assert any(c.name == "antipode_square_is_u_conjugation"
                and c.status == "fail" for c in rep.checks)
     # on the commutative double the R-matrix layer itself catches any
@@ -72,7 +76,7 @@ def test_mutated_r_breaks_conjugation(sw, dz2w):
     for seed in range(6):
         bad = mutate(dz2w, "R", SplitMix64(seed))
         try:
-            ok = verify_quasitriangular(bad, early_stop=True).ok
+            ok = verify_quasitriangular(bad).ok
         except Exception:
             ok = False
         assert not ok

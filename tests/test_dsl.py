@@ -1,9 +1,13 @@
 import pytest
 
-from qhopf.dsl import (Eq, Inv, MapLegs, Name, Prod, check_line,
-                       corpus_lines, evaluate, infer_arity, parse,
-                       print_expr, run_corpus)
+import qhopf.dsl
+import qhopf.ribbon
+from qhopf import verify
+from qhopf.dsl import (Basis, Eq, Inv, MapLegs, Name, Prod, check_line,
+                       check_named, corpus_entries, corpus_lines, evaluate,
+                       infer_arity, parse, print_expr, run_corpus)
 from qhopf.errors import ArityError, ParseError, UndefinedName
+from qhopf.scalars import PrimeField, RationalField
 
 
 def test_parse_counit_line():
@@ -123,3 +127,82 @@ def test_corpus_detects_breakage(dz2w):
     except Exception:
         ok = False
     assert not ok
+
+
+def test_scalar_literal_the_field_cannot_read_is_a_parse_error():
+    src = "one_1 == 1/2 * one_1"
+    assert parse(src, RationalField()) == parse(src)
+    with pytest.raises(ParseError) as err:
+        parse(src, PrimeField(7))
+    assert (err.value.line, err.value.column) == (1, 10)
+    with pytest.raises(ParseError):
+        parse("-3/0 * one_1", RationalField())
+
+
+def test_corpus_tags_name_checks_not_report_lines(dz2w):
+    entries = list(corpus_entries())
+    assert [line for _, line in entries] == list(corpus_lines())
+    assert ("pentagon", "map[id,id,D](Phi) * map[D,id,id](Phi) == "
+            "(one_1 # Phi) * map[id,D,id](Phi) * (Phi # one_1)") in entries
+    assert [n for n, _ in entries].count("counitality") == 2
+    names = [c.name for c in run_corpus(dz2w).checks]
+    assert names == [line for _, line in entries]
+
+
+def test_check_named_unknown_name_raises(dz2w):
+    with pytest.raises(KeyError):
+        check_named(dz2w, ("pentagon", "no_such_check"))
+
+
+def test_check_named_runs_every_line_of_a_name(dz2w):
+    rep = check_named(dz2w, ("counitality", "counit_associator_property"))
+    assert [(c.name, c.status) for c in rep.checks] == [
+        ("counitality", "pass"), ("counit_associator_property", "pass")]
+
+
+def test_every_requested_name_tags_a_corpus_line(dz2_f5, monkeypatch):
+    # verify up to the ribbon layer requests every name that verify,
+    # is_ribbon and the ribbon theorem run
+    requested = []
+    real = qhopf.dsl.check_named
+
+    def spy(d, names, *args, **kw):
+        requested.extend(names)
+        return real(d, names, *args, **kw)
+
+    monkeypatch.setattr(qhopf.dsl, "check_named", spy)
+    monkeypatch.setattr(qhopf.ribbon, "check_named", spy)
+    assert verify(dz2_f5, level="ribbon").ok
+    tagged = {name for name, _ in corpus_entries() if name}
+    assert {"pentagon", "hexagon_left", "ribbon_coproduct",
+            "ribbon_square_is_uhat_ucheck_inv"} <= set(requested)
+    assert set(requested) <= tagged
+
+
+def test_constant_and_basis_variable_of_one_name(sw, dz2w):
+    # u names a constant and, inside basis(u), the basis variable: the two
+    # must stay distinct subterms
+    assert Name("u") != Basis("u")
+    for d in (sw, dz2w):
+        assert check_line(
+            d, "map[S](map[S](basis(u))) == u * basis(u) * inv(u)") == (
+            "pass", None)
+        assert check_line(d, "u * basis(u) == basis(u) * u") == check_line(
+            d, "u * basis(i) == basis(i) * u")
+
+
+def test_singular_inverse_in_a_named_line_fails_the_check(dz2_f5, kz2):
+    # a basis idempotent other than 1 has no inverse
+    rep = check_named(dz2_f5, ("ribbon_inverse_square_is_u_Su",),
+                      consts={"v": dz2_f5.basis(0)})
+    assert rep.to_dict() == [{"name": "ribbon_inverse_square_is_u_Su",
+                              "status": "fail",
+                              "witness": {"reason": rep.checks[0].witness[
+                                  "reason"]}}]
+    from mutation import mutate
+    from qhopf import check_F_compat
+    from qhopf.rng import SplitMix64
+    bad = mutate(kz2, "S", SplitMix64(38))  # S(1) = 0, so F = 0
+    checks = {c.name: c for c in check_F_compat(bad).checks}
+    assert checks["delta_is_coproduct_beta_times_F_inv"].witness == {
+        "reason": "the zero tensor has no inverse"}
