@@ -16,11 +16,11 @@ import json
 
 from . import linalg
 from .errors import MissingR, NotInvertible, ParseError, ShapeError
-from .report import CheckReport, diff_witness, witness_from
+from .report import CheckReport
 from .scalars import field_from_spec
 from .tensor import (Algebra, SparseTensor, LEG_ID, apply_legs, basis_vector,
-                     coprod_leg, counit_leg, flip, hom_sum, insert_leg, invert,
-                     lin_leg, mul_adjacent, mul_all, mult, scale)
+                     coprod_leg, counit_leg, flip, hom_sum, invert, lin_leg,
+                     mul_all, mult, scale, vector)
 
 
 class _UnaryMaps(dict):
@@ -178,7 +178,7 @@ class QuasiHopfDatum:
             "product": [[i, j, k, f.to_str(c)]
                         for (i, j), terms in sorted(self.algebra.struct.items())
                         for k, c in sorted(terms)],
-            "unit": vector_tensor(f, self.dim, self.algebra.unit_coeffs).to_json(),
+            "unit": vector(f, self.dim, self.algebra.unit_coeffs).to_json(),
             "delta": [[i, j, k, f.to_str(c)]
                       for i, row in sorted(self.delta_rows.items())
                       for (j, k), c in sorted(row)],
@@ -221,10 +221,6 @@ class QuasiHopfDatum:
         if self.v is not None:
             tags.append("v")
         return "QuasiHopfDatum(%s)" % ", ".join(tags)
-
-
-def vector_tensor(field, dim, coeffs):
-    return SparseTensor(field, 1, dim, {(i,): c for i, c in coeffs.items()})
 
 
 # ----- loading ----------------------------------------------------------
@@ -384,10 +380,6 @@ def _named(rep, d, names, limit):
     return rep.extend(check_named(d, names, limit))
 
 
-def _add(rep, name, witness):
-    rep.add(name, "fail" if witness else "pass", witness)
-
-
 def verify_quasi_bialgebra(d, witness_limit=1):
     """Check every axiom of the first layer; failures carry witnesses (the
     first differing coordinate, or the full diff when witness_limit is
@@ -395,74 +387,58 @@ def verify_quasi_bialgebra(d, witness_limit=1):
     rep = CheckReport()
     alg = d.algebra
     f = d.field
+    n = d.dim
     limit = witness_limit
 
-    # associativity and unitality of the product
-    diff = None
-    for i in range(d.dim):
-        ei = {i: f.one}
-        for j in range(d.dim):
-            ij = alg.vec_mul(ei, {j: f.one})
-            for k in range(d.dim):
-                lhs = alg.vec_mul(ij, {k: f.one})
-                rhs = alg.vec_mul(ei, alg.vec_mul({j: f.one}, {k: f.one}))
-                if lhs != rhs:
-                    diff = witness_from(((i, j, k), repr(lhs), repr(rhs)))
-                    break
-            if diff:
-                break
-        if diff:
-            break
-    _add(rep, "product_associative", diff)
+    # associativity and unitality of the product, on {index: scalar} dicts;
+    # only a failing case becomes a pair of tensors
+    def associativity():
+        for i in range(n):
+            ei = {i: f.one}
+            for j in range(n):
+                ij = alg.vec_mul(ei, {j: f.one})
+                for k in range(n):
+                    lhs = alg.vec_mul(ij, {k: f.one})
+                    rhs = alg.vec_mul(ei, alg.vec_mul({j: f.one}, {k: f.one}))
+                    if lhs != rhs:
+                        yield (vector(f, n, lhs), vector(f, n, rhs),
+                               {"basis": [i, j, k]})
+    rep.compare_each("product_associative", associativity(), limit)
 
-    diff = None
-    u = alg.unit_coeffs
-    for i in range(d.dim):
-        ei = {i: f.one}
-        if alg.vec_mul(u, ei) != ei or alg.vec_mul(ei, u) != ei:
-            diff = witness_from(((i,), "1*e_i or e_i*1", "e_i"))
-            break
-    _add(rep, "product_unital", diff)
+    def unitality():
+        u = alg.unit_coeffs
+        for i in range(n):
+            ei = {i: f.one}
+            for prod in (alg.vec_mul(u, ei), alg.vec_mul(ei, u)):
+                if prod != ei:
+                    yield vector(f, n, prod), d.basis(i), {"basis": i}
+    rep.compare_each("product_unital", unitality(), limit)
 
-    # counit is an algebra map
-    diff = None
-    if d.eps_of(d.unit) != f.one:
-        diff = witness_from(((), f.to_str(d.eps_of(d.unit)), "1"))
-    else:
-        for i in range(d.dim):
-            for j in range(d.dim):
+    # counit is an algebra map; its values as arity-0 tensors
+    def counit_multiplicative():
+        one = d.unit_tensor(0)
+        yield scale(one, d.eps_of(d.unit)), one, {}
+        for i in range(n):
+            for j in range(n):
                 lhs = d.eps_of(d.mul(d.basis(i), d.basis(j)))
                 rhs = f.mul(d.eps[i], d.eps[j])
                 if lhs != rhs:
-                    diff = witness_from(((i, j), f.to_str(lhs), f.to_str(rhs)))
-                    break
-            if diff:
-                break
-    _add(rep, "epsilon_alg_hom", diff)
+                    yield scale(one, lhs), scale(one, rhs), {"basis": [i, j]}
+    rep.compare_each("epsilon_alg_hom", counit_multiplicative(), limit)
     _named(rep, d, ("counitality",), limit)
 
     # coproduct is an algebra map
-    diff = diff_witness(d.coproduct(d.unit), d.unit_tensor(2), limit)
-    if diff is None:
-        for i in range(d.dim):
+    def coproduct_multiplicative():
+        yield d.coproduct(d.unit), d.unit_tensor(2), {}
+        for i in range(n):
             di = d.coproduct(d.basis(i))
-            for j in range(d.dim):
-                lhs = d.coproduct(d.mul(d.basis(i), d.basis(j)))
-                rhs = mult(di, d.coproduct(d.basis(j)), alg)
-                diff = diff_witness(lhs, rhs, limit, basis=[i, j])
-                if diff is not None:
-                    break
-            if diff:
-                break
-    _add(rep, "delta_alg_hom", diff)
+            for j in range(n):
+                yield (d.coproduct(d.mul(d.basis(i), d.basis(j))),
+                       mult(di, d.coproduct(d.basis(j)), alg), {"basis": [i, j]})
+    rep.compare_each("delta_alg_hom", coproduct_multiplicative(), limit)
     _named(rep, d, ("counit_associator_axiom",), limit)
 
-    # invertibility of the associator
-    try:
-        d.phi_inv
-        rep.add_pass("phi_invertible")
-    except NotInvertible as exc:
-        rep.add_fail("phi_invertible", {"reason": str(exc)})
+    if not rep.invertible("phi_invertible", lambda: d.phi_inv):
         return rep  # nothing below makes sense without the inverse
 
     # counit_associator_property: the counit kills the outer associator
@@ -474,51 +450,35 @@ def verify_quasi_bialgebra(d, witness_limit=1):
 def verify_quasi_hopf(d, witness_limit=1):
     """Check the antipode layer; assumes the quasi-bialgebra layer holds."""
     rep = CheckReport()
-    alg = d.algebra
     limit = witness_limit
 
-    diff = None
-    su = d.antipode(d.unit)
-    if su != d.unit:
-        diff = witness_from(((), "S(1)", "1"))
-    else:
-        try:
-            d.s_inv_rows
-        except NotInvertible:
-            diff = witness_from(((), "S is singular", "invertible"))
-    if diff is None:
+    def antiautomorphism():
+        yield d.antipode(d.unit), d.unit, {}
+        d.s_inv_rows  # a singular antipode fails the check with the reason
         for i in range(d.dim):
             for j in range(d.dim):
-                lhs = d.antipode(d.mul(d.basis(i), d.basis(j)))
-                rhs = d.mul(d.antipode(d.basis(j)), d.antipode(d.basis(i)))
-                diff = diff_witness(lhs, rhs, limit, basis=[i, j])
-                if diff is not None:
-                    break
-            if diff:
-                break
-    _add(rep, "antipode_antiautomorphism", diff)
+                yield (d.antipode(d.mul(d.basis(i), d.basis(j))),
+                       d.mul(d.antipode(d.basis(j)), d.antipode(d.basis(i))),
+                       {"basis": [i, j]})
+    rep.compare_each("antipode_antiautomorphism", antiautomorphism(), limit)
 
     # the two antipode equations, per basis element
-    for name, legs, elt in (("left_antipode_equation", ("S", "id"), d.alpha),
-                            ("right_antipode_equation", ("id", "S"), d.beta)):
-        diff = None
-        for i in range(d.dim):
-            t = apply_legs(d.coproduct(d.basis(i)), d.legs(*legs))
-            lhs = mul_adjacent(mul_adjacent(insert_leg(t, 1, elt), 0, alg),
-                               0, alg)
-            diff = diff_witness(lhs, scale(elt, d.eps[i]), limit, basis=i)
-            if diff is not None:
-                break
-        _add(rep, name, diff)
+    for name, out, elt in (
+            ("left_antipode_equation", [("S", ["a"]), d.alpha, "b"], d.alpha),
+            ("right_antipode_equation", ["a", d.beta, ("S", ["b"])], d.beta)):
+        rep.compare_each(name, (
+            (d.hsum([(d.coproduct(d.basis(i)), ("a", "b"))], [out]),
+             scale(elt, d.eps[i]), {"basis": i})
+            for i in range(d.dim)), limit)
 
     one = d.unit_tensor(1)
-    lhs = d.hsum([(d.phi, ("x", "y", "z"))],
-                 [["x", d.beta, ("S", ["y"]), d.alpha, "z"]])
-    _add(rep, "duality_left", diff_witness(lhs, one, limit))
-
-    lhs = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                 [[("S", ["x"]), d.alpha, "y", d.beta, ("S", ["z"])]])
-    _add(rep, "duality_right", diff_witness(lhs, one, limit))
+    rep.compare("duality_left",
+                d.hsum([(d.phi, ("x", "y", "z"))],
+                       [["x", d.beta, ("S", ["y"]), d.alpha, "z"]]), one, limit)
+    rep.compare("duality_right",
+                d.hsum([(d.phi_inv, ("x", "y", "z"))],
+                       [[("S", ["x"]), d.alpha, "y", d.beta, ("S", ["z"])]]),
+                one, limit)
     return _named(rep, d, ("counit_antipode", "counit_alpha_beta"), limit)
 
 
@@ -527,11 +487,7 @@ def verify_quasitriangular(d, witness_limit=1):
     if d.R is None:
         raise MissingR("datum carries no R-matrix")
     rep = CheckReport()
-    try:
-        d.r_inv
-        rep.add_pass("r_invertible")
-    except NotInvertible as exc:
-        rep.add_fail("r_invertible", {"reason": str(exc)})
+    if not rep.invertible("r_invertible", lambda: d.r_inv):
         return rep
     _named(rep, d, ("r_counit_left", "r_counit_right", "quasi_cocommutativity",
                     "hexagon_left", "hexagon_right"), witness_limit)
@@ -541,10 +497,9 @@ def verify_quasitriangular(d, witness_limit=1):
     # the two differ, and either may fail alone
     from .derived import big_f  # local import to avoid a module cycle
     de = big_f(d)
-    lhs = apply_legs(d.R, d.legs("S", "S"))
-    rhs = mul_all(d.algebra, flip(de.F, 0, 1), d.R, de.F_inv)
-    _add(rep, "r_antipode", diff_witness(lhs, rhs, witness_limit))
-    return rep
+    return rep.compare("r_antipode", apply_legs(d.R, d.legs("S", "S")),
+                       mul_all(d.algebra, flip(de.F, 0, 1), d.R, de.F_inv),
+                       witness_limit)
 
 
 LEVELS = ("bialgebra", "hopf", "qt", "ribbon")

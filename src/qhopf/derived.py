@@ -19,8 +19,7 @@ from collections import namedtuple
 from .dsl import check_named
 from .errors import IncompatibleDatum, InternalInconsistency
 from .report import CheckReport
-from .tensor import (LEG_ID, apply_legs, eq_witness, hom_sum, invert, mult,
-                     permute_legs)
+from .tensor import LEG_ID, apply_legs, hom_sum, invert, mult, permute_legs
 
 
 DerivedElements = namedtuple("DerivedElements", "gamma delta F F_inv")
@@ -78,14 +77,11 @@ def check_F_compat(d):
     """The five compatibility identities tying F to the coproduct, the
     antipode and the associator: that F_inv inverts F, then four that the
     identity corpus states."""
-    rep = CheckReport()
-    alg = d.algebra
     de = big_f(d)
     one2 = d.unit_tensor(2)
-    diff = eq_witness(mult(de.F, de.F_inv, alg), one2)
-    if diff is None:
-        diff = eq_witness(mult(de.F_inv, de.F, alg), one2)
-    rep.add_diff("F_inverse_formula", diff)
+    rep = CheckReport().compare_each("F_inverse_formula", (
+        (mult(a, b, d.algebra), one2, {})
+        for a, b in ((de.F, de.F_inv), (de.F_inv, de.F))))
     return rep.extend(check_named(d, ("gamma_is_F_times_coproduct_alpha",
                                       "delta_is_coproduct_beta_times_F_inv",
                                       "antipode_coproduct_conjugation",

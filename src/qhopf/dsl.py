@@ -19,10 +19,9 @@ run through the corpus runner.
 import os
 from collections import namedtuple
 
-from .errors import ArityError, NotInvertible, ParseError, UndefinedName
-from .report import CheckReport, diff_witness
-from .tensor import (apply_legs, concat, eq_witness, flip, invert, mult,
-                     scale)
+from .errors import ArityError, ParseError, UndefinedName
+from .report import CheckReport, diff_witness, first_difference
+from .tensor import apply_legs, concat, flip, invert, mult, scale
 
 LEG_NAMES = ("id", "S", "Sinv", "eps", "D", "Dcop")
 LEG_WIDTH = {"id": 1, "S": 1, "Sinv": 1, "eps": 0, "D": 2, "Dcop": 2}
@@ -33,7 +32,7 @@ NAME_ARITY = {
     "F": 2, "Finv": 2, "Fp": 2, "gamma": 2, "delta": 2,
     "alpha": 1, "beta": 1, "u": 1, "uhat": 1, "ucheck": 1, "utilde": 1,
     "alphahat": 1, "betahat": 1, "alphacheck": 1, "betacheck": 1,
-    "v": 1, "T": 2, "Tinv": 2,
+    "v": 1,
 }
 
 
@@ -327,7 +326,7 @@ class _Scalar:
 
 def _resolve(d, name, consts):
     """The value of a named constant: from `consts` when bound there (the
-    candidate v of a ribbon check, a twist T), else from the datum."""
+    candidate v of a ribbon check), else from the datum."""
     if consts and name in consts:
         return consts[name]
     if name.startswith("one_"):
@@ -371,8 +370,6 @@ def _resolve(d, name, consts):
         if d.v is None:
             raise UndefinedName("datum has no ribbon candidate")
         return d.v
-    if name in ("T", "Tinv"):
-        raise UndefinedName("no twist bound in this context")
     raise UndefinedName("unknown constant %r" % name)
 
 
@@ -487,8 +484,8 @@ def evaluate(expr, d, consts=None, bindings=None):
     run = _Run(d, consts, _plan(expr))
     run.bind(bindings)
     if isinstance(expr, Eq):
-        diff = eq_witness(*_sides(expr, run))
-        return (diff is None), diff
+        witness = diff_witness(*_sides(expr, run))
+        return witness is None, witness
     val = _eval(expr, run)
     if isinstance(val, _Scalar):
         return scale(d.unit_tensor(0), val.value)
@@ -511,24 +508,15 @@ def _sides(eq, run):
     return lhs, rhs
 
 
-def _check(p, d, consts, limit):
-    """(status, witness) of the identity of plan p.  A line with a basis
-    variable holds when it holds at every basis index; the first index where
-    it does not is the witness's `basis`.  `limit` caps the differing
-    coordinates listed (None: all of them)."""
-    variables = p.variables
-    if len(variables) > 1:
-        return "skipped", {"reason": "multiple basis variables"}
+def _cases(p, d, consts):
+    """(lhs, rhs, extra) for the identity of plan p: one case, or with a
+    basis variable one per basis index, which extra names as `basis`."""
     run = _Run(d, consts, p)
-    for i in range(d.dim) if variables else [None]:
-        extra = {}
-        if variables:
-            run.bind({variables[0]: i})
-            extra["basis"] = i
-        witness = diff_witness(*_sides(p.expr, run), limit, **extra)
-        if witness is not None:
-            return "fail", witness
-    return "pass", None
+    var = p.variables[0] if p.variables else None
+    for i in range(d.dim) if var else [None]:
+        if var:
+            run.bind({var: i})
+        yield _sides(p.expr, run) + ({"basis": i} if var else {},)
 
 
 # ----- corpus ----------------------------------------------------------------
@@ -558,16 +546,21 @@ def corpus_lines(path=None):
 
 
 def check_line(d, line, consts=None):
-    """(status, witness) for one corpus line, expanding basis variables;
-    a line whose constants the datum does not carry is skipped."""
+    """(status, witness) for one corpus line.  A line with a basis variable
+    holds when it holds at every basis index; the first index where it does
+    not is the witness's `basis`.  A line whose constants the datum does
+    not carry is skipped."""
     try:
-        expr = parse(line, d.field)
+        p = _plan(parse(line, d.field))
     except (ArityError, UndefinedName) as exc:
         return "skipped", {"reason": str(exc)}
+    if len(p.variables) > 1:
+        return "skipped", {"reason": "multiple basis variables"}
     try:
-        return _check(_plan(expr), d, consts, 1)
+        witness = first_difference(_cases(p, d, consts))
     except UndefinedName as exc:
         return "skipped", {"reason": str(exc)}
+    return ("fail" if witness else "pass"), witness
 
 
 def run_corpus(d, path=None, consts=None):
@@ -594,13 +587,7 @@ def check_named(d, names, witness_limit=1, consts=None):
                 _NAMED.setdefault(name, []).append(_plan(parse(line)))
     rep = CheckReport()
     for name in names:
-        status, witness = "pass", None
-        for p in _NAMED[name]:
-            try:
-                status, witness = _check(p, d, consts, witness_limit)
-            except NotInvertible as exc:
-                status, witness = "fail", {"reason": str(exc)}
-            if status != "pass":
-                break
-        rep.add(name, status, witness)
+        rep.compare_each(name, (case for p in _NAMED[name]
+                                for case in _cases(p, d, consts)),
+                         witness_limit)
     return rep

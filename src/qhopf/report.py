@@ -1,5 +1,12 @@
-"""Pass/fail reports with witnesses, shared by every verifier."""
+"""Pass/fail reports with witnesses, shared by every verifier.
 
+A check compares tensors through one path, `CheckReport.compare_each`: it
+fails at the first case whose two tensors differ, and its witness names a
+coordinate of that case (`index`, with both values as `lhs` and `rhs`).
+The other witness shape is `{"reason": ...}`, for a check with no
+coordinate to show, such as an inverse that does not exist."""
+
+from .errors import NotInvertible
 from .tensor import diff_entries
 
 PASS = "pass"
@@ -32,19 +39,35 @@ class CheckReport:
     def add(self, name, status, witness=None):
         self.checks.append(Check(name, status, witness))
 
-    def add_pass(self, name):
-        self.add(name, PASS)
-
     def add_fail(self, name, witness=None):
         self.add(name, FAIL, witness)
 
-    def add_diff(self, name, diff):
-        """Pass when the eq_witness triple `diff` is None, else fail with
-        the witness built from it."""
-        if diff is None:
-            self.add_pass(name)
-        else:
-            self.add_fail(name, witness_from(diff))
+    def compare(self, name, lhs, rhs, limit=1, **extra):
+        """One check that the tensors lhs and rhs are equal; `extra` goes
+        into the witness."""
+        return self.compare_each(name, [(lhs, rhs, extra)], limit)
+
+    def compare_each(self, name, cases, limit=1):
+        """One check over `cases`, (lhs, rhs, extra) triples made on
+        demand: it fails at the first case whose tensors differ.  An inverse
+        that does not exist while the cases are made fails it with the
+        reason."""
+        try:
+            witness = first_difference(cases, limit)
+        except NotInvertible as exc:
+            witness = {"reason": str(exc)}
+        self.add(name, FAIL if witness else PASS, witness)
+        return self
+
+    def invertible(self, name, build):
+        """One check that build() finds an inverse; True when it does."""
+        try:
+            build()
+        except NotInvertible as exc:
+            self.add_fail(name, {"reason": str(exc)})
+            return False
+        self.add(name, PASS)
+        return True
 
     def extend(self, other):
         self.checks.extend(other.checks)
@@ -75,12 +98,14 @@ class CheckReport:
         return "CheckReport(%d checks, %d failing)" % (n, bad)
 
 
-def witness_from(diff, **extra):
-    """Build a witness dict from an eq_witness triple."""
-    key, lhs, rhs = diff
-    w = {"index": list(key), "lhs": lhs, "rhs": rhs}
-    w.update(extra)
-    return w
+def first_difference(cases, limit=1):
+    """The witness of the first of `cases`, (lhs, rhs, extra) triples,
+    whose tensors differ, or None.  Each case is tested with `==`; only the
+    failing one is diffed."""
+    for lhs, rhs, extra in cases:
+        if lhs != rhs:
+            return diff_witness(lhs, rhs, limit, **extra)
+    return None
 
 
 def diff_witness(lhs, rhs, limit=1, **extra):
@@ -90,7 +115,9 @@ def diff_witness(lhs, rhs, limit=1, **extra):
     diffs = diff_entries(lhs, rhs, limit)
     if not diffs:
         return None
-    w = witness_from(diffs[0], **extra)
+    key, a, b = diffs[0]
+    w = {"index": list(key), "lhs": a, "rhs": b}
+    w.update(extra)
     if limit != 1 and len(diffs) > 1:
         w["diffs"] = [{"index": list(k), "lhs": a, "rhs": b}
                       for k, a, b in diffs]

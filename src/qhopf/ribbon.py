@@ -11,10 +11,10 @@ from itertools import product as iproduct
 from . import linalg
 from .drinfeld import drinfeld_u
 from .dsl import check_named
-from .errors import BudgetExceeded, NotInvertible, ShapeMismatch
-from .report import CheckReport, witness_from
-from .tensor import (SparseTensor, _canon, add, apply_legs, eq_witness, invert,
-                     mult, scale)
+from .errors import BudgetExceeded, ShapeMismatch
+from .report import PASS, CheckReport
+from .tensor import (SparseTensor, _canon, add, apply_legs, invert, mult,
+                     scale)
 
 
 RTwistElements = namedtuple(
@@ -70,10 +70,8 @@ def check_rtwist_relations(d):
                           "alpha_check_is_antipode_alpha_times_u"))
     el = rtwist_elements(d)
     sinv_u_check = apply_legs(el.u_check, [d.leg("Sinv")])
-    rep.add_diff("u_hat_inv_is_inv_antipode_of_u_check",
-                 eq_witness(mult(el.u_hat, sinv_u_check, d.algebra),
-                            d.unit_tensor(1)))
-    return rep
+    return rep.compare("u_hat_inv_is_inv_antipode_of_u_check",
+                       mult(el.u_hat, sinv_u_check, d.algebra), d.unit_tensor(1))
 
 
 # ----- ribbon elements ------------------------------------------------------
@@ -90,22 +88,13 @@ def is_ribbon(d, v, witness_limit=1):
     if v.is_zero():
         rep.add_fail("ribbon_nonzero", {"reason": "candidate is zero"})
         return rep
-    rep.add_pass("ribbon_nonzero")
-
-    bad = None
-    for i in range(d.dim):
-        diff = eq_witness(mult(v, d.basis(i), alg), mult(d.basis(i), v, alg))
-        if diff is not None:
-            bad = witness_from(diff, basis=i)
-            break
-    rep.add("ribbon_central", "fail" if bad else "pass", bad)
+    rep.add("ribbon_nonzero", PASS)
+    rep.compare_each("ribbon_central", (
+        (mult(v, d.basis(i), alg), mult(d.basis(i), v, alg), {"basis": i})
+        for i in range(d.dim)), witness_limit)
     rep.extend(check_named(d, ("ribbon_coproduct", "ribbon_antipode_fixed",
                                "ribbon_counit"), witness_limit, {"v": v}))
-    try:
-        invert(v, alg)
-        rep.add_pass("ribbon_invertible")
-    except NotInvertible as exc:
-        rep.add_fail("ribbon_invertible", {"reason": str(exc)})
+    rep.invertible("ribbon_invertible", lambda: invert(v, alg))
     return rep
 
 
@@ -122,11 +111,7 @@ def check_main_theorem(d, v, witness_limit=1):
     intermediate identity expressing the square through the two comparison
     elements."""
     rep = CheckReport()
-    try:
-        invert(v, d.algebra)
-        rep.add_pass("ribbon_invertible")
-    except NotInvertible as exc:
-        rep.add_fail("ribbon_invertible", {"reason": str(exc)})
+    if not rep.invertible("ribbon_invertible", lambda: invert(v, d.algebra)):
         return rep
     return rep.extend(check_named(d, ("ribbon_inverse_square_is_u_Su",
                                       "ribbon_square_is_uhat_ucheck_inv"),

@@ -101,13 +101,6 @@ def basis_vector(field, dim, i):
     return SparseTensor(field, 1, dim, {(i,): field.one})
 
 
-def eq_witness(a, b):
-    """None when equal, else (key, lhs_str, rhs_str) at the first differing
-    multi-index in lexicographic order."""
-    diffs = diff_entries(a, b, limit=1)
-    return diffs[0] if diffs else None
-
-
 def diff_entries(a, b, limit=None):
     """Differing coordinates in lexicographic order, up to `limit`."""
     if a.field != b.field or a.arity != b.arity or a.dim != b.dim:
@@ -417,23 +410,6 @@ def insert_leg(t, pos, vec):
         for (i,), cv in vec.entries.items():
             out[key[:pos] + (i,) + key[pos:]] = f.mul(c, cv)
     return SparseTensor(f, t.arity + 1, t.dim, out)
-
-
-def mul_adjacent(t, pos, alg):
-    """Merge legs pos and pos+1 by multiplying them in the algebra."""
-    if pos < 0 or pos + 1 >= t.arity:
-        raise ShapeMismatch("cannot merge legs %d,%d of arity %d" % (pos, pos + 1, t.arity))
-    struct = alg.struct
-    acc = {}
-    for key, c in t.entries.items():
-        terms = struct.get((key[pos], key[pos + 1]))
-        if not terms:
-            continue
-        head, tail = key[:pos], key[pos + 2:]
-        for k, ck in terms:
-            kk = head + (k,) + tail
-            acc[kk] = acc.get(kk, 0) + c * ck
-    return SparseTensor(alg.field, t.arity - 1, t.dim, _canon(alg.field, acc))
 
 
 def scale(t, c):

@@ -8,11 +8,11 @@ from collections import namedtuple
 from .derived import big_f
 from .drinfeld import drinfeld_u, u_tilde
 from .errors import Exhausted, InvalidTwist, NotInvertible
-from .report import CheckReport, witness_from
+from .report import CheckReport
 from .rng import SplitMix64
-from .tensor import (LEG_ID, SparseTensor, add, apply_legs, concat,
-                     eq_witness, flip, insert_leg, invert, mul_all, mult,
-                     permute_legs, scale, sub)
+from .tensor import (LEG_ID, SparseTensor, add, apply_legs, concat, flip,
+                     insert_leg, invert, mul_all, mult, permute_legs, scale,
+                     sub)
 
 
 Twist = namedtuple("Twist", "T T_inv")
@@ -151,20 +151,18 @@ def check_twist_elements(d, tw):
                    [S, S, LEG_ID, LEG_ID])
     rhs = d.hsum([(p, ("sf1", "sf2", "g1", "g2")), (de.gamma, ("c1", "c2"))],
                  [["sf2", "c1", "g1"], ["sf1", "c2", "g2"]])
-    rep.add_diff("twisted_gamma_transform", eq_witness(lhs, rhs))
+    rep.compare("twisted_gamma_transform", lhs, rhs)
 
     lhs = mul_all(alg, T_inv, det.delta, apply_legs(flip(T_inv, 0, 1), [S, S]))
     p = apply_legs(apply_legs(T, [d.leg("D"), d.leg("D")]),
                    [LEG_ID, LEG_ID, S, S])
     rhs = d.hsum([(p, ("f1", "f2", "sg1", "sg2")), (de.delta, ("c1", "c2"))],
                  [["f1", "c1", "sg2"], ["f2", "c2", "sg1"]])
-    rep.add_diff("twisted_delta_transform", eq_witness(lhs, rhs))
+    rep.compare("twisted_delta_transform", lhs, rhs)
 
     rhs = mul_all(alg, apply_legs(flip(T_inv, 0, 1), [S, S]), de.F, T_inv)
-    rep.add_diff("twisted_F_transform", eq_witness(det.F, rhs))
-    rep.add_diff("u_twist_invariant",
-                 eq_witness(drinfeld_u(dt).u, drinfeld_u(d).u))
-    return rep
+    rep.compare("twisted_F_transform", det.F, rhs)
+    return rep.compare("u_twist_invariant", drinfeld_u(dt).u, drinfeld_u(d).u)
 
 
 def opcop_twist_iso(d):
@@ -172,8 +170,6 @@ def opcop_twist_iso(d):
     the twist by the scaled coproduct-conjugating element, including the
     corrected evaluation/coevaluation transport and the canonical-element
     consequence."""
-    rep = CheckReport()
-    alg = d.algebra
     f = d.field
     de = big_f(d)
     eb = d.eps_of(d.beta)
@@ -182,56 +178,27 @@ def opcop_twist_iso(d):
     T_inv = scale(de.F_inv, f.inv(eb))
 
     one = d.unit_tensor(1)
-    diff = eq_witness(apply_legs(T, [d.leg("eps"), LEG_ID]), one)
-    if diff is None:
-        diff = eq_witness(apply_legs(T, [LEG_ID, d.leg("eps")]), one)
-    rep.add_diff("twist_counit_normalization", diff)
+    rep = CheckReport().compare_each("twist_counit_normalization", (
+        (apply_legs(T, legs), one, {})
+        for legs in (d.legs("eps", "id"), d.legs("id", "eps"))))
     if not rep.ok:
         return rep
 
-    tw = Twist(T=T, T_inv=T_inv)
-    dt = twist(d, tw)
-
-    bad = None
-    for i in range(d.dim):
-        for j in range(d.dim):
-            lhs = d.antipode(d.mul(d.basis(j), d.basis(i)))
-            rhs = d.mul(d.antipode(d.basis(i)), d.antipode(d.basis(j)))
-            diff = eq_witness(lhs, rhs)
-            if diff is not None:
-                bad = witness_from(diff, basis=[i, j])
-                break
-        if bad:
-            break
-    rep.add("antipode_transports_opposite_product", "fail" if bad else "pass", bad)
-
-    bad = None
-    for i in range(d.dim):
-        lhs = flip(apply_legs(d.coproduct(d.basis(i)), [d.leg("S"), d.leg("S")]),
-                   0, 1)
-        rhs = dt.coproduct(d.antipode(d.basis(i)))
-        diff = eq_witness(lhs, rhs)
-        if diff is not None:
-            bad = witness_from(diff, basis=i)
-            break
-    rep.add("antipode_transports_coproduct", "fail" if bad else "pass", bad)
-
-    lhs = apply_legs(permute_legs(d.phi, (2, 1, 0)),
-                     [d.leg("S"), d.leg("S"), d.leg("S")])
-    rep.add_diff("antipode_transports_associator", eq_witness(lhs, dt.phi))
-
-    eb2 = f.mul(eb, eb)
-    ea2 = f.mul(ea, ea)
-    rep.add_diff("antipode_of_beta_is_twisted_alpha",
-                 eq_witness(d.antipode(d.beta), scale(dt.alpha, eb2)))
-    rep.add_diff("antipode_of_alpha_is_twisted_beta",
-                 eq_witness(d.antipode(d.alpha), scale(dt.beta, ea2)))
-
+    dt = twist(d, Twist(T=T, T_inv=T_inv))
+    rep.compare_each("antipode_transports_coproduct", (
+        (flip(apply_legs(d.coproduct(d.basis(i)), d.legs("S", "S")), 0, 1),
+         dt.coproduct(d.antipode(d.basis(i))), {"basis": i})
+        for i in range(d.dim)))
+    rep.compare("antipode_transports_associator",
+                apply_legs(permute_legs(d.phi, (2, 1, 0)), d.legs("S", "S", "S")),
+                dt.phi)
+    rep.compare("antipode_of_beta_is_twisted_alpha", d.antipode(d.beta),
+                scale(dt.alpha, f.mul(eb, eb)))
+    rep.compare("antipode_of_alpha_is_twisted_beta", d.antipode(d.alpha),
+                scale(dt.beta, f.mul(ea, ea)))
     if d.R is not None:
-        ut = u_tilde(d)
         u_of_twist = drinfeld_u(dt).u
-        rep.add_diff("antipode_of_u_tilde_is_twisted_u",
-                     eq_witness(d.antipode(ut), u_of_twist))
-        rep.add_diff("twisted_u_is_u", eq_witness(u_of_twist, drinfeld_u(d).u))
+        rep.compare("antipode_of_u_tilde_is_twisted_u", d.antipode(u_tilde(d)),
+                    u_of_twist)
+        rep.compare("twisted_u_is_u", u_of_twist, drinfeld_u(d).u)
     return rep
-

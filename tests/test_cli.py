@@ -84,6 +84,21 @@ def test_verify_verbose_full_diff(dz2w_file, tmp_path, capsys):
     assert diffs and len(diffs[0]) > 1  # all differing coordinates reported
 
 
+def test_verify_verbose_lists_every_central_diff(tmp_path, capsys):
+    # v = x + gx on H4 fails to commute with g at two coordinates
+    path = tmp_path / "h4v.json"
+    assert main(["example", "--kind", "sweedler", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["v"] = {"arity": 1, "entries": [[[2], "1"], [[3], "1"]]}
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["verify", str(path), "--verbose", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 1
+    central = [c for c in checks if c["name"] == "ribbon_central"][0]
+    assert [w["index"] for w in central["witness"]["diffs"]] == [[2], [3]]
+
+
 @pytest.mark.parametrize("value", ["p:7", None, 1, 2.5, [], True],
                          ids=["string", "null", "int", "float", "list", "bool"])
 def test_verify_non_object_field_exits_two(dz2_f5_file, tmp_path, value,
@@ -295,6 +310,19 @@ def test_check_expr(dz2w_file, capsys):
     assert main(["check", "expr", dz2w_file, "--expr", "u == inv(u)"]) == 1
 
 
+def test_check_expr_twist_constant_is_unknown(dz2w_file):
+    # no command binds a twist, so the language has no T or Tinv
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qhopf.cli import main; sys.exit(main())",
+         "check", "expr", dz2w_file, "--expr", "T * Tinv == one_2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "unknown constant 'T'" in res.stderr
+
+
 def test_check_expr_term_prints_tensor(dz2w_file, capsys):
     rc = main(["check", "expr", dz2w_file, "--expr", "map[eps,id](R)"])
     assert rc == 0
@@ -405,6 +433,16 @@ def test_single_coefficient_mutation_gives_a_verdict(sw, dz2_f5, mutant_path,
     assert rc in (0, 1), err
     checks = json.loads(out)["checks"]
     assert (rc == 1) == any(c["status"] == "fail" for c in checks)
+    # a witness names a coordinate of the compared tensors with two field
+    # values, or gives a reason
+    for w in (c["witness"] for c in checks if c["status"] == "fail"):
+        if "reason" in w:
+            assert list(w) == ["reason"] and isinstance(w["reason"], str), w
+        else:
+            assert all(isinstance(i, int) and 0 <= i < bad.dim
+                       for i in w["index"]), w
+            bad.field.parse(w["lhs"])
+            bad.field.parse(w["rhs"])
 
 
 @pytest.mark.parametrize("args", [

@@ -8,10 +8,10 @@ from qhopf.errors import ArityMismatch, NotInvertible, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
 from qhopf import tensor as te
+from qhopf.report import diff_witness
 from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, concat,
-                          coprod_leg, counit_leg, eq_witness, flip, hom_sum,
-                          insert_leg, invert, lin_leg, mul_adjacent, mult,
-                          permute_legs, LEG_ID)
+                          coprod_leg, counit_leg, flip, hom_sum, insert_leg,
+                          invert, lin_leg, mult, permute_legs, LEG_ID)
 
 from basis import REBASED, rebased
 from oracle import dense_apply_legs, dense_mult, dense_of
@@ -175,13 +175,6 @@ def test_permute_and_insert():
     assert r.entries == {(1, 0, 2): 4}
 
 
-def test_mul_adjacent():
-    alg = group_algebra_z(3)
-    t = SparseTensor.make(F7, 3, 3, {(1, 2, 1): 4})
-    m = mul_adjacent(t, 0, alg)
-    assert m.entries == {(0, 1): 4}  # 1 + 2 = 0 in Z3
-
-
 def test_invert_unit_and_zero():
     alg = dual_algebra(3)
     for k in (1, 2, 3):
@@ -258,12 +251,11 @@ def test_hom_sum_with_unary_and_constant():
     assert got.entries == {(0, 2): 4}
 
 
-def test_eq_witness():
+def test_diff_witness():
     a = SparseTensor.make(F7, 2, 3, {(0, 1): 3})
     b = SparseTensor.make(F7, 2, 3, {(0, 1): 4})
-    key, lhs, rhs = eq_witness(a, b)
-    assert key == (0, 1) and lhs == "3" and rhs == "4"
-    assert eq_witness(a, a) is None
+    assert diff_witness(a, b) == {"index": [0, 1], "lhs": "3", "rhs": "4"}
+    assert diff_witness(a, a) is None
 
 
 def test_scale_add_sub():
