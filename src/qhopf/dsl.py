@@ -20,7 +20,7 @@ import os
 from collections import namedtuple
 
 from .errors import ArityError, ParseError, UndefinedName
-from .report import CheckReport, diff_witness, first_difference
+from .report import CheckReport, diff_witness
 from .tensor import apply_legs, concat, flip, invert, mult, scale
 
 LEG_NAMES = ("id", "S", "Sinv", "eps", "D", "Dcop")
@@ -549,7 +549,8 @@ def check_line(d, line, consts=None):
     """(status, witness) for one corpus line.  A line with a basis variable
     holds when it holds at every basis index; the first index where it does
     not is the witness's `basis`.  A line whose constants the datum does
-    not carry is skipped."""
+    not carry is skipped; one that inverts a singular element fails, as in
+    `CheckReport.compare_each`."""
     try:
         p = _plan(parse(line, d.field))
     except (ArityError, UndefinedName) as exc:
@@ -557,10 +558,10 @@ def check_line(d, line, consts=None):
     if len(p.variables) > 1:
         return "skipped", {"reason": "multiple basis variables"}
     try:
-        witness = first_difference(_cases(p, d, consts))
+        check = CheckReport().compare_each(line, _cases(p, d, consts)).checks[0]
     except UndefinedName as exc:
         return "skipped", {"reason": str(exc)}
-    return ("fail" if witness else "pass"), witness
+    return check.status, check.witness
 
 
 def run_corpus(d, path=None, consts=None):

@@ -15,7 +15,11 @@ axiom.  A twisted double D^w(G) has one block per group element; a Hopf
 algebra such as H4 or K[G] has a single block.  A multi-index has a block
 signature, the block of each leg.  mult() pairs each entry of t1 only with
 the entries of t2 of the same signature, since every other pair is zero, and
-invert() solves one independent linear system per signature.
+invert() solves one independent linear system per signature.  hom_sum() joins
+its factors the same way when every atom is a leg name: a leg's product is
+nonzero only if all its atoms lie in one block, so the second factor is
+bucketed by the blocks of its atoms on the legs it shares with the first, and
+each entry of the first meets only its bucket, in cartesian order.
 
 Scalars in the kernels.  Every accumulation loop adds and multiplies scalars
 with the plain Python operators and passes its accumulator once through
@@ -23,13 +27,13 @@ _canon(), which brings each value to canonical form and drops the zeros.
 Over Q the operators are exact.  Over F_p the accumulated values are
 unreduced integers, and one reduction at the end gives the same residues as
 reducing after every step, because reduction mod p is a ring map.  So one
-loop serves both fields.  Algebra.mono, a property of the structure
-constants, still selects a dedicated loop in mult() and hom_sum() for bases
-whose products are single terms, where the general loops are 1.4 (mult) and
-3.5 (hom_sum) times slower.
+loop serves both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a
+basis whose products are single terms, selects the index-chasing loops of
+mult() and of the hom_sum() join; other bases take the general loops.
 """
 
 from itertools import product as iproduct
+from math import prod
 
 from . import linalg
 from .errors import ArityMismatch, NotInvertible, ShapeMismatch
@@ -132,12 +136,13 @@ class Algebra:
         self.unit_coeffs = {i: field.canon(c) for i, c in unit_coeffs.items()
                             if not field.is_zero(field.canon(c))}
         self._units = {}
-        # group-like bases have at most one product term per pair; that case
-        # gets a dedicated loop in mult() and hom_sum()
+        # group-like bases have single-term products (module docstring)
+        self.mono = None
         if all(len(terms) <= 1 for terms in struct.values()):
-            self.mono = {ij: terms[0] for ij, terms in struct.items() if terms}
-        else:
-            self.mono = None
+            self.mono = [{} for _ in range(dim)]
+            for (i, j), terms in struct.items():
+                if terms:
+                    self.mono[i][j] = terms[0]
         self.block_of, self.blocks = _block_partition(dim, struct)
 
     @property
@@ -216,23 +221,14 @@ def _block_partition(dim, struct):
     return tuple(block_of), blocks
 
 
-def _signature(key, block_of):
-    return tuple([block_of[i] for i in key])
-
-
-def _block_pairs(t1, t2, alg):
-    """Yield (key, scalar, partners) for each entry of t1, where partners are
-    the entries of t2 with the same block signature; every pair left out
-    multiplies to zero.  Entries keep their order, so accumulation runs in
-    the order of the full double loop."""
-    block_of = alg.block_of
-    buckets = {}
-    for k2, c2 in t2.entries.items():
-        buckets.setdefault(_signature(k2, block_of), []).append((k2, c2))
-    for k1, c1 in t1.entries.items():
-        partners = buckets.get(_signature(k1, block_of))
-        if partners:
-            yield k1, c1, partners
+def _buckets(items, legs, block_of):
+    """The (key, scalar) items grouped by the blocks of key[l] for l in legs,
+    each group in the order of the items."""
+    out = {}
+    for item in items:
+        key = item[0]
+        out.setdefault(tuple([block_of[key[l]] for l in legs]), []).append(item)
+    return out
 
 
 def _basis_product(struct, k1, k2, c):
@@ -260,27 +256,30 @@ def mult(t1, t2, alg):
     if t1.dim != t2.dim:
         raise ShapeMismatch("dim %d vs %d" % (t1.dim, t2.dim))
     t1.field.assert_same(t2.field)
+    # only entries of equal block signature multiply to nonzero; t1 keeps
+    # its order, so accumulation runs in the order of the full double loop
+    block_of, mono, struct = alg.block_of, alg.mono, alg.struct
+    buckets = _buckets(t2.entries.items(), range(t1.arity), block_of)
     acc = {}
-    if alg.mono is not None:
-        get_term = alg.mono.get
-        rng = range(t1.arity)
-        for k1, c1, partners in _block_pairs(t1, t2, alg):
+    for k1, c1 in t1.entries.items():
+        partners = buckets.get(tuple([block_of[i] for i in k1]))
+        if partners is None:
+            continue
+        if mono is not None:
+            rows = [mono[i] for i in k1]
             for k2, c2 in partners:
                 c = c1 * c2
                 key = []
-                push = key.append
-                for l in rng:
-                    term = get_term((k1[l], k2[l]))
+                for row, j in zip(rows, k2):
+                    term = row.get(j)
                     if term is None:
                         break
-                    push(term[0])
+                    key.append(term[0])
                     c *= term[1]
                 else:
                     key = tuple(key)
                     acc[key] = acc.get(key, 0) + c
-    else:
-        struct = alg.struct
-        for k1, c1, partners in _block_pairs(t1, t2, alg):
+        else:
             for k2, c2 in partners:
                 for key, c in _basis_product(struct, k1, k2, c1 * c2):
                     acc[key] = acc.get(key, 0) + c
@@ -449,13 +448,9 @@ def invert(t, alg):
         raise NotInvertible("the zero tensor has no inverse")
     struct = alg.struct
     block_of, blocks = alg.block_of, alg.blocks
-    by_sig = {}
-    for key, c in t.entries.items():
-        by_sig.setdefault(_signature(key, block_of), []).append((key, c))
+    by_sig = _buckets(t.entries.items(), range(k), block_of)
     unit = alg.unit_tensor(k)
-    rhs_by_sig = {}
-    for key, c in unit.entries.items():
-        rhs_by_sig.setdefault(_signature(key, block_of), []).append((key, c))
+    rhs_by_sig = _buckets(unit.entries.items(), range(k), block_of)
     inv_entries = {}
     for sig, rhs_items in rhs_by_sig.items():
         # the multi-indices of this signature in lexicographic order, the
@@ -498,11 +493,11 @@ def hom_sum(alg, unary, factors, out):
     `unary` linear maps to the product of the sub-atoms.
     """
     f = alg.field
+    if (alg.mono is not None and len(factors) <= 2
+            and all(isinstance(a, str) for leg in out for a in leg)):
+        return _hom_sum_join(alg, factors, out)
     entry_lists = [list(t.entries.items()) for t, _ in factors]
     name_lists = [names for _, names in factors]
-    plain = all(isinstance(a, str) for leg in out for a in leg)
-    if plain and alg.mono is not None:
-        return _hom_sum_plain(alg, entry_lists, name_lists, out)
     acc = {}
     for combo in iproduct(*entry_lists):
         coeff = 1
@@ -512,58 +507,63 @@ def hom_sum(alg, unary, factors, out):
             for nm, idx in zip(names, key):
                 env[nm] = idx
         legs = []
-        dead = False
         for atoms in out:
             v = _eval_atoms(alg, unary, env, atoms)
             if not v:
-                dead = True
                 break
             legs.append(v)
-        if dead:
-            continue
-        for picks in iproduct(*[tuple(v.items()) for v in legs]):
-            c = coeff
-            for _, cv in picks:
-                c *= cv
-            key = tuple(i for i, _ in picks)
-            acc[key] = acc.get(key, 0) + c
+        else:
+            for picks in iproduct(*[tuple(v.items()) for v in legs]):
+                c = coeff
+                for _, cv in picks:
+                    c *= cv
+                key = tuple(i for i, _ in picks)
+                acc[key] = acc.get(key, 0) + c
     return SparseTensor(f, len(out), alg.dim, _canon(f, acc))
 
 
-def _hom_sum_plain(alg, entry_lists, name_lists, out):
-    # every atom is a leg name and every basis product is a monomial, so the
-    # whole contraction reduces to index chasing with running coefficients
-    get = alg.mono.get
-    pos = {}
-    for fi, names in enumerate(name_lists):
-        for li, nm in enumerate(names):
-            pos[nm] = (fi, li)
-    legs_compiled = [[pos[a] for a in leg] for leg in out]
+def _hom_sum_join(alg, factors, out):
+    # the block-signature join of the module docstring.  An entry whose own
+    # atoms on one leg span two blocks is dropped; a missing factor is 1.
+    block_of = alg.block_of
+    sides = [(list(t.entries.items()), names) for t, names in factors]
+    sides += [([((), 1)], ())] * (2 - len(sides))
+    n0 = len(sides[0][1])
+    pos = {nm: p for p, nm in enumerate(sides[0][1] + sides[1][1])}
+    legs = [[pos[a] for a in leg] for leg in out]
+    sided = [([p for p in leg if p < n0], [p - n0 for p in leg if p >= n0])
+             for leg in legs]
+    first, second = (
+        [(key, c) for key, c in items
+         if all(len({block_of[key[p]] for p in ps[s]}) < 2 for ps in sided)]
+        for s, (items, _) in enumerate(sides))
+    shared = [(p0[0], p1[0]) for p0, p1 in sided if p0 and p1]
+    buckets = _buckets(second, [q for _, q in shared], block_of)
     acc = {}
-    for combo in iproduct(*entry_lists):
-        c = 1
-        for _, cv in combo:
-            c *= cv
-        outkey = []
-        dead = False
-        for leg in legs_compiled:
-            fi, li = leg[0]
-            cur = combo[fi][0][li]
-            for fj, lj in leg[1:]:
-                t = get((cur, combo[fj][0][lj]))
-                if t is None:
-                    dead = True
-                    break
-                cur = t[0]
-                c *= t[1]
-            if dead:
-                break
-            outkey.append(cur)
-        if dead:
-            continue
-        kk = tuple(outkey)
-        acc[kk] = acc.get(kk, 0) + c
+    for k0, c0 in first:
+        sig = tuple([block_of[k0[p]] for p, _ in shared])
+        for k1, c1 in buckets.get(sig, ()):
+            hit = _chase(alg.mono, k0 + k1, legs, [c0, c1])
+            if hit is not None:
+                acc[hit[0]] = acc.get(hit[0], 0) + hit[1]
     return SparseTensor(alg.field, len(out), alg.dim, _canon(alg.field, acc))
+
+
+def _chase(mono, idx, legs, scalars):
+    """(output key, scalar) of one combination of indices, or None when some
+    leg multiplies to zero.  The scalar is the product of `scalars` and
+    those of the basis products, taken only once the chase has succeeded."""
+    key = []
+    for leg in legs:
+        cur = idx[leg[0]]
+        for p in leg[1:]:
+            term = mono[cur].get(idx[p])
+            if term is None:
+                return None
+            cur = term[0]
+            scalars.append(term[1])
+        key.append(cur)
+    return tuple(key), prod(scalars)
 
 
 def _eval_atoms(alg, unary, env, atoms):

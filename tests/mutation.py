@@ -70,6 +70,20 @@ def mutate(d, layer, rng):
     raise ValueError(layer)
 
 
+def merge_blocks(d, rng):
+    """Product mutant whose blocks merge: the output index of one product
+    term moves to a basis element of another block (the datum needs two
+    blocks at least)."""
+    alg = d.algebra
+    pairs = sorted(ij for ij, terms in alg.struct.items() if terms)
+    ij = pairs[rng.below(len(pairs))]
+    terms = list(alg.struct[ij])
+    k, c = terms[0]
+    others = [x for x in range(d.dim) if alg.block_of[x] != alg.block_of[k]]
+    terms[0] = (others[rng.below(len(others))], c)
+    return d.with_changes(product={**alg.struct, ij: tuple(terms)})
+
+
 def layers_of(d):
     out = ["phi", "S", "alpha", "beta"]
     if d.R is not None:

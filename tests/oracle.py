@@ -120,6 +120,44 @@ def dense_vec_mul(d, a, b):
     return out
 
 
+def hom_sum_cartesian(alg, factors, out):
+    """hom_sum's plain contraction (every atom a leg name, every basis
+    product a single term) over the full cartesian product of the factors'
+    supports: each leg is chased through the structure constants, and a
+    combination dies at its first zero product.  Returns the accumulator in
+    insertion order, with canonical nonzero values."""
+    f = alg.field
+    pos = {}
+    for fi, (_, names) in enumerate(factors):
+        for li, nm in enumerate(names):
+            pos[nm] = (fi, li)
+    legs = [[pos[a] for a in leg] for leg in out]
+    acc = {}
+    for combo in iproduct(*[list(t.entries.items()) for t, _ in factors]):
+        c = 1
+        for _, cv in combo:
+            c *= cv
+        key = []
+        for leg in legs:
+            fi, li = leg[0]
+            cur = combo[fi][0][li]
+            for fj, lj in leg[1:]:
+                terms = alg.struct.get((cur, combo[fj][0][lj]))
+                if not terms:
+                    break
+                (cur, cv), = terms
+                c *= cv
+            else:
+                key.append(cur)
+                continue
+            break
+        else:
+            key = tuple(key)
+            acc[key] = acc.get(key, 0) + c
+    canon = {k: f.canon(v) for k, v in acc.items()}
+    return {k: v for k, v in canon.items() if not f.is_zero(v)}
+
+
 def dense_basis(d, i):
     out = [d.field.zero] * d.dim
     out[i] = d.field.one

@@ -356,6 +356,28 @@ def test_check_corpus(dz2w_file, capsys):
     assert main(["check", "corpus", dz2w_file]) == 0
 
 
+def test_check_corpus_singular_inverse_fails_its_line(dz2w_file, tmp_path):
+    # basis(1) of D^w(Z2) has no inverse: that line fails with the reason,
+    # and the next line still runs
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("inv(basis(1)) == one_1\n"
+                      "map[eps](alpha) * map[eps](beta) == 1\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qhopf.cli import main; sys.exit(main())",
+         "check", "corpus", dz2w_file, "--corpus", str(corpus),
+         "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 1, res.stderr
+    checks = json.loads(res.stdout)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("inv(basis(1)) == one_1", "fail"),
+        ("map[eps](alpha) * map[eps](beta) == 1", "pass")]
+    assert checks[0]["witness"] == {
+        "reason": "left-multiplication system is singular"}
+
+
 def test_jobs_option_is_gone(dz2w_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "corpus", dz2w_file, "--jobs", "4"])

@@ -3,7 +3,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from qhopf import FiniteAbelianGroup, cocycle_for, dpr_double, sweedler
+from qhopf import (FiniteAbelianGroup, big_f, cocycle_for, dpr_double,
+                   random_twist, sweedler, twist)
 from qhopf.errors import ArityMismatch, NotInvertible, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
@@ -14,7 +15,8 @@ from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, conca
                           invert, lin_leg, mult, permute_legs, LEG_ID)
 
 from basis import REBASED, rebased
-from oracle import dense_apply_legs, dense_mult, dense_of
+from mutation import merge_blocks, mutate
+from oracle import dense_apply_legs, dense_mult, dense_of, hom_sum_cartesian
 
 F7 = PrimeField(7)
 
@@ -378,3 +380,47 @@ def test_block_partition_matches_dpr_metadata():
         derived = {frozenset(b) for b in d.algebra.blocks}
         assert derived == {frozenset(b) for b in d.metadata["blocks"]}
         assert len(derived) == g.order
+
+
+# ----- the plain hom_sum join against the cartesian loop --------------------
+
+def _plain_contractions(d):
+    """Plain one- and two-factor contractions shaped like the call sites of
+    gamma, delta, F, F_inv and u, over the datum's own tensors."""
+    S, D = d.leg("S"), d.leg("D")
+    de = big_f(d)
+    r4 = apply_legs(d.R, [D, D])
+    return [
+        ([(apply_legs(d.phi, [S, S, D]), ("sx", "sy", "z1", "z2")),
+          (de.gamma, ("g1", "g2"))], [["sy", "g1", "z1"], ["sx", "g2", "z2"]]),
+        ([(apply_legs(d.phi, [D, S, S]), ("x1", "x2", "sy", "sz")),
+          (de.delta, ("d1", "d2"))], [["x1", "d1", "sz"], ["x2", "d2", "sy"]]),
+        ([(apply_legs(r4, [S, S, LEG_ID, LEG_ID]), ("sx1", "sx2", "w1", "w2")),
+          (de.gamma, ("g1", "g2"))], [["sx2", "g1", "w1"], ["sx1", "g2", "w2"]]),
+        ([(apply_legs(r4, [LEG_ID, LEG_ID, S, S]), ("w1", "w2", "sz1", "sz2")),
+          (de.delta, ("d1", "d2"))], [["w1", "d1", "sz2"], ["w2", "d2", "sz1"]]),
+        ([(de.F, ("w", "x")), (d.R, ("s", "t"))], [["w", "t", "s", "x"]]),
+        ([(d.phi, ("x", "y", "z"))], [["z", "x"], ["y"]]),
+        ([(d.phi, ("x", "y", "z"))], [["x", "y", "z"]]),
+    ]
+
+
+def test_hom_sum_join_matches_cartesian_loop(dz3w, sw):
+    twisted = twist(dz3w, random_twist(dz3w, 0))
+    data = [twisted, dz3w, sw]
+    for d in (twisted, dz3w):
+        data += [mutate(d, "product", SplitMix64(seed)) for seed in range(2)]
+        merged = [merge_blocks(d, SplitMix64(seed)) for seed in range(2)]
+        assert all(len(m.algebra.blocks) < len(d.algebra.blocks)
+                   for m in merged)
+        data += merged
+    nonzero = 0
+    for d in data:
+        alg = d.algebra
+        assert alg.mono is not None
+        for factors, out in _plain_contractions(d):
+            got = hom_sum(alg, {}, factors, out)
+            want = hom_sum_cartesian(alg, factors, out)
+            assert list(got.entries.items()) == list(want.items())
+            nonzero += bool(want)
+    assert nonzero > 5 * len(data)
