@@ -100,17 +100,17 @@ class QuasiHopfDatum:
             if name == "id":
                 leg = LEG_ID
             elif name == "S":
-                leg = lin_leg(self.s_rows)
+                leg = lin_leg(self.field, self.s_rows)
             elif name == "Sinv":
-                leg = lin_leg(self.s_inv_rows)
+                leg = lin_leg(self.field, self.s_inv_rows)
             elif name == "eps":
-                leg = counit_leg(self.eps)
+                leg = counit_leg(self.field, self.eps)
             elif name == "D":
-                leg = coprod_leg(self.delta_rows)
+                leg = coprod_leg(self.field, self.delta_rows)
             elif name == "Dcop":
                 rows = {i: tuple(((k, j), c) for (j, k), c in row)
                         for i, row in self.delta_rows.items()}
-                leg = coprod_leg(rows)
+                leg = coprod_leg(self.field, rows)
             else:
                 raise KeyError(name)
             self._legs[name] = leg

@@ -2,11 +2,20 @@
 
 Scalars are plain Python values in canonical form: residues in [0, p) for a
 prime field, `fractions.Fraction` (auto-reduced, positive denominator) for
-the rationals.  All arithmetic goes through a Field object, so equality of
-scalars is plain equality of representations.
+the rationals, so equality of scalars is plain equality of representations.
+Single operations go through the Field methods (add, mul, inv, ...).
+
+The accumulation kernels of tensor.py run on integers instead.  A field
+turns a dict of scalars into integer numerators over one common denominator
+(`numerators`, `numerator_rows`), and an accumulated numerator back into one
+canonical scalar (`over`).  Over Q the numerators are scaled to the lcm of
+the denominators.  Over F_p a residue is its own numerator over 1, so the
+kernels read the given dict without a copy, and `over` is the one reduction
+mod p.  Numerators are unbounded Python ints: they grow with a kernel's sums
+and products and never wrap, so no overflow bound applies to them.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DivisionByZero, FieldMismatch, NoSuchRoot
 
@@ -36,24 +45,10 @@ class Field:
         if self != other:
             raise FieldMismatch("cannot mix %r and %r" % (self, other))
 
-    def arith(self, op, a, b=None):
-        """Dispatcher matching the operation table: add|sub|mul|div|neg|inv."""
-        a = self.canon(a)
-        if op in ("neg", "inv"):
-            return self.neg(a) if op == "neg" else self.inv(a)
-        b = self.canon(b)
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "div":
-            return self.div(a, b)
-        raise ValueError("unknown operation %r" % op)
-
     # subclasses: canon, parse, to_str, add, sub, mul, neg, div, inv,
-    # is_zero, zero, one, from_int, size, spec, root_of_unity, sample
+    # is_zero, zero, one, from_int, size, spec, root_of_unity, sample, and
+    # the integer views of the module docstring: numerators, numerator_rows,
+    # over, trim
 
 
 class PrimeField(Field):
@@ -98,6 +93,27 @@ class PrimeField(Field):
 
     def is_zero(self, v):
         return v == 0
+
+    def numerators(self, values):
+        return values, 1
+
+    def numerator_rows(self, rows):
+        return rows, 1
+
+    def over(self, n, den):
+        return n % self.p
+
+    def trim(self, acc):
+        """Reduce the integers of an accumulator in place and drop the
+        zeros; returns acc."""
+        p = self.p
+        for key in list(acc):
+            v = acc[key] % p
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+        return acc
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -181,6 +197,27 @@ class RationalField(Field):
 
     def is_zero(self, v):
         return v == 0
+
+    def numerators(self, values):
+        """({key: numerator}, den) with value = numerator / den and den the
+        lcm of the denominators."""
+        den = lcm(*[v.denominator for v in values.values()])
+        return {k: v.numerator * (den // v.denominator)
+                for k, v in values.items()}, den
+
+    def numerator_rows(self, rows):
+        """numerators() of rows {key: ((x, scalar), ...)}, one den for all."""
+        den = lcm(*[c.denominator for row in rows.values() for _, c in row])
+        return {k: tuple([(x, c.numerator * (den // c.denominator))
+                          for x, c in row]) for k, row in rows.items()}, den
+
+    def over(self, n, den):
+        return self.frac(n, den)
+
+    def trim(self, acc):
+        for key in [k for k, v in acc.items() if not v]:
+            del acc[key]
+        return acc
 
     def add(self, a, b):
         return a + b

@@ -8,28 +8,26 @@ to individual tensor factors.
 
 Block partition.  Each Algebra splits its basis into blocks: the connected
 components of the graph that joins i, j and every output k of each nonzero
-product e_i e_j.  Two basis elements from different blocks multiply to zero,
-and a product of two elements of one block stays in that block, so the
-partition is exact for any structure constants, including ones that break an
-axiom.  A twisted double D^w(G) has one block per group element; a Hopf
-algebra such as H4 or K[G] has a single block.  A multi-index has a block
-signature, the block of each leg.  mult() pairs each entry of t1 only with
-the entries of t2 of the same signature, since every other pair is zero, and
-invert() solves one independent linear system per signature.  hom_sum() joins
-its factors the same way when every atom is a leg name: a leg's product is
-nonzero only if all its atoms lie in one block, so the second factor is
-bucketed by the blocks of its atoms on the legs it shares with the first, and
-each entry of the first meets only its bucket, in cartesian order.
+product e_i e_j.  Elements of different blocks multiply to zero and a block
+is closed under products, for any structure constants, including ones that
+break an axiom.  D^w(G) has one block per group element; H4 and K[G] have
+one.  A multi-index has a block signature, the block of each leg.  mult()
+pairs entries of equal signature only, and invert() solves one linear system
+per signature.  hom_sum() joins its factors the same way when every atom is
+a leg name: a leg's product is nonzero only if all its atoms lie in one
+block, so the second factor is bucketed by the blocks of its atoms on the
+legs it shares with the first, and each entry of the first meets only its
+bucket, in cartesian order.
 
-Scalars in the kernels.  Every accumulation loop adds and multiplies scalars
-with the plain Python operators and passes its accumulator once through
-_canon(), which brings each value to canonical form and drops the zeros.
-Over Q the operators are exact.  Over F_p the accumulated values are
-unreduced integers, and one reduction at the end gives the same residues as
-reducing after every step, because reduction mod p is a ring map.  So one
-loop serves both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a
-basis whose products are single terms, selects the index-chasing loops of
-mult() and of the hom_sum() join; other bases take the general loops.
+Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
+input is read as numerators over one denominator (scalars.py); Algebra and
+Leg keep such views of their constants, over .den.  The output denominator
+is fixed per call (d1*d2*den^k in mult), and _canon() makes one canonical
+scalar per output entry.  Over F_p the numerators are residues over 1, left
+unreduced until _canon(): reduction mod p is a ring map, so one loop serves
+both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
+products are single terms, selects the index-chasing loops of mult() and of
+the hom_sum() join; other bases take the general loops.
 """
 
 from itertools import product as iproduct
@@ -91,7 +89,7 @@ class SparseTensor:
 
     def __repr__(self):
         items = ", ".join("%r: %s" % (k, self.field.to_str(v))
-                          for k, v in list(self.sorted_items())[:6])
+                          for k, v in self.sorted_items()[:6])
         more = "" if len(self.entries) <= 6 else ", ... (%d entries)" % len(self.entries)
         return "SparseTensor(arity=%d, dim=%d, {%s%s})" % (self.arity, self.dim, items, more)
 
@@ -127,7 +125,7 @@ class Algebra:
     sparse list of (basis index, scalar)."""
 
     __slots__ = ("field", "dim", "struct", "unit_coeffs", "_units", "mono",
-                 "block_of", "blocks")
+                 "block_of", "blocks", "nstruct", "den")
 
     def __init__(self, field, dim, struct, unit_coeffs):
         self.field = field
@@ -136,11 +134,12 @@ class Algebra:
         self.unit_coeffs = {i: field.canon(c) for i, c in unit_coeffs.items()
                             if not field.is_zero(field.canon(c))}
         self._units = {}
+        self.nstruct, self.den = field.numerator_rows(struct)
         # group-like bases have single-term products (module docstring)
         self.mono = None
         if all(len(terms) <= 1 for terms in struct.values()):
             self.mono = [{} for _ in range(dim)]
-            for (i, j), terms in struct.items():
+            for (i, j), terms in self.nstruct.items():
                 if terms:
                     self.mono[i][j] = terms[0]
         self.block_of, self.blocks = _block_partition(dim, struct)
@@ -162,26 +161,30 @@ class Algebra:
 
     def vec_mul(self, a, b):
         """Product of two elements given as {index: scalar} dicts."""
-        struct = self.struct
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                terms = struct.get((i, j))
-                if not terms:
-                    continue
+        f = self.field
+        (a, da), (b, db) = f.numerators(a), f.numerators(b)
+        return _canon(f, _vec_mul(self.nstruct, a, b), da * db * self.den)
+
+
+def _vec_mul(struct, a, b):
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            terms = struct.get((i, j))
+            if terms:
                 cab = ca * cb
                 for k, ck in terms:
                     out[k] = out.get(k, 0) + cab * ck
-        return _canon(self.field, out)
+    return out
 
 
-def _canon(f, acc):
-    """Bring the values of an accumulator filled with the plain operators
-    to canonical form, in place, and drop the zeros; returns acc."""
-    canon = f.canon
+def _canon(f, acc, den=1):
+    """acc's numerators over den made canonical scalars in place, zeros
+    dropped; returns acc."""
+    over = f.over
     zeros = []
     for key, v in acc.items():
-        v = canon(v)
+        v = over(v, den)
         if v:
             acc[key] = v
         else:
@@ -232,8 +235,8 @@ def _buckets(items, legs, block_of):
 
 
 def _basis_product(struct, k1, k2, c):
-    """The terms (key, scalar) of c e_k1 e_k2 in the tensor power, scalars
-    unreduced; none when some leg multiplies to zero."""
+    """The terms (key, numerator) of c e_k1 e_k2 in the tensor power; none
+    when some leg multiplies to zero."""
     lists = []
     for ij in zip(k1, k2):
         terms = struct.get(ij)
@@ -256,12 +259,14 @@ def mult(t1, t2, alg):
     if t1.dim != t2.dim:
         raise ShapeMismatch("dim %d vs %d" % (t1.dim, t2.dim))
     t1.field.assert_same(t2.field)
-    # only entries of equal block signature multiply to nonzero; t1 keeps
-    # its order, so accumulation runs in the order of the full double loop
-    block_of, mono, struct = alg.block_of, alg.mono, alg.struct
-    buckets = _buckets(t2.entries.items(), range(t1.arity), block_of)
+    f = alg.field
+    (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)
+    # only equal block signatures multiply to nonzero; t1 keeps its order,
+    # so accumulation runs in the order of the full double loop
+    block_of, mono, struct = alg.block_of, alg.mono, alg.nstruct
+    buckets = _buckets(e2.items(), range(t1.arity), block_of)
     acc = {}
-    for k1, c1 in t1.entries.items():
+    for k1, c1 in e1.items():
         partners = buckets.get(tuple([block_of[i] for i in k1]))
         if partners is None:
             continue
@@ -283,7 +288,8 @@ def mult(t1, t2, alg):
             for k2, c2 in partners:
                 for key, c in _basis_product(struct, k1, k2, c1 * c2):
                     acc[key] = acc.get(key, 0) + c
-    return SparseTensor(alg.field, t1.arity, t1.dim, _canon(alg.field, acc))
+    return SparseTensor(f, t1.arity, t1.dim,
+                        _canon(f, acc, d1 * d2 * alg.den ** t1.arity))
 
 
 def mul_all(alg, *tensors):
@@ -296,73 +302,58 @@ def mul_all(alg, *tensors):
 # ----- leg maps -------------------------------------------------------------
 
 class Leg:
-    """Per-leg action for apply_legs.  width = number of output legs."""
-    __slots__ = ("kind", "rows", "width")
+    """Per-leg action for apply_legs: terms[i] = ((key, numerator), ...),
+    the image of e_i over den, on width legs; None for the identity."""
+    __slots__ = ("terms", "den", "width")
 
-    def __init__(self, kind, rows, width):
-        self.kind = kind
-        self.rows = rows
-        self.width = width
-
-
-LEG_ID = Leg("id", None, 1)
+    def __init__(self, terms, den, width):
+        self.terms, self.den, self.width = terms, den, width
 
 
-def lin_leg(rows):
+LEG_ID = Leg(None, 1, 1)
+
+
+def lin_leg(f, rows):
     """rows: {i: ((j, scalar), ...)} for a linear map sending e_i to sum."""
-    return Leg("lin", rows, 1)
+    return Leg(*f.numerator_rows({i: tuple(((j,), c) for j, c in row)
+                                  for i, row in rows.items()}), 1)
 
 
-def counit_leg(values):
-    """values: sequence of scalars; drops the leg, scaling by values[i]."""
-    return Leg("eps", values, 0)
+def counit_leg(f, values):
+    """Drops the leg, scaling e_i by the scalar values[i]."""
+    return Leg(*f.numerator_rows({i: (((), c),) for i, c in enumerate(values)
+                                  if c}), 0)
 
 
-def coprod_leg(rows):
+def coprod_leg(f, rows):
     """rows: {i: (((j, k), scalar), ...)}; expands one leg into two."""
-    return Leg("cop", rows, 2)
+    return Leg(*f.numerator_rows(rows), 2)
 
 
 def apply_legs(t, legs):
     if len(legs) != t.arity:
         raise ShapeMismatch("got %d leg maps for arity %d" % (len(legs), t.arity))
     f = t.field
-    out_arity = sum(l.width for l in legs)
+    entries, den = f.numerators(t.entries)
     acc = {}
-    for key, c in t.entries.items():
+    for key, c in entries.items():
         parts = []
-        dead = False
         for idx, leg in zip(key, legs):
-            if leg.kind == "id":
-                parts.append((((idx,), 1),))
-            elif leg.kind == "lin":
-                exp = leg.rows.get(idx, ())
-                if not exp:
-                    dead = True
-                    break
-                parts.append(tuple(((j,), cv) for j, cv in exp))
-            elif leg.kind == "eps":
-                ev = leg.rows[idx]
-                if not ev:
-                    dead = True
-                    break
-                parts.append((((), ev),))
-            else:  # cop
-                exp = leg.rows.get(idx, ())
-                if not exp:
-                    dead = True
-                    break
-                parts.append(exp)
-        if dead:
-            continue
-        for picks in iproduct(*parts):
-            cc = c
-            kk = ()
-            for sub, cv in picks:
-                kk += sub
-                cc *= cv
-            acc[kk] = acc.get(kk, 0) + cc
-    return SparseTensor(f, out_arity, t.dim, _canon(f, acc))
+            terms = (((idx,), 1),) if leg.terms is None else leg.terms.get(idx)
+            if not terms:
+                break
+            parts.append(terms)
+        else:
+            for picks in iproduct(*parts):
+                cc = c
+                kk = ()
+                for sub, cv in picks:
+                    kk += sub
+                    cc *= cv
+                acc[kk] = acc.get(kk, 0) + cc
+    den *= prod([leg.den for leg in legs])
+    return SparseTensor(f, sum(leg.width for leg in legs), t.dim,
+                        _canon(f, acc, den))
 
 
 # ----- index plumbing -------------------------------------------------------
@@ -370,12 +361,9 @@ def apply_legs(t, legs):
 def flip(t, i, j):
     if i == j or i >= t.arity or j >= t.arity or i < 0 or j < 0:
         raise ShapeMismatch("cannot flip legs %d, %d of arity-%d tensor" % (i, j, t.arity))
-    out = {}
-    for key, c in t.entries.items():
-        k = list(key)
-        k[i], k[j] = k[j], k[i]
-        out[tuple(k)] = c
-    return SparseTensor(t.field, t.arity, t.dim, out)
+    perm = list(range(t.arity))
+    perm[i], perm[j] = j, i
+    return permute_legs(t, perm)
 
 
 def permute_legs(t, perm):
@@ -403,12 +391,9 @@ def insert_leg(t, pos, vec):
     """Insert an arity-1 tensor as a new leg at position pos."""
     if vec.arity != 1:
         raise ArityMismatch("inserted leg must have arity 1")
-    f = t.field
-    out = {}
-    for key, c in t.entries.items():
-        for (i,), cv in vec.entries.items():
-            out[key[:pos] + (i,) + key[pos:]] = f.mul(c, cv)
-    return SparseTensor(f, t.arity + 1, t.dim, out)
+    perm = list(range(t.arity))
+    perm.insert(pos, t.arity)
+    return permute_legs(concat(t, vec), perm)
 
 
 def scale(t, c):
@@ -421,10 +406,12 @@ def scale(t, c):
 
 
 def add(t1, t2):
-    out = dict(t1.entries)
-    for k, v in t2.entries.items():
-        out[k] = out.get(k, 0) + v
-    return SparseTensor(t1.field, t1.arity, t1.dim, _canon(t1.field, out))
+    f = t1.field
+    (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)
+    out = {k: v * d2 for k, v in e1.items()}
+    for k, v in e2.items():
+        out[k] = out.get(k, 0) + v * d1
+    return SparseTensor(f, t1.arity, t1.dim, _canon(f, out, d1 * d2))
 
 
 def sub(t1, t2):
@@ -435,37 +422,33 @@ def sub(t1, t2):
 
 def invert(t, alg):
     """Two-sided inverse in the k-th tensor power, by solving the linear
-    system of left multiplication against the unit; both product checks run
-    before returning.
-
-    Left multiplication keeps the block signature of a multi-index, so the
-    system splits into one independent system per signature.  Only the
-    signatures that the unit reaches are solved; the inverse is zero on the
-    others."""
+    system of left multiplication against the unit, one system per block
+    signature that the unit reaches (zero on the others); both product
+    checks run before returning."""
     f = alg.field
     k = t.arity
     if t.is_zero():
         raise NotInvertible("the zero tensor has no inverse")
-    struct = alg.struct
+    nums, den = f.numerators(t.entries)
     block_of, blocks = alg.block_of, alg.blocks
-    by_sig = _buckets(t.entries.items(), range(k), block_of)
+    by_sig = _buckets(nums.items(), range(k), block_of)
     unit = alg.unit_tensor(k)
     rhs_by_sig = _buckets(unit.entries.items(), range(k), block_of)
     inv_entries = {}
     for sig, rhs_items in rhs_by_sig.items():
-        # the multi-indices of this signature in lexicographic order, the
-        # order of the rows and columns of its system
+        # this signature's multi-indices in lexicographic order: the order
+        # of the rows and columns of its system
         unknowns = list(iproduct(*(blocks[b] for b in sig)))
         index = {key: n for n, key in enumerate(unknowns)}
         entries = by_sig.get(sig, ())
         rows = [{} for _ in unknowns]
         for jflat, jkey in enumerate(unknowns):
             for key, c in entries:
-                for ikey, cc in _basis_product(struct, key, jkey, c):
+                for ikey, cc in _basis_product(alg.nstruct, key, jkey, c):
                     row = rows[index[ikey]]
                     row[jflat] = row.get(jflat, 0) + cc
         for row in rows:
-            _canon(f, row)
+            _canon(f, row, den * alg.den ** k)
         rhs = {index[key]: c for key, c in rhs_items}
         x = linalg.solve(f, rows, len(unknowns), rhs)
         if x is None:
@@ -496,47 +479,44 @@ def hom_sum(alg, unary, factors, out):
     if (alg.mono is not None and len(factors) <= 2
             and all(isinstance(a, str) for leg in out for a in leg)):
         return _hom_sum_join(alg, factors, out)
-    entry_lists = [list(t.entries.items()) for t, _ in factors]
-    name_lists = [names for _, names in factors]
-    acc = {}
-    for combo in iproduct(*entry_lists):
-        coeff = 1
-        env = {}
-        for (key, c), names in zip(combo, name_lists):
+    sides = [f.numerators(t.entries) + (names,) for t, names in factors]
+    den, memo, acc = 1, {}, {}
+    for combo in iproduct(*[list(e.items()) for e, _, _ in sides]):
+        coeff, d, env = 1, 1, {}
+        for (key, c), (_, dc, names) in zip(combo, sides):
             coeff *= c
-            for nm, idx in zip(names, key):
-                env[nm] = idx
+            d *= dc
+            env.update(zip(names, key))
         legs = []
         for atoms in out:
-            v = _eval_atoms(alg, unary, env, atoms)
+            v, dv = _eval_atoms(alg, unary, memo, env, atoms)
             if not v:
                 break
             legs.append(v)
+            d *= dv
         else:
+            den = d  # one per call
             for picks in iproduct(*[tuple(v.items()) for v in legs]):
-                c = coeff
-                for _, cv in picks:
-                    c *= cv
-                key = tuple(i for i, _ in picks)
-                acc[key] = acc.get(key, 0) + c
-    return SparseTensor(f, len(out), alg.dim, _canon(f, acc))
+                key = tuple([i for i, _ in picks])
+                acc[key] = acc.get(key, 0) + coeff * prod([c for _, c in picks])
+    return SparseTensor(f, len(out), alg.dim, _canon(f, acc, den))
 
 
 def _hom_sum_join(alg, factors, out):
-    # the block-signature join of the module docstring.  An entry whose own
-    # atoms on one leg span two blocks is dropped; a missing factor is 1.
-    block_of = alg.block_of
-    sides = [(list(t.entries.items()), names) for t, names in factors]
-    sides += [([((), 1)], ())] * (2 - len(sides))
-    n0 = len(sides[0][1])
-    pos = {nm: p for p, nm in enumerate(sides[0][1] + sides[1][1])}
+    # the join of the module docstring.  An entry whose own atoms on one leg
+    # span two blocks is dropped; a missing factor is 1.
+    f, block_of = alg.field, alg.block_of
+    sides = [f.numerators(t.entries) + (names,) for t, names in factors]
+    sides += [({(): 1}, 1, ())] * (2 - len(sides))
+    n0 = len(sides[0][2])
+    pos = {nm: p for p, nm in enumerate(sides[0][2] + sides[1][2])}
     legs = [[pos[a] for a in leg] for leg in out]
     sided = [([p for p in leg if p < n0], [p - n0 for p in leg if p >= n0])
              for leg in legs]
     first, second = (
-        [(key, c) for key, c in items
+        [(key, c) for key, c in e.items()
          if all(len({block_of[key[p]] for p in ps[s]}) < 2 for ps in sided)]
-        for s, (items, _) in enumerate(sides))
+        for s, (e, _, _) in enumerate(sides))
     shared = [(p0[0], p1[0]) for p0, p1 in sided if p0 and p1]
     buckets = _buckets(second, [q for _, q in shared], block_of)
     acc = {}
@@ -546,13 +526,13 @@ def _hom_sum_join(alg, factors, out):
             hit = _chase(alg.mono, k0 + k1, legs, [c0, c1])
             if hit is not None:
                 acc[hit[0]] = acc.get(hit[0], 0) + hit[1]
-    return SparseTensor(alg.field, len(out), alg.dim, _canon(alg.field, acc))
+    den = sides[0][1] * sides[1][1] * alg.den ** sum(len(l) - 1 for l in out)
+    return SparseTensor(f, len(out), alg.dim, _canon(f, acc, den))
 
 
 def _chase(mono, idx, legs, scalars):
-    """(output key, scalar) of one combination of indices, or None when some
-    leg multiplies to zero.  The scalar is the product of `scalars` and
-    those of the basis products, taken only once the chase has succeeded."""
+    """(output key, numerator) of one combination of indices, or None at
+    the first zero product; numerators multiply only after a full chase."""
     key = []
     for leg in legs:
         cur = idx[leg[0]]
@@ -566,23 +546,31 @@ def _chase(mono, idx, legs, scalars):
     return tuple(key), prod(scalars)
 
 
-def _eval_atoms(alg, unary, env, atoms):
-    v = None
+def _eval_atoms(alg, unary, memo, env, atoms):
+    """(numerators, den) of the product of the atoms, den fixed by the
+    atoms; memo holds the numerators of constants and maps."""
+    f = alg.field
+    v, den = None, alg.den ** (len(atoms) - 1)
     for a in atoms:
         if isinstance(a, str):
-            w = {env[a]: alg.field.one}
+            w, d = {env[a]: 1}, 1
         elif isinstance(a, SparseTensor):
-            w = {i: c for (i,), c in a.entries.items()}
+            if id(a) not in memo:
+                memo[id(a)] = f.numerators({i: c for (i,), c in a.entries.items()})
+            w, d = memo[id(a)]
         else:
-            name, sub = a
-            u = _eval_atoms(alg, unary, env, sub)
-            rows = unary[name]
+            u, du = _eval_atoms(alg, unary, memo, env, a[1])
+            if a[0] not in memo:
+                memo[a[0]] = f.numerator_rows(unary[a[0]])
+            rows, d = memo[a[0]]
             w = {}
             for i, ci in u.items():
                 for j, cj in rows.get(i, ()):
                     w[j] = w.get(j, 0) + ci * cj
-            _canon(alg.field, w)
-        v = w if v is None else alg.vec_mul(v, w)
+            f.trim(w)
+            d *= du
+        den *= d
+        v = w if v is None else f.trim(_vec_mul(alg.nstruct, v, w))
         if not v:
-            return {}
-    return v
+            break
+    return v, den

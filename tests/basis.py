@@ -1,9 +1,11 @@
 """A whole datum rewritten in another basis, so that its basis products are
 no longer single terms and the general kernel paths run.
 
-The new basis is f_a = sum_i P[a][i] e_i for a seeded unitriangular P.  Every
-structure map is transformed with plain dense loops over field operations;
-nothing here calls the sparse kernels of the package.
+The new basis is f_a = sum_i P[a][i] e_i for a seeded upper triangular P,
+with a unit diagonal or, on request, a seeded diagonal in 1..3.  A diagonal
+entry 2 or 3 gives P^-1, and so the new structure constants, denominators
+over Q.  Every structure map is transformed with plain dense loops over
+field operations; nothing here calls the sparse kernels of the package.
 """
 
 import functools
@@ -15,22 +17,27 @@ from qhopf.scalars import PrimeField
 from qhopf.tensor import SparseTensor
 
 
-def unitriangular(f, n, seed, extra):
+def triangular(f, n, seed, extra, diagonal=False):
     """P, the identity plus `extra` seeded entries above the diagonal, with
-    values in 1..3, and Q = P^-1, both as dense rows."""
+    values in 1..3, and Q = P^-1, both as dense rows.  With `diagonal`, the
+    diagonal entries are then drawn from 1..3 as well."""
     rng = SplitMix64(seed)
     P = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
     for _ in range(extra):
         i = rng.below(n - 1)
         j = i + 1 + rng.below(n - 1 - i)
         P[i][j] = f.from_int(rng.below(3) + 1)
-    Q = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    if diagonal:
+        for i in range(n):
+            P[i][i] = f.from_int(rng.below(3) + 1)
+    Q = [[f.zero] * n for _ in range(n)]
     for i in range(n):
+        Q[i][i] = f.inv(P[i][i])
         for j in range(i + 1, n):
             s = f.zero
             for k in range(i, j):
                 s = f.add(s, f.mul(Q[i][k], P[k][j]))
-            Q[i][j] = f.neg(s)
+            Q[i][j] = f.neg(f.div(s, P[j][j]))
     return P, Q
 
 
@@ -68,12 +75,17 @@ def _tensor(f, t, Q):
     return SparseTensor.make(f, t.arity, t.dim, _legs_to_new(f, t.entries, Q))
 
 
-def change_basis(d, seed, extra=None):
+def rebase_tensor(f, t, seed, extra, diagonal=False):
+    """t written in the basis of change_basis(d, seed, extra, diagonal)."""
+    return _tensor(f, t, triangular(f, t.dim, seed, extra, diagonal)[1])
+
+
+def change_basis(d, seed, extra=None, diagonal=False):
     """The datum d written in the basis f_a = sum_i P[a][i] e_i, for the
-    seeded unitriangular P with `extra` (default dim) entries above the
+    seeded triangular P with `extra` (default dim) entries above the
     diagonal.  Metadata is dropped: its block list names the old basis."""
     f, n = d.field, d.dim
-    P, Q = unitriangular(f, n, seed, n if extra is None else extra)
+    P, Q = triangular(f, n, seed, n if extra is None else extra, diagonal)
     struct = d.algebra.struct
 
     def sorted_rows(images):

@@ -2,18 +2,26 @@
 in a basis whose products have several terms (tests/basis.py), so that
 Algebra.mono is None.  mult and invert on these algebras are covered in
 test_tensor.py, gamma, delta and F in test_derived.py and the Drinfel'd
-element in test_drinfeld.py."""
+element in test_drinfeld.py.  The last section runs every integer kernel
+on H4/Q in bases whose structure constants have denominators."""
 
+import functools
 import json
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from qhopf import sweedler
 from qhopf.cli import main
 from qhopf.rng import SplitMix64
-from qhopf.tensor import SparseTensor, apply_legs
+from qhopf.tensor import (SparseTensor, add, apply_legs, hom_sum, invert, mult,
+                          sub)
+from qhopf.twisting import random_twist
 
-from basis import REBASED, rebased
-from oracle import dense_apply_legs, dense_of, dense_vec_mul
+from basis import REBASED, change_basis, rebase_tensor, rebased
+from oracle import (dense_apply_legs, dense_basis, dense_mult, dense_of,
+                    dense_s, dense_vec_mul, hom_sum_cartesian)
 
 
 def _random_items(rng, f, dim, arity, n):
@@ -66,3 +74,104 @@ def test_rebased_apply_legs_matches_dense_oracle(name):
             for names in LEG_NAMES[k]:
                 got = apply_legs(t, d.legs(*names))
                 assert dense_of(got) == dense_apply_legs(d, t, list(names))
+
+
+# ----- structure constants with denominators ---------------------------------
+
+SCALED = {"mono": (3, 0), "dense": (4, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def scaled(name):
+    """H4/Q in the basis of a seeded triangular P with diagonal entries in
+    1..3, so that its structure constants have denominators: "mono" keeps
+    single-term products, "dense" does not.  With the seed-0 twist T, T^-1
+    of H4 and R, written in the same basis."""
+    seed, extra = SCALED[name]
+    sw = sweedler()
+    d = change_basis(sw, seed, extra, diagonal=True)
+    T, T_inv = random_twist(sw, 0)
+    return d, [rebase_tensor(sw.field, t, seed, extra, True)
+               for t in (T, T_inv, sw.R)]
+
+
+def _assert_exact(t):
+    assert all(type(c) is Fraction and c and gcd(c.numerator, c.denominator) == 1
+               for c in t.entries.values())
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_scaled_mult_and_invert_match_dense_oracle(name):
+    d, (T, T_inv, R) = scaled(name)
+    alg = d.algebra
+    assert alg.den > 1 and (alg.mono is not None) == (name == "mono")
+    rng = SplitMix64(5)
+    small = [SparseTensor.make(d.field, k, d.dim, _random_items(rng, d.field, d.dim, k, 4))
+             for k in (1, 3)]
+    pairs = [(a, b) for a in (T, T_inv, R) for b in (T, T_inv, R)]
+    pairs += [(small[0], d.alpha), (d.beta, small[0]), (small[1], d.phi)]
+    for a, b in pairs:
+        got = mult(a, b, alg)
+        _assert_exact(got)
+        assert dense_of(got) == dense_mult(d, a, b)
+        for total in (add(a, b), sub(a, b)):
+            _assert_exact(total)
+        assert dense_of(add(a, b)) == [x + y for x, y in zip(dense_of(a), dense_of(b))]
+    for t, want in ((T, T_inv), (T_inv, T)):
+        got = invert(t, alg)
+        _assert_exact(got)
+        assert got == want
+        assert dense_mult(d, t, got) == dense_of(d.unit_tensor(2))
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_scaled_apply_legs_and_vec_mul_match_dense_oracle(name):
+    d, tensors = scaled(name)
+    for t in tensors + [d.phi]:
+        for names in LEG_NAMES[t.arity]:
+            got = apply_legs(t, d.legs(*names))
+            _assert_exact(got)
+            assert dense_of(got) == dense_apply_legs(d, t, list(names))
+    f, n = d.field, d.dim
+    vectors = [{i: f.one} for i in range(n)]
+    vectors += [{i: c for (i,), c in apply_legs(t, d.legs("id", "eps")).entries.items()}
+                for t in tensors]
+    for a in vectors:
+        for b in vectors:
+            got = d.algebra.vec_mul(a, b)
+            assert all(type(c) is Fraction and c for c in got.values())
+            dense = [[v.get(i, f.zero) for i in range(n)] for v in (a, b)]
+            assert [got.get(i, f.zero) for i in range(n)] == dense_vec_mul(d, *dense)
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_scaled_hom_sum_matches_oracles(name):
+    d, (T, T_inv, R) = scaled(name)
+    alg, f, n = d.algebra, d.field, d.dim
+    # plain contractions: the join on "mono", the general loop on "dense"
+    plain = [([(T, ("a", "b")), (T_inv, ("c", "d"))], [["a", "c"], ["b", "d"]]),
+             ([(R, ("a", "b")), (T, ("c", "d"))], [["a", "d", "b"], ["c"]]),
+             ([(T_inv, ("a", "b"))], [["b", "a"]])]
+    for factors, out in plain:
+        got = hom_sum(alg, {}, factors, out)
+        _assert_exact(got)
+        if name == "mono":
+            assert list(got.entries.items()) == list(
+                hom_sum_cartesian(alg, factors, out).items())
+    got = hom_sum(alg, {}, *plain[0])
+    assert dense_of(got) == dense_mult(d, T, T_inv)
+    # the general loop with maps and constants
+    got = d.hsum([(T_inv, ("f", "g"))],
+                 [[("S", ["f"]), d.alpha, "g"], ["g", ("S", [d.beta, "f"])]])
+    _assert_exact(got)
+    alpha, beta = dense_of(d.alpha), dense_of(d.beta)
+    want = [f.zero] * (n * n)
+    for (a, b), c in T_inv.entries.items():
+        left = dense_vec_mul(d, dense_vec_mul(d, dense_s(d, dense_basis(d, a)), alpha),
+                             dense_basis(d, b))
+        right = dense_vec_mul(d, dense_basis(d, b),
+                              dense_s(d, dense_vec_mul(d, beta, dense_basis(d, a))))
+        for i in range(n):
+            for j in range(n):
+                want[i * n + j] += c * left[i] * right[j]
+    assert dense_of(got) == want

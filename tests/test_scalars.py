@@ -31,14 +31,31 @@ def test_rational_add():
     assert q.neg(q.zero) == q.zero
 
 
-def test_arith_dispatch():
+def test_prime_field_operations():
     f = PrimeField(7)
-    assert f.arith("add", 3, 5) == 1
-    assert f.arith("sub", 3, 5) == 5
-    assert f.arith("mul", 3, 5) == 1
-    assert f.arith("div", 3, 5) == f.mul(3, f.inv(5))
-    assert f.arith("neg", 3) == 4
-    assert f.arith("inv", 3) == 5  # 3*5 = 15 = 1 mod 7
+    assert f.add(3, 5) == 1
+    assert f.sub(3, 5) == 5
+    assert f.mul(3, 5) == 1
+    assert f.div(3, 5) == f.mul(3, f.inv(5))
+    assert f.neg(3) == 4
+    assert f.inv(3) == 5  # 3*5 = 15 = 1 mod 7
+
+
+def test_integer_views():
+    q = RationalField()
+    nums, den = q.numerators({0: Fraction(1, 2), 1: Fraction(-2, 3), 2: Fraction(5)})
+    assert (nums, den) == ({0: 3, 1: -4, 2: 30}, 6)
+    rows, den = q.numerator_rows({0: ((1, Fraction(1, 4)), (2, Fraction(3)))})
+    assert (rows, den) == ({0: ((1, 1), (2, 12))}, 4)
+    assert q.numerators({}) == ({}, 1)
+    assert q.over(-4, 6) == Fraction(-2, 3) and type(q.over(6, 6)) is Fraction
+    assert q.trim({0: 0, 1: -5}) == {1: -5}
+    f = PrimeField(7)
+    values = {0: 3, 1: 6}
+    assert f.numerators(values) == (values, 1) and f.numerators(values)[0] is values
+    assert f.numerator_rows(rows)[0] is rows
+    assert f.over(-4, 1) == 3
+    assert f.trim({0: 14, 1: 9, 2: -1}) == {1: 2, 2: 6}
 
 
 def test_division_by_zero():

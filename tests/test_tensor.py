@@ -145,9 +145,9 @@ def test_apply_legs_against_oracle():
     s_rows = {i: (((-i) % n, F7.one),) for i in range(n)}
     eps = [F7.one] * n
     d = FakeDatum(alg, delta_rows, s_rows, eps)
-    S = lin_leg(s_rows)
-    D = coprod_leg(delta_rows)
-    E = counit_leg(eps)
+    S = lin_leg(F7, s_rows)
+    D = coprod_leg(F7, delta_rows)
+    E = counit_leg(F7, eps)
     rng = SplitMix64(13)
     for _ in range(5):
         t = random_tensor(rng, F7, 2, n)
