@@ -144,24 +144,8 @@ def cmd_derive(args):
     d = load_path(args.file)
     if not _verified(args, d, t0):
         return 1
-    name = args.element
-    if name in ("gamma", "delta"):
-        from .derived import delta, gamma
-        t = gamma(d) if name == "gamma" else delta(d)
-    elif name in ("F", "Finv"):
-        from .derived import big_f
-        de = big_f(d)
-        t = de.F if name == "F" else de.F_inv
-    elif name == "u":
-        from .drinfeld import drinfeld_u
-        t = drinfeld_u(d).u
-    elif name == "utilde":
-        from .drinfeld import u_tilde
-        t = u_tilde(d)
-    else:
-        from .ribbon import rtwist_elements
-        el = rtwist_elements(d)
-        t = el.u_hat if name == "uhat" else el.u_check
+    from .dsl import CONSTANTS
+    t = CONSTANTS[args.element].value(d)
     print(json.dumps(t.to_json(), sort_keys=True, indent=1))
     return 0
 

@@ -13,6 +13,7 @@ two hexagon identities, counit and antipode compatibility of R.
 """
 
 import json
+from collections import namedtuple
 
 from . import linalg
 from .errors import MissingR, NotInvertible, ParseError, ShapeError
@@ -23,22 +24,23 @@ from .tensor import (Algebra, SparseTensor, LEG_ID, apply_legs, basis_vector,
                      mul_all, mult, scale, vector)
 
 
-class _UnaryMaps(dict):
-    """Lazy access to the antipode and its inverse for hom_sum atoms."""
+def _cop(rows):
+    """Coproduct rows with the two output legs swapped."""
+    return {i: tuple(((k, j), c) for (j, k), c in row)
+            for i, row in rows.items()}
 
-    def __init__(self, datum):
-        super().__init__()
-        self._datum = datum
 
-    def __missing__(self, key):
-        if key == "S":
-            v = self._datum.s_rows
-        elif key == "Sinv":
-            v = self._datum.s_inv_rows
-        else:
-            raise KeyError(key)
-        self[key] = v
-        return v
+LegMap = namedtuple("LegMap", "width build")
+# the leg maps of `QuasiHopfDatum.leg` and of map[...] in the identity
+# language: the number of legs each makes of one, and its Leg on a datum
+LEGS = {
+    "id": LegMap(1, lambda d: LEG_ID),
+    "S": LegMap(1, lambda d: lin_leg(d.field, d.s_rows)),
+    "Sinv": LegMap(1, lambda d: lin_leg(d.field, d.s_inv_rows)),
+    "eps": LegMap(0, lambda d: counit_leg(d.field, d.eps)),
+    "D": LegMap(2, lambda d: coprod_leg(d.field, d.delta_rows)),
+    "Dcop": LegMap(2, lambda d: coprod_leg(d.field, _cop(d.delta_rows))),
+}
 
 
 class QuasiHopfDatum:
@@ -59,12 +61,11 @@ class QuasiHopfDatum:
         self.R = R
         self.v = v
         self.metadata = dict(metadata) if metadata else {}
-        self._phi_inv = phi_inv
-        self._r_inv = R_inv
-        self._s_inv_rows = None
-        self._legs = {}
-        self._store = {}
-        self._hash = None
+        # every derived value, built once by cache(); inverses given by the
+        # caller are stored up front
+        self._store = {key: value for key, value in
+                       (("phi_inv", phi_inv), ("R_inv", R_inv))
+                       if value is not None}
 
     # ----- basic access ------------------------------------------------
 
@@ -96,54 +97,32 @@ class QuasiHopfDatum:
         return apply_legs(t, [self.leg("S")] * t.arity)
 
     def leg(self, name):
-        if name not in self._legs:
-            if name == "id":
-                leg = LEG_ID
-            elif name == "S":
-                leg = lin_leg(self.field, self.s_rows)
-            elif name == "Sinv":
-                leg = lin_leg(self.field, self.s_inv_rows)
-            elif name == "eps":
-                leg = counit_leg(self.field, self.eps)
-            elif name == "D":
-                leg = coprod_leg(self.field, self.delta_rows)
-            elif name == "Dcop":
-                rows = {i: tuple(((k, j), c) for (j, k), c in row)
-                        for i, row in self.delta_rows.items()}
-                leg = coprod_leg(self.field, rows)
-            else:
-                raise KeyError(name)
-            self._legs[name] = leg
-        return self._legs[name]
+        return self.cache(("leg", name), lambda: LEGS[name].build(self))
 
     def legs(self, *names):
         return [self.leg(n) for n in names]
 
     @property
     def phi_inv(self):
-        if self._phi_inv is None:
-            self._phi_inv = invert(self.phi, self.algebra)
-        return self._phi_inv
+        return self.cache("phi_inv", lambda: invert(self.phi, self.algebra))
 
     @property
     def r_inv(self):
         if self.R is None:
             raise MissingR("datum carries no R-matrix")
-        if self._r_inv is None:
-            self._r_inv = invert(self.R, self.algebra)
-        return self._r_inv
+        return self.cache("R_inv", lambda: invert(self.R, self.algebra))
 
     @property
     def s_inv_rows(self):
-        if self._s_inv_rows is None:
+        def build():
             inv = linalg.invert_matrix(self.field, self.s_rows, self.dim)
             if inv is None:
                 raise NotInvertible("antipode matrix is singular")
-            self._s_inv_rows = inv
-        return self._s_inv_rows
+            return inv
+        return self.cache("s_inv_rows", build)
 
     def hsum(self, factors, out):
-        return hom_sum(self.algebra, _UnaryMaps(self), factors, out)
+        return hom_sum(self.algebra, self.leg, factors, out)
 
     def cache(self, key, build):
         if key not in self._store:
@@ -159,12 +138,10 @@ class QuasiHopfDatum:
                     delta_rows=self.delta_rows, eps=self.eps, phi=self.phi,
                     s_rows=self.s_rows, alpha=self.alpha, beta=self.beta,
                     R=self.R, v=self.v, metadata=self.metadata)
-        hints = {}
-        if "phi" not in kw:
-            hints["phi_inv"] = self._phi_inv
-        if "R" not in kw:
-            hints["R_inv"] = self._r_inv
-        args.update(hints)
+        # an inverse carries over while what it inverts is unchanged
+        for key, source in (("phi_inv", "phi"), ("R_inv", "R")):
+            if source not in kw:
+                args[key] = self._store.get(key)
         args.update(kw)
         return QuasiHopfDatum(**args)
 
@@ -203,12 +180,12 @@ class QuasiHopfDatum:
                           indent=1)
 
     def content_hash(self):
-        if self._hash is None:
+        def build():
             import hashlib
             blob = json.dumps(self.to_json(), sort_keys=True,
                               separators=(",", ":")).encode()
-            self._hash = hashlib.sha256(blob).hexdigest()
-        return self._hash
+            return hashlib.sha256(blob).hexdigest()
+        return self.cache("hash", build)
 
     def __eq__(self, other):
         return (isinstance(other, QuasiHopfDatum)
@@ -237,7 +214,8 @@ def _tensor_from_json(field, dim, obj, arity, where):
             or "arity" not in obj):
         raise ParseError("tensor must be an object with 'arity' and 'entries'",
                          where=where)
-    if obj["arity"] != arity:
+    if (obj["arity"] != arity or not isinstance(obj["arity"], int)
+            or isinstance(obj["arity"], bool)):
         raise ShapeError("%s: arity %r, expected %d" % (where, obj["arity"], arity))
     items = {}
     for pos, pair in enumerate(obj["entries"]):
@@ -313,7 +291,7 @@ def load(doc):
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError("bad field spec (%s)" % exc, where="$.field")
     dim = _want(doc, "dim", "$")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dim must be a positive integer", where="$.dim")
 
     product = {}
@@ -347,8 +325,8 @@ def load(doc):
          if doc.get("R") is not None else None)
     v = (_tensor_from_json(field, dim, doc["v"], 1, "$.v")
          if doc.get("v") is not None else None)
-    metadata = doc.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    metadata = doc.get("metadata")  # null, like a missing key, is none
+    if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata must be an object", where="$.metadata")
     return QuasiHopfDatum(field, dim, product, unit, delta_rows, eps, phi,
                           s_rows, alpha, beta, R=R, v=v, metadata=metadata)

@@ -120,10 +120,10 @@ def recover_modifier(d, d_prime):
         raise IncompatibleDatum(
             "the two data do not share algebra, coproduct, counit and associator")
     alg = d.algebra
-    unary = {"S": d.s_rows, "Sp": d_prime.s_rows}
-    x = hom_sum(alg, unary, [(d.phi_inv, ("x", "y", "z"))],
+    legs = {"S": d.leg("S"), "Sp": d_prime.leg("S")}.__getitem__
+    x = hom_sum(alg, legs, [(d.phi_inv, ("x", "y", "z"))],
                 [[("Sp", ["x"]), d_prime.alpha, "y", d.beta, ("S", ["z"])]])
-    x_inv = hom_sum(alg, unary, [(d.phi_inv, ("x", "y", "z"))],
+    x_inv = hom_sum(alg, legs, [(d.phi_inv, ("x", "y", "z"))],
                     [[("S", ["x"]), d.alpha, "y", d_prime.beta, ("Sp", ["z"])]])
     one = d.unit_tensor(1)
     if mult(x, x_inv, alg) != one or mult(x_inv, x, alg) != one:
@@ -170,5 +170,4 @@ def op_cop(d):
                           delta_rows=delta_rows,
                           phi=permute_legs(d.phi, (2, 1, 0)),
                           phi_inv=permute_legs(d.phi_inv, (2, 1, 0)),
-                          alpha=d.beta, beta=d.alpha,
-                          R=d.R, R_inv=d._r_inv)
+                          alpha=d.beta, beta=d.alpha)

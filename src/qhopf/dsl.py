@@ -8,32 +8,73 @@ Grammar (whitespace-insensitive):
     factor := name | scalar | 'inv(' expr ')' | 'flip(' expr ',' int ',' int ')'
             | 'map[' legs '](' expr ')' | 'basis(' (int | ident) ')'
             | '(' expr ')'
-    legs   := leg (',' leg)*,  leg in {id, S, Sinv, eps, D, Dcop}
+    legs   := leg (',' leg)*,  leg a key of datum.LEGS
 
 '*' is the componentwise product (equal arities), '#' concatenates tensor
 factors.  Scalar literals are arity-polymorphic and coerce against the other
 operand.  basis(i) with an identifier expands over all basis indices when
-run through the corpus runner.
+run through the corpus runner.  A name is a key of CONSTANTS.
 """
 
 import os
 from collections import namedtuple
+from operator import attrgetter
 
+from .datum import LEGS
 from .errors import ArityError, ParseError, UndefinedName
 from .report import CheckReport, diff_witness
 from .tensor import apply_legs, concat, flip, invert, mult, scale
 
-LEG_NAMES = ("id", "S", "Sinv", "eps", "D", "Dcop")
-LEG_WIDTH = {"id": 1, "S": 1, "Sinv": 1, "eps": 0, "D": 2, "Dcop": 2}
+Constant = namedtuple("Constant", "arity needs value")
 
-NAME_ARITY = {
-    "one_1": 1, "one_2": 2, "one_3": 3, "one_4": 4,
-    "Phi": 3, "PhiInv": 3, "R": 2, "Rinv": 2, "Rp": 2,
-    "F": 2, "Finv": 2, "Fp": 2, "gamma": 2, "delta": 2,
-    "alpha": 1, "beta": 1, "u": 1, "uhat": 1, "ucheck": 1, "utilde": 1,
-    "alphahat": 1, "betahat": 1, "alphacheck": 1, "betacheck": 1,
-    "v": 1,
+
+def _element(path):
+    """The value of the derived element at `path`, "module.builder" or
+    "module.builder.field"; the module is imported on first use."""
+    module, builder, *field = path.split(".")
+
+    def value(d):
+        from importlib import import_module
+        out = getattr(import_module("." + module, __package__), builder)(d)
+        return getattr(out, field[0]) if field else out
+    return value
+
+
+# The named constants: arity, the attribute the datum must carry (`needs`,
+# reported by MISSING when it is None), and the value on a datum.
+CONSTANTS = {
+    **{"one_%d" % k: Constant(k, None, lambda d, k=k: d.unit_tensor(k))
+       for k in range(1, 5)},
+    "Phi": Constant(3, None, attrgetter("phi")),
+    "PhiInv": Constant(3, None, attrgetter("phi_inv")),
+    "R": Constant(2, "R", attrgetter("R")),
+    "Rinv": Constant(2, "R", attrgetter("r_inv")),
+    "Rp": Constant(2, "R", lambda d: flip(d.R, 0, 1)),
+    "F": Constant(2, None, _element("derived.big_f.F")),
+    "Finv": Constant(2, None, _element("derived.big_f.F_inv")),
+    "Fp": Constant(2, None, lambda d: flip(CONSTANTS["F"].value(d), 0, 1)),
+    "gamma": Constant(2, None, _element("derived.gamma")),
+    "delta": Constant(2, None, _element("derived.delta")),
+    "alpha": Constant(1, None, attrgetter("alpha")),
+    "beta": Constant(1, None, attrgetter("beta")),
+    "u": Constant(1, "R", _element("drinfeld.drinfeld_u.u")),
+    "uhat": Constant(1, "R", _element("ribbon.rtwist_elements.u_hat")),
+    "ucheck": Constant(1, "R", _element("ribbon.rtwist_elements.u_check")),
+    "utilde": Constant(1, "R", _element("drinfeld.u_tilde")),
+    "alphahat": Constant(1, "R", _element("ribbon.rtwist_elements.alpha_hat")),
+    "betahat": Constant(1, "R", _element("ribbon.rtwist_elements.beta_hat")),
+    "alphacheck": Constant(1, "R",
+                           _element("ribbon.rtwist_elements.alpha_check")),
+    "betacheck": Constant(1, "R", _element("ribbon.rtwist_elements.beta_check")),
+    "v": Constant(1, "v", attrgetter("v")),
 }
+MISSING = {"R": "datum has no R-matrix", "v": "datum has no ribbon candidate"}
+
+
+def _constant(name):
+    if name not in CONSTANTS:
+        raise UndefinedName("unknown constant %r" % name)
+    return CONSTANTS[name]
 
 
 # ----- AST -------------------------------------------------------------------
@@ -230,7 +271,7 @@ class _Parser:
 
     def _leg(self):
         t = self.expect("name")
-        if t[1] not in LEG_NAMES:
+        if t[1] not in LEGS:
             raise ParseError("unknown leg map %r" % t[1], line=t[2], column=t[3])
         return t[1]
 
@@ -255,9 +296,7 @@ def infer_arity(node):
             raise ArityError("cannot compare arity %d with arity %d" % (a, b))
         return a if a is not None else b
     if isinstance(node, Name):
-        if node.name not in NAME_ARITY:
-            raise UndefinedName("unknown constant %r" % node.name)
-        return NAME_ARITY[node.name]
+        return _constant(node.name).arity
     if isinstance(node, Basis):
         return 1
     if isinstance(node, ScalarLit):
@@ -285,7 +324,7 @@ def infer_arity(node):
         if a != len(node.legs):
             raise ArityError("map with %d legs applied to arity %r"
                              % (len(node.legs), a))
-        return sum(LEG_WIDTH[l] for l in node.legs)
+        return sum(LEGS[l].width for l in node.legs)
     raise TypeError(node)
 
 
@@ -329,48 +368,10 @@ def _resolve(d, name, consts):
     candidate v of a ribbon check), else from the datum."""
     if consts and name in consts:
         return consts[name]
-    if name.startswith("one_"):
-        return d.unit_tensor(int(name[4:]))
-    if name == "Phi":
-        return d.phi
-    if name == "PhiInv":
-        return d.phi_inv
-    if name == "alpha":
-        return d.alpha
-    if name == "beta":
-        return d.beta
-    if name in ("R", "Rinv", "Rp"):
-        if d.R is None:
-            raise UndefinedName("datum has no R-matrix")
-        if name == "R":
-            return d.R
-        if name == "Rinv":
-            return d.r_inv
-        return flip(d.R, 0, 1)
-    if name in ("F", "Finv", "Fp", "gamma", "delta"):
-        from .derived import big_f
-        de = big_f(d)
-        return {"F": de.F, "Finv": de.F_inv, "Fp": flip(de.F, 0, 1),
-                "gamma": de.gamma, "delta": de.delta}[name]
-    if name in ("u", "utilde"):
-        if d.R is None:
-            raise UndefinedName("datum has no R-matrix")
-        from .drinfeld import drinfeld_u, u_tilde
-        return drinfeld_u(d).u if name == "u" else u_tilde(d)
-    if name in ("uhat", "ucheck", "alphahat", "betahat",
-                "alphacheck", "betacheck"):
-        if d.R is None:
-            raise UndefinedName("datum has no R-matrix")
-        from .ribbon import rtwist_elements
-        el = rtwist_elements(d)
-        return {"uhat": el.u_hat, "ucheck": el.u_check,
-                "alphahat": el.alpha_hat, "betahat": el.beta_hat,
-                "alphacheck": el.alpha_check, "betacheck": el.beta_check}[name]
-    if name == "v":
-        if d.v is None:
-            raise UndefinedName("datum has no ribbon candidate")
-        return d.v
-    raise UndefinedName("unknown constant %r" % name)
+    c = _constant(name)
+    if c.needs and getattr(d, c.needs) is None:
+        raise UndefinedName(MISSING[c.needs])
+    return c.value(d)
 
 
 _Plan = namedtuple("_Plan", "expr keys free variables")

@@ -55,10 +55,11 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p):
+        # the size first: trial division is fine only below the limit
+        if isinstance(p, int) and p >= WORD_LIMIT:
+            raise ValueError("modulus %d too large (must be < 2^31)" % p)
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError("modulus %r is not a prime" % (p,))
-        if p >= WORD_LIMIT:
-            raise ValueError("modulus %d too large (must be < 2^31)" % p)
         self.p = p
         self.zero = 0
         self.one = 1 % p

@@ -463,7 +463,7 @@ def invert(t, alg):
 
 # ----- declarative sums of decomposable expressions -------------------------
 
-def hom_sum(alg, unary, factors, out):
+def hom_sum(alg, legs, factors, out):
     """Evaluate a sum over the entries of one or more decomposition tensors.
 
     factors: list of (tensor, names) pairs.  Each entry of each tensor binds
@@ -472,8 +472,10 @@ def hom_sum(alg, unary, factors, out):
 
     out: one atom list per output leg.  Atoms are evaluated left to right and
     multiplied in the algebra.  An atom is a leg name (a basis element), an
-    arity-1 SparseTensor constant, or (map_name, [atoms]) applying one of the
-    `unary` linear maps to the product of the sub-atoms.
+    arity-1 SparseTensor constant, or (map, [atoms]) applying the width-1 Leg
+    legs(map), such as a datum's antipode "S", to the product of the
+    sub-atoms.  legs is called once per map and call, when a combination
+    first reaches it.
     """
     f = alg.field
     if (alg.mono is not None and len(factors) <= 2
@@ -487,16 +489,16 @@ def hom_sum(alg, unary, factors, out):
             coeff *= c
             d *= dc
             env.update(zip(names, key))
-        legs = []
+        vecs = []
         for atoms in out:
-            v, dv = _eval_atoms(alg, unary, memo, env, atoms)
+            v, dv = _eval_atoms(alg, legs, memo, env, atoms)
             if not v:
                 break
-            legs.append(v)
+            vecs.append(v)
             d *= dv
         else:
             den = d  # one per call
-            for picks in iproduct(*[tuple(v.items()) for v in legs]):
+            for picks in iproduct(*[tuple(v.items()) for v in vecs]):
                 key = tuple([i for i, _ in picks])
                 acc[key] = acc.get(key, 0) + coeff * prod([c for _, c in picks])
     return SparseTensor(f, len(out), alg.dim, _canon(f, acc, den))
@@ -546,9 +548,9 @@ def _chase(mono, idx, legs, scalars):
     return tuple(key), prod(scalars)
 
 
-def _eval_atoms(alg, unary, memo, env, atoms):
+def _eval_atoms(alg, legs, memo, env, atoms):
     """(numerators, den) of the product of the atoms, den fixed by the
-    atoms; memo holds the numerators of constants and maps."""
+    atoms; memo holds the numerators of constants and the Legs of maps."""
     f = alg.field
     v, den = None, alg.den ** (len(atoms) - 1)
     for a in atoms:
@@ -559,16 +561,16 @@ def _eval_atoms(alg, unary, memo, env, atoms):
                 memo[id(a)] = f.numerators({i: c for (i,), c in a.entries.items()})
             w, d = memo[id(a)]
         else:
-            u, du = _eval_atoms(alg, unary, memo, env, a[1])
+            u, du = _eval_atoms(alg, legs, memo, env, a[1])
             if a[0] not in memo:
-                memo[a[0]] = f.numerator_rows(unary[a[0]])
-            rows, d = memo[a[0]]
+                memo[a[0]] = legs(a[0])
+            leg = memo[a[0]]
             w = {}
             for i, ci in u.items():
-                for j, cj in rows.get(i, ()):
+                for (j,), cj in leg.terms.get(i, ()):
                     w[j] = w.get(j, 0) + ci * cj
             f.trim(w)
-            d *= du
+            d = leg.den * du
         den *= d
         v = w if v is None else f.trim(_vec_mul(alg.nstruct, v, w))
         if not v:

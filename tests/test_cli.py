@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhopf.cli import main
-from qhopf import loads, verify
+from qhopf import Cocycle3, FiniteAbelianGroup, dpr_double, loads, verify
 from qhopf.rng import SplitMix64
+from qhopf.scalars import PrimeField
 
 from mutation import all_layers_of, mutate
 
@@ -32,6 +34,18 @@ def dz2_f5_file(tmp_path_factory):
                "--field", "p:5", "--out", str(path)])
     assert rc == 0
     return str(path)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _process(args, timeout=None):
+    """`qhopf args` run in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qhopf.cli import main; sys.exit(main())"] + args,
+        capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=SRC))
 
 
 def test_example_to_stdout(capsys):
@@ -121,6 +135,92 @@ def test_verify_malformed_exits_two(tmp_path, capsys):
     assert main(["verify", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dim", True), ("metadata", []), ("metadata", 0), ("metadata", ""),
+    ("metadata", False)])
+def test_verify_bool_dim_or_falsy_metadata_exits_two(tmp_path, key, value,
+                                                     capsys):
+    # K[Z1]/F5 has dim 1, so "dim": true would otherwise load and pass
+    path = tmp_path / "kz1.json"
+    assert main(["example", "--kind", "group", "--group", "Z1", "--field",
+                 "p:5", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "$.%s" % key in capsys.readouterr().err
+
+
+BIG_PRIME = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("command", ["verify", "example"])
+def test_modulus_above_the_limit_exits_two_at_once(dz2_f5_file, tmp_path,
+                                                   command):
+    # the size is checked before the primality test, whose trial division
+    # would take about 10^9 steps on this prime
+    if command == "verify":
+        doc = json.loads(Path(dz2_f5_file).read_text())
+        doc["field"]["p"] = BIG_PRIME
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        args = ["verify", str(path)]
+    else:
+        args = ["example", "--kind", "dpr", "--field", "p:%d" % BIG_PRIME]
+    res = _process(args, timeout=10)
+    assert res.returncode == 2
+    assert "too large" in res.stderr and "Traceback" not in res.stderr
+
+
+def _node_paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from _node_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def dz2_f3_doc():
+    z2 = FiniteAbelianGroup((2,))
+    return dpr_double(z2, Cocycle3.trivial(z2, PrimeField(3))).to_json()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    | st.sampled_from([0, 1, 2, 3, 4, -1, 2 ** 31 - 1, 2 ** 61 - 1])
+    | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-1", "2/3", "1/0", "prime", "rational"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(pos=st.integers(min_value=0), value=JSON_VALUES)
+def test_fuzzed_node_gives_an_exit_code(dz2_f3_doc, mutant_path, pos, value):
+    # one node of a valid datum replaced by any JSON value: verify exits 0,
+    # 1 or 2, and no exception escapes main
+    paths = list(_node_paths(dz2_f3_doc))
+    doc = _replaced(dz2_f3_doc, paths[pos % len(paths)], value)
+    mutant_path.write_text(json.dumps(doc))
+    rc, out, err = _run(["verify", str(mutant_path)])
+    assert rc in (0, 1, 2), err
+
+
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 from qhopf.cli import main
@@ -141,10 +241,9 @@ BASE_MODULES = {"qhopf", "qhopf.cli", "qhopf.datum", "qhopf.errors",
 def _startup_modules(args):
     """(exit code, loaded qhopf modules, dataclasses and fractions) of
     `main(args)` run in a fresh interpreter."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE] + args,
                          check=True, capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
+                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
     code, modules = json.loads(out)
     return code, set(modules)
 
@@ -312,12 +411,7 @@ def test_check_expr(dz2w_file, capsys):
 
 def test_check_expr_twist_constant_is_unknown(dz2w_file):
     # no command binds a twist, so the language has no T or Tinv
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from qhopf.cli import main; sys.exit(main())",
-         "check", "expr", dz2w_file, "--expr", "T * Tinv == one_2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    res = _process(["check", "expr", dz2w_file, "--expr", "T * Tinv == one_2"])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "unknown constant 'T'" in res.stderr
@@ -340,12 +434,7 @@ def test_check_expr_bad_scalar_literal_exits_two(example, expr, tmp_path):
     # position, not an escaped ValueError or ZeroDivisionError
     path = tmp_path / "d.json"
     assert _run(["example"] + example + ["--out", str(path)])[0] == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from qhopf.cli import main; sys.exit(main())",
-         "check", "expr", str(path), "--expr", expr],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    res = _process(["check", "expr", str(path), "--expr", expr])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("input error: bad scalar")
@@ -362,13 +451,8 @@ def test_check_corpus_singular_inverse_fails_its_line(dz2w_file, tmp_path):
     corpus = tmp_path / "c.txt"
     corpus.write_text("inv(basis(1)) == one_1\n"
                       "map[eps](alpha) * map[eps](beta) == 1\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from qhopf.cli import main; sys.exit(main())",
-         "check", "corpus", dz2w_file, "--corpus", str(corpus),
-         "--format", "json"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    res = _process(["check", "corpus", dz2w_file, "--corpus", str(corpus),
+                    "--format", "json"])
     assert res.returncode == 1, res.stderr
     checks = json.loads(res.stdout)["checks"]
     assert [(c["name"], c["status"]) for c in checks] == [

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from qhopf import (load, loads, verify, verify_quasi_bialgebra,
-                   verify_quasi_hopf, verify_quasitriangular, default_level)
+from qhopf import (FiniteAbelianGroup, default_level, group_algebra, load,
+                   loads, verify, verify_quasi_bialgebra, verify_quasi_hopf,
+                   verify_quasitriangular)
 from qhopf.errors import MissingR, ParseError, ShapeError
 from qhopf.rng import SplitMix64
+from qhopf.scalars import PrimeField
 from qhopf.tensor import apply_legs, mult
 
 from mutation import mutate
@@ -104,11 +106,41 @@ def test_load_rejects_non_object_field(kz2, value):
     assert err.value.where == "$.field"
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_load_rejects_bool_dim(value):
+    # true would otherwise load as dim 1: K[Z1] is a valid datum of dim 1
+    doc = group_algebra(FiniteAbelianGroup((1,)), PrimeField(5)).to_json()
+    doc["dim"] = value
+    with pytest.raises(ParseError) as err:
+        load(doc)
+    assert err.value.where == "$.dim"
+
+
+@pytest.mark.parametrize("value", [[], 0, "", False, 5, [1], "x"])
+def test_load_rejects_non_object_metadata(kz2, value):
+    doc = kz2.to_json()
+    doc["metadata"] = value
+    with pytest.raises(ParseError) as err:
+        load(doc)
+    assert err.value.where == "$.metadata"
+
+
+def test_load_reads_null_metadata_as_absent(kz2):
+    doc = kz2.to_json()
+    doc["metadata"] = None
+    assert load(doc).metadata == {}
+
+
 def test_load_rejects_wrong_arity(kz2):
     doc = kz2.to_json()
     doc["alpha"] = {"arity": 2, "entries": [[[0, 0], "1"]]}
     with pytest.raises(ShapeError):
         load(doc)
+    # true and 1.0 equal 1 but are not arities
+    for arity in (True, 1.0):
+        doc["alpha"] = {"arity": arity, "entries": [[[0], "1"]]}
+        with pytest.raises(ShapeError):
+            load(doc)
 
 
 def test_loads_position_on_bad_json():

@@ -1,11 +1,17 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 import qhopf.dsl
 import qhopf.ribbon
 from qhopf import verify
-from qhopf.dsl import (Basis, Eq, Inv, MapLegs, Name, Prod, check_line,
-                       check_named, corpus_entries, corpus_lines, evaluate,
-                       infer_arity, parse, print_expr, run_corpus)
+from qhopf.cli import build_parser
+from qhopf.datum import LEGS
+from qhopf.dsl import (CONSTANTS, Basis, Eq, Inv, MapLegs, Name, Prod,
+                       check_line, check_named, corpus_entries, corpus_lines,
+                       evaluate, infer_arity, parse, print_expr, run_corpus)
 from qhopf.errors import ArityError, ParseError, UndefinedName
 from qhopf.scalars import PrimeField, RationalField
 
@@ -206,3 +212,18 @@ def test_singular_inverse_in_a_named_line_fails_the_check(dz2_f5, kz2):
     checks = {c.name: c for c in check_F_compat(bad).checks}
     assert checks["delta_is_coproduct_beta_times_F_inv"].witness == {
         "reason": "the zero tensor has no inverse"}
+
+
+def test_readme_lists_the_tables():
+    # the README's constant list and `leg :=` line name the keys of the two
+    # tables, and every `derive --element` choice is a named constant
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = readme.split("Named constants:", 1)[1].split(";", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(CONSTANTS)
+    leg_line = re.search(r"^leg\s*:=(.*)$", readme, re.M).group(1)
+    assert [w.strip() for w in leg_line.split("|")] == list(LEGS)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    element = next(a for a in commands["derive"]._actions
+                   if a.dest == "element")
+    assert set(element.choices) <= set(CONSTANTS)

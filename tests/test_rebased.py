@@ -153,12 +153,12 @@ def test_scaled_hom_sum_matches_oracles(name):
              ([(R, ("a", "b")), (T, ("c", "d"))], [["a", "d", "b"], ["c"]]),
              ([(T_inv, ("a", "b"))], [["b", "a"]])]
     for factors, out in plain:
-        got = hom_sum(alg, {}, factors, out)
+        got = hom_sum(alg, None, factors, out)
         _assert_exact(got)
         if name == "mono":
             assert list(got.entries.items()) == list(
                 hom_sum_cartesian(alg, factors, out).items())
-    got = hom_sum(alg, {}, *plain[0])
+    got = hom_sum(alg, None, *plain[0])
     assert dense_of(got) == dense_mult(d, T, T_inv)
     # the general loop with maps and constants
     got = d.hsum([(T_inv, ("f", "g"))],

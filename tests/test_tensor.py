@@ -237,7 +237,7 @@ def test_hom_sum_basic():
     # sum over R of s*t in the group algebra of Z3
     alg = group_algebra_z(3)
     r = SparseTensor.make(F7, 2, 3, {(1, 1): 2, (2, 0): 3})
-    got = hom_sum(alg, {}, [(r, ("s", "t"))], [["s", "t"]])
+    got = hom_sum(alg, None, [(r, ("s", "t"))], [["s", "t"]])
     # 2*(e1*e1) + 3*(e2*e0) = 2*e2 + 3*e2 = 5*e2
     assert got.entries == {(2,): 5}
 
@@ -247,7 +247,8 @@ def test_hom_sum_with_unary_and_constant():
     s_rows = {i: (((-i) % 3, F7.one),) for i in range(3)}
     const = SparseTensor.make(F7, 1, 3, {(1,): 4})
     r = SparseTensor.make(F7, 2, 3, {(1, 2): 1})
-    got = hom_sum(alg, {"S": s_rows}, [(r, ("s", "t"))],
+    legs = {"S": lin_leg(F7, s_rows)}.__getitem__
+    got = hom_sum(alg, legs, [(r, ("s", "t"))],
                   [[("S", ["s"]), const], ["t"]])
     # S(e1) = e2; e2 * 4e1 = 4e0; output (e0, e2) with coefficient 4
     assert got.entries == {(0, 2): 4}
@@ -419,7 +420,7 @@ def test_hom_sum_join_matches_cartesian_loop(dz3w, sw):
         alg = d.algebra
         assert alg.mono is not None
         for factors, out in _plain_contractions(d):
-            got = hom_sum(alg, {}, factors, out)
+            got = hom_sum(alg, None, factors, out)
             want = hom_sum_cartesian(alg, factors, out)
             assert list(got.entries.items()) == list(want.items())
             nonzero += bool(want)
