@@ -20,13 +20,13 @@ from .errors import MissingR, NotInvertible, ParseError, ShapeError
 from .report import CheckReport
 from .scalars import field_from_spec
 from .tensor import (Algebra, SparseTensor, LEG_ID, apply_legs, basis_vector,
-                     coprod_leg, counit_leg, flip, hom_sum, invert, lin_leg,
-                     mul_all, mult, scale, vector)
+                     checked_inverse, coprod_leg, counit_leg, flip, hom_sum,
+                     invert, lin_leg, mul_all, mult, scale, vector)
 
 
-def _cop(rows):
-    """Coproduct rows with the two output legs swapped."""
-    return {i: tuple(((k, j), c) for (j, k), c in row)
+def cop_rows(rows):
+    """Coproduct rows with the two output legs swapped, each row sorted."""
+    return {i: tuple(sorted(((k, j), c) for (j, k), c in row))
             for i, row in rows.items()}
 
 
@@ -39,7 +39,7 @@ LEGS = {
     "Sinv": LegMap(1, lambda d: lin_leg(d.field, d.s_inv_rows)),
     "eps": LegMap(0, lambda d: counit_leg(d.field, d.eps)),
     "D": LegMap(2, lambda d: coprod_leg(d.field, d.delta_rows)),
-    "Dcop": LegMap(2, lambda d: coprod_leg(d.field, _cop(d.delta_rows))),
+    "Dcop": LegMap(2, lambda d: coprod_leg(d.field, cop_rows(d.delta_rows))),
 }
 
 
@@ -62,10 +62,11 @@ class QuasiHopfDatum:
         self.v = v
         self.metadata = dict(metadata) if metadata else {}
         # every derived value, built once by cache(); inverses given by the
-        # caller are stored up front
+        # caller are stored up front, and verify checks them
         self._store = {key: value for key, value in
                        (("phi_inv", phi_inv), ("R_inv", R_inv))
                        if value is not None}
+        self.supplied = frozenset(self._store)
 
     # ----- basic access ------------------------------------------------
 
@@ -358,6 +359,12 @@ def _named(rep, d, names, limit):
     return rep.extend(check_named(d, names, limit))
 
 
+def _checked(d, key, t, inv):
+    """inv, d's inverse of t under key; one supplied to the constructor
+    first passes the product check that invert() runs."""
+    return checked_inverse(t, inv, d.algebra) if key in d.supplied else inv
+
+
 def verify_quasi_bialgebra(d, witness_limit=1):
     """Check every axiom of the first layer; failures carry witnesses (the
     first differing coordinate, or the full diff when witness_limit is
@@ -416,7 +423,8 @@ def verify_quasi_bialgebra(d, witness_limit=1):
     rep.compare_each("delta_alg_hom", coproduct_multiplicative(), limit)
     _named(rep, d, ("counit_associator_axiom",), limit)
 
-    if not rep.invertible("phi_invertible", lambda: d.phi_inv):
+    if not rep.invertible("phi_invertible",
+                          lambda: _checked(d, "phi_inv", d.phi, d.phi_inv)):
         return rep  # nothing below makes sense without the inverse
 
     # counit_associator_property: the counit kills the outer associator
@@ -465,7 +473,8 @@ def verify_quasitriangular(d, witness_limit=1):
     if d.R is None:
         raise MissingR("datum carries no R-matrix")
     rep = CheckReport()
-    if not rep.invertible("r_invertible", lambda: d.r_inv):
+    if not rep.invertible("r_invertible",
+                          lambda: _checked(d, "R_inv", d.R, d.r_inv)):
         return rep
     _named(rep, d, ("r_counit_left", "r_counit_right", "quasi_cocommutativity",
                     "hexagon_left", "hexagon_right"), witness_limit)

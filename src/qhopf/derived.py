@@ -16,6 +16,7 @@ of the inverse formula.
 
 from collections import namedtuple
 
+from .datum import cop_rows
 from .dsl import check_named
 from .errors import IncompatibleDatum, InternalInconsistency
 from .report import CheckReport
@@ -147,15 +148,12 @@ def coopposite(d):
     the antipode its inverse, and the (co)evaluation elements move through
     the inverse antipode.  The R-matrix and ribbon layers are not carried
     over."""
-    delta_rows = {i: tuple(sorted(((k, j), c) for (j, k), c in row))
-                  for i, row in d.delta_rows.items()}
-    sinv = d.s_inv_rows
     alpha = apply_legs(d.alpha, [d.leg("Sinv")])
     beta = apply_legs(d.beta, [d.leg("Sinv")])
-    return d.with_changes(delta_rows=delta_rows,
+    return d.with_changes(delta_rows=cop_rows(d.delta_rows),
                           phi=permute_legs(d.phi_inv, (2, 1, 0)),
                           phi_inv=permute_legs(d.phi, (2, 1, 0)),
-                          s_rows=sinv, alpha=alpha, beta=beta,
+                          s_rows=d.s_inv_rows, alpha=alpha, beta=beta,
                           R=None, v=None)
 
 
@@ -164,10 +162,8 @@ def op_cop(d):
     survive unchanged, the associator is reversed, evaluation and
     coevaluation swap roles, and the R-matrix is kept."""
     struct_op = {(j, i): terms for (i, j), terms in d.algebra.struct.items()}
-    delta_rows = {i: tuple(sorted(((k, j), c) for (j, k), c in row))
-                  for i, row in d.delta_rows.items()}
     return d.with_changes(product=struct_op,
-                          delta_rows=delta_rows,
+                          delta_rows=cop_rows(d.delta_rows),
                           phi=permute_legs(d.phi, (2, 1, 0)),
                           phi_inv=permute_legs(d.phi_inv, (2, 1, 0)),
                           alpha=d.beta, beta=d.alpha)

@@ -23,9 +23,9 @@ def drinfeld_u(d):
         if d.R is None:
             raise MissingR("datum carries no R-matrix")
         w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                   [[("S", ["y", d.beta, ("S", ["z"])])], ["x"]])
+                   [["y", d.beta, ("S", ["z"])], ["x"]])
         u = d.hsum([(w, ("w", "x")), (d.R, ("s", "t"))],
-                   [["w", ("S", ["t"]), d.alpha, "s", "x"]])
+                   [[("S", ["w"]), ("S", ["t"]), d.alpha, "s", "x"]])
         return DrinfeldElements(u=u, u_inv=invert(u, d.algebra))
     return d.cache("drinfeld", build)
 
@@ -46,9 +46,9 @@ def u_tilde(d):
         if d.R is None:
             raise MissingR("datum carries no R-matrix")
         w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                   [["z"], [("S", [("S", ["x"]), d.alpha, "y"])]])
+                   [["z"], [("S", ["x"]), d.alpha, "y"]])
         return d.hsum([(w, ("zz", "w")), (d.R, ("s", "t"))],
-                      [["zz", "s", d.beta, ("S", ["t"]), "w"]])
+                      [["zz", "s", d.beta, ("S", ["t"]), ("S", ["w"])]])
     return d.cache("u_tilde", build)
 
 

@@ -546,7 +546,7 @@ def corpus_lines(path=None):
         yield line
 
 
-def check_line(d, line, consts=None):
+def check_line(d, line):
     """(status, witness) for one corpus line.  A line with a basis variable
     holds when it holds at every basis index; the first index where it does
     not is the witness's `basis`.  A line whose constants the datum does
@@ -559,19 +559,19 @@ def check_line(d, line, consts=None):
     if len(p.variables) > 1:
         return "skipped", {"reason": "multiple basis variables"}
     try:
-        check = CheckReport().compare_each(line, _cases(p, d, consts)).checks[0]
+        check = CheckReport().compare_each(line, _cases(p, d, None)).checks[0]
     except UndefinedName as exc:
         return "skipped", {"reason": str(exc)}
     return check.status, check.witness
 
 
-def run_corpus(d, path=None, consts=None):
+def run_corpus(d, path=None):
     """Evaluate every corpus line against the datum; lines referring to
     constants the datum does not carry are reported as skipped.  A check is
     named by its identity, not by its tag."""
     rep = CheckReport()
     for _, line in list(corpus_entries(path)):
-        rep.add(line, *check_line(d, line, consts))
+        rep.add(line, *check_line(d, line))
     return rep
 
 

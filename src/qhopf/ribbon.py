@@ -11,7 +11,7 @@ from itertools import product as iproduct
 from . import linalg
 from .drinfeld import drinfeld_u
 from .dsl import check_named
-from .errors import BudgetExceeded, ShapeMismatch
+from .errors import BudgetExceeded, QhopfError, ShapeMismatch
 from .report import PASS, CheckReport
 from .tensor import (SparseTensor, _canon, add, apply_legs, invert, mult,
                      scale)
@@ -32,6 +32,8 @@ def rtwist_elements(d):
     comparison relations."""
     def build():
         R, R_inv = d.R, d.r_inv
+        sinv_alpha = apply_legs(d.alpha, d.legs("Sinv"))
+        sinv_beta = apply_legs(d.beta, d.legs("Sinv"))
         alpha_hat = d.hsum([(R_inv, ("s", "t"))], [[("S", ["s"]), d.alpha, "t"]])
         beta_hat = d.hsum([(R, ("s", "t"))], [["s", d.beta, ("S", ["t"])]])
         alpha_check = d.hsum([(R, ("s", "t"))], [[("S", ["t"]), d.alpha, "s"]])
@@ -40,11 +42,11 @@ def rtwist_elements(d):
         def comparison(ev):
             return d.hsum([(d.phi, ("x", "y", "z"))],
                           [[("S", ["z"]), ev, "y",
-                            ("Sinv", [d.beta]), ("Sinv", ["x"])]])
+                            sinv_beta, ("Sinv", ["x"])]])
 
         def comparison_inv(coev):
             return d.hsum([(d.phi, ("x", "y", "z"))],
-                          [[("Sinv", ["z"]), ("Sinv", [d.alpha]), "y",
+                          [[("Sinv", ["z"]), sinv_alpha, "y",
                             coev, ("S", ["x"])]])
 
         u_hat = comparison(alpha_hat)
@@ -161,8 +163,7 @@ def find_ribbon(d, budget):
     their own; the search needs a finite field and at most `budget` points
     and combinations."""
     if d.field.size is None:
-        raise BudgetExceeded("ribbon search needs a finite field",
-                             required=None)
+        raise QhopfError("ribbon search needs a finite field")
     alg = d.algebra
     u = drinfeld_u(d).u
     c = invert(mult(u, d.antipode(u), alg), alg)

@@ -10,9 +10,9 @@ turns a dict of scalars into integer numerators over one common denominator
 (`numerators`, `numerator_rows`), and an accumulated numerator back into one
 canonical scalar (`over`).  Over Q the numerators are scaled to the lcm of
 the denominators.  Over F_p a residue is its own numerator over 1, so the
-kernels read the given dict without a copy, and `over` is the one reduction
-mod p.  Numerators are unbounded Python ints: they grow with a kernel's sums
-and products and never wrap, so no overflow bound applies to them.
+kernels read the given dict without a copy, and `over`, at a call's end, is
+the one reduction mod p.  Numerators are unbounded Python ints: they grow
+with a kernel's sums and products and never wrap, so no overflow bound holds.
 """
 
 from math import gcd, lcm
@@ -47,8 +47,7 @@ class Field:
 
     # subclasses: canon, parse, to_str, add, sub, mul, neg, div, inv,
     # is_zero, zero, one, from_int, size, spec, root_of_unity, sample, and
-    # the integer views of the module docstring: numerators, numerator_rows,
-    # over, trim
+    # integer views of the module docstring: numerators, numerator_rows, over
 
 
 class PrimeField(Field):
@@ -103,18 +102,6 @@ class PrimeField(Field):
 
     def over(self, n, den):
         return n % self.p
-
-    def trim(self, acc):
-        """Reduce the integers of an accumulator in place and drop the
-        zeros; returns acc."""
-        p = self.p
-        for key in list(acc):
-            v = acc[key] % p
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-        return acc
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -214,11 +201,6 @@ class RationalField(Field):
 
     def over(self, n, den):
         return self.frac(n, den)
-
-    def trim(self, acc):
-        for key in [k for k, v in acc.items() if not v]:
-            del acc[key]
-        return acc
 
     def add(self, a, b):
         return a + b

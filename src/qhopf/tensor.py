@@ -13,11 +13,11 @@ is closed under products, for any structure constants, including ones that
 break an axiom.  D^w(G) has one block per group element; H4 and K[G] have
 one.  A multi-index has a block signature, the block of each leg.  mult()
 pairs entries of equal signature only, and invert() solves one linear system
-per signature.  hom_sum() joins its factors the same way when every atom is
-a leg name: a leg's product is nonzero only if all its atoms lie in one
-block, so the second factor is bucketed by the blocks of its atoms on the
-legs it shares with the first, and each entry of the first meets only its
-bucket, in cartesian order.
+per signature.  hom_sum() joins its factors the same way, once each map is
+applied to its leg and each constant is a factor: a leg's product is
+nonzero only if all its atoms lie in one block, so each factor is bucketed
+by the blocks of its atoms on the legs it shares with the factors before it,
+and each combination of those meets only its bucket, in cartesian order.
 
 Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
 input is read as numerators over one denominator (scalars.py); Algebra and
@@ -27,7 +27,7 @@ scalar per output entry.  Over F_p the numerators are residues over 1, left
 unreduced until _canon(): reduction mod p is a ring map, so one loop serves
 both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
 products are single terms, selects the index-chasing loops of mult() and of
-the hom_sum() join; other bases take the general loops.
+hom_sum(); other bases expand each product (_basis_product(), _fold()).
 """
 
 from itertools import product as iproduct
@@ -432,8 +432,7 @@ def invert(t, alg):
     nums, den = f.numerators(t.entries)
     block_of, blocks = alg.block_of, alg.blocks
     by_sig = _buckets(nums.items(), range(k), block_of)
-    unit = alg.unit_tensor(k)
-    rhs_by_sig = _buckets(unit.entries.items(), range(k), block_of)
+    rhs_by_sig = _buckets(alg.unit_tensor(k).entries.items(), range(k), block_of)
     inv_entries = {}
     for sig, rhs_items in rhs_by_sig.items():
         # this signature's multi-indices in lexicographic order: the order
@@ -455,7 +454,12 @@ def invert(t, alg):
             raise NotInvertible("left-multiplication system is singular")
         for j, v in x.items():
             inv_entries[unknowns[j]] = v
-    inv = SparseTensor(f, k, t.dim, inv_entries)
+    return checked_inverse(t, SparseTensor(f, k, t.dim, inv_entries), alg)
+
+
+def checked_inverse(t, inv, alg):
+    """inv, once its products with t on both sides are the unit."""
+    unit = alg.unit_tensor(t.arity)
     if mult(t, inv, alg) != unit or mult(inv, t, alg) != unit:
         raise NotInvertible("candidate inverse failed the product check")
     return inv
@@ -470,109 +474,99 @@ def hom_sum(alg, legs, factors, out):
     its indices to the given leg names; the sum ranges over the cartesian
     product of the supports.
 
-    out: one atom list per output leg.  Atoms are evaluated left to right and
-    multiplied in the algebra.  An atom is a leg name (a basis element), an
-    arity-1 SparseTensor constant, or (map, [atoms]) applying the width-1 Leg
-    legs(map), such as a datum's antipode "S", to the product of the
-    sub-atoms.  legs is called once per map and call, when a combination
-    first reaches it.
+    out: one atom list per output leg, multiplied left to right in the
+    algebra.  An atom is a leg name (a basis element), an arity-1
+    SparseTensor constant, or (map, [name]): the width-1 Leg legs(map), such
+    as a datum's antipode "S", applied to a name that occurs once in out
+    (ValueError otherwise).  By linearity each map is applied to its leg of
+    the factor before the sum; each constant becomes a factor of its own.
     """
-    f = alg.field
-    if (alg.mono is not None and len(factors) <= 2
-            and all(isinstance(a, str) for leg in out for a in leg)):
-        return _hom_sum_join(alg, factors, out)
-    sides = [f.numerators(t.entries) + (names,) for t, names in factors]
-    den, memo, acc = 1, {}, {}
-    for combo in iproduct(*[list(e.items()) for e, _, _ in sides]):
-        coeff, d, env = 1, 1, {}
-        for (key, c), (_, dc, names) in zip(combo, sides):
-            coeff *= c
-            d *= dc
-            env.update(zip(names, key))
-        vecs = []
-        for atoms in out:
-            v, dv = _eval_atoms(alg, legs, memo, env, atoms)
-            if not v:
-                break
-            vecs.append(v)
-            d *= dv
-        else:
-            den = d  # one per call
-            for picks in iproduct(*[tuple(v.items()) for v in vecs]):
-                key = tuple([i for i, _ in picks])
-                acc[key] = acc.get(key, 0) + coeff * prod([c for _, c in picks])
-    return SparseTensor(f, len(out), alg.dim, _canon(f, acc, den))
-
-
-def _hom_sum_join(alg, factors, out):
-    # the join of the module docstring.  An entry whose own atoms on one leg
-    # span two blocks is dropped; a missing factor is 1.
+    factors, out = _leg_names(legs, factors, out)
     f, block_of = alg.field, alg.block_of
-    sides = [f.numerators(t.entries) + (names,) for t, names in factors]
-    sides += [({(): 1}, 1, ())] * (2 - len(sides))
-    n0 = len(sides[0][2])
-    pos = {nm: p for p, nm in enumerate(sides[0][2] + sides[1][2])}
-    legs = [[pos[a] for a in leg] for leg in out]
-    sided = [([p for p in leg if p < n0], [p - n0 for p in leg if p >= n0])
-             for leg in legs]
-    first, second = (
-        [(key, c) for key, c in e.items()
-         if all(len({block_of[key[p]] for p in ps[s]}) < 2 for ps in sided)]
-        for s, (e, _, _) in enumerate(sides))
-    shared = [(p0[0], p1[0]) for p0, p1 in sided if p0 and p1]
-    buckets = _buckets(second, [q for _, q in shared], block_of)
+    pos = {nm: p for p, nm in enumerate(nm for _, ns in factors for nm in ns)}
+    lpos = [[pos[a] for a in leg] for leg in out]
+    # each factor's entries bucketed by the blocks of its atoms on the legs
+    # it shares with the factors before it; an entry whose own atoms on one
+    # leg span two blocks is dropped
+    levels, den, start = [], alg.den ** sum(len(l) - 1 for l in out), 0
+    for t, ns in factors:
+        e, d = f.numerators(t.entries)
+        den *= d
+        mine = [[p - start for p in leg if start <= p < start + len(ns)]
+                for leg in lpos]
+        items = [(key, c) for key, c in e.items()
+                 if all(len({block_of[key[p]] for p in ps}) < 2 for ps in mine)]
+        shared = [(min(leg), ps[0]) for leg, ps in zip(lpos, mine)
+                  if ps and min(leg) < start]
+        levels.append(([p for p, _ in shared],
+                       _buckets(items, [q for _, q in shared], block_of)))
+        start += len(ns)
+    combos = [((), 1)]  # the joined entries of all factors but the last
+    for firsts, buckets in levels[:-1]:
+        combos = [(idx + key, c0 * c) for idx, c0 in combos for key, c in
+                  buckets.get(tuple([block_of[idx[p]] for p in firsts]), ())]
+    table, add_terms = ((alg.mono, _chase) if alg.mono is not None
+                        else (alg.nstruct, _fold))
+    firsts, buckets = levels[-1]
     acc = {}
-    for k0, c0 in first:
-        sig = tuple([block_of[k0[p]] for p, _ in shared])
-        for k1, c1 in buckets.get(sig, ()):
-            hit = _chase(alg.mono, k0 + k1, legs, [c0, c1])
-            if hit is not None:
-                acc[hit[0]] = acc.get(hit[0], 0) + hit[1]
-    den = sides[0][1] * sides[1][1] * alg.den ** sum(len(l) - 1 for l in out)
+    for idx, c0 in combos:
+        for key, c in buckets.get(tuple([block_of[idx[p]] for p in firsts]), ()):
+            add_terms(acc, table, idx + key, lpos, [c0, c])
     return SparseTensor(f, len(out), alg.dim, _canon(f, acc, den))
 
 
-def _chase(mono, idx, legs, scalars):
-    """(output key, numerator) of one combination of indices, or None at
-    the first zero product; numerators multiply only after a full chase."""
+def _leg_names(legs, factors, out):
+    """(factors, out) with every atom a leg name: each map applied to its
+    leg, each constant a factor named by its position among them."""
+    maps, consts, plain = {}, [], []
+    for leg in out:
+        plain.append([])
+        for a in leg:
+            if isinstance(a, SparseTensor):
+                consts.append((a, (len(consts),)))
+                a = len(consts) - 1
+            elif not isinstance(a, str):
+                m, (a,) = a
+                if not isinstance(a, str):
+                    raise ValueError("a map atom takes one leg name")
+                maps[a] = m
+            plain[-1].append(a)
+    used = [a for leg in plain for a in leg]
+    if any(used.count(a) > 1 for a in maps):
+        raise ValueError("a mapped leg name must occur once")
+    return [(apply_legs(t, [legs(maps[a]) if a in maps else LEG_ID
+                            for a in names]), names)
+            if maps.keys() & set(names) else (t, names)
+            for t, names in factors] + consts, plain
+
+
+def _chase(acc, mono, idx, legs, scalars):
+    """Add to acc the term of one combination of indices on a basis of
+    single-term products, unless a product is zero; the numerators multiply
+    only after a full chase."""
     key = []
     for leg in legs:
         cur = idx[leg[0]]
         for p in leg[1:]:
             term = mono[cur].get(idx[p])
             if term is None:
-                return None
+                return
             cur = term[0]
             scalars.append(term[1])
         key.append(cur)
-    return tuple(key), prod(scalars)
+    key = tuple(key)
+    acc[key] = acc.get(key, 0) + prod(scalars)
 
 
-def _eval_atoms(alg, legs, memo, env, atoms):
-    """(numerators, den) of the product of the atoms, den fixed by the
-    atoms; memo holds the numerators of constants and the Legs of maps."""
-    f = alg.field
-    v, den = None, alg.den ** (len(atoms) - 1)
-    for a in atoms:
-        if isinstance(a, str):
-            w, d = {env[a]: 1}, 1
-        elif isinstance(a, SparseTensor):
-            if id(a) not in memo:
-                memo[id(a)] = f.numerators({i: c for (i,), c in a.entries.items()})
-            w, d = memo[id(a)]
-        else:
-            u, du = _eval_atoms(alg, legs, memo, env, a[1])
-            if a[0] not in memo:
-                memo[a[0]] = legs(a[0])
-            leg = memo[a[0]]
-            w = {}
-            for i, ci in u.items():
-                for (j,), cj in leg.terms.get(i, ()):
-                    w[j] = w.get(j, 0) + ci * cj
-            f.trim(w)
-            d = leg.den * du
-        den *= d
-        v = w if v is None else f.trim(_vec_mul(alg.nstruct, v, w))
-        if not v:
-            break
-    return v, den
+def _fold(acc, struct, idx, legs, scalars):
+    """Add to acc the terms of one combination of indices, each output
+    leg's product folded with _vec_mul."""
+    vecs, c = [], prod(scalars)
+    for leg in legs:
+        v = {idx[leg[0]]: 1}
+        for p in leg[1:]:
+            v = _vec_mul(struct, v, {idx[p]: 1})
+        vecs.append(v.items())
+    for picks in iproduct(*vecs):
+        key = tuple([i for i, _ in picks])
+        acc[key] = acc.get(key, 0) + c * prod([x for _, x in picks])

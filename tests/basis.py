@@ -5,12 +5,14 @@ The new basis is f_a = sum_i P[a][i] e_i for a seeded upper triangular P,
 with a unit diagonal or, on request, a seeded diagonal in 1..3.  A diagonal
 entry 2 or 3 gives P^-1, and so the new structure constants, denominators
 over Q.  Every structure map is transformed with plain dense loops over
-field operations; nothing here calls the sparse kernels of the package.
+field operations; nothing here calls the sparse kernels of the package,
+except `random_twist` for the twist that `scaled` rewrites.
 """
 
 import functools
 
-from qhopf import FiniteAbelianGroup, cocycle_for, dpr_double, sweedler
+from qhopf import (FiniteAbelianGroup, cocycle_for, dpr_double, random_twist,
+                   sweedler)
 from qhopf.datum import QuasiHopfDatum
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
@@ -144,3 +146,20 @@ def rebased(name):
 
 
 REBASED = ("h4_q", "dw_z2_f5", "dw_z3_p31")
+
+
+SCALED = {"mono": (3, 0), "dense": (4, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def scaled(name):
+    """H4/Q in the basis of a seeded triangular P with diagonal entries in
+    1..3, so that its structure constants have denominators: "mono" keeps
+    single-term products, "dense" does not.  With the seed-0 twist T, T^-1
+    of H4 and R, written in the same basis."""
+    seed, extra = SCALED[name]
+    sw = sweedler()
+    d = change_basis(sw, seed, extra, diagonal=True)
+    T, T_inv = random_twist(sw, 0)
+    return d, [rebase_tensor(sw.field, t, seed, extra, True)
+               for t in (T, T_inv, sw.R)]

@@ -10,7 +10,7 @@ package's formula, not its kernels.
 
 from itertools import product as iproduct
 
-from qhopf.tensor import LEG_ID, apply_legs
+from qhopf.tensor import LEG_ID, SparseTensor, apply_legs
 
 
 def dense_of(t):
@@ -120,42 +120,64 @@ def dense_vec_mul(d, a, b):
     return out
 
 
-def hom_sum_cartesian(alg, factors, out):
-    """hom_sum's plain contraction (every atom a leg name, every basis
-    product a single term) over the full cartesian product of the factors'
-    supports: each leg is chased through the structure constants, and a
-    combination dies at its first zero product.  Returns the accumulator in
-    insertion order, with canonical nonzero values."""
+def hom_sum_cartesian(alg, legs, factors, out):
+    """hom_sum in field arithmetic over the full cartesian product of the
+    factors' supports: the general loop that the join replaced.  Its atom
+    grammar is the wider one of that loop: (map, [atoms]) applies the
+    width-1 Leg legs(map) to the product of any atoms, constants included.
+    Each output leg is folded through the structure constants, up to its
+    first zero product, and the legs are multiplied out.  Returns the
+    accumulator in insertion order, with canonical nonzero values."""
     f = alg.field
-    pos = {}
-    for fi, (_, names) in enumerate(factors):
-        for li, nm in enumerate(names):
-            pos[nm] = (fi, li)
-    legs = [[pos[a] for a in leg] for leg in out]
+    pos = {nm: (fi, li) for fi, (_, names) in enumerate(factors)
+           for li, nm in enumerate(names)}
+
+    def times(a, b):
+        out = {}
+        for i, ca in a.items():
+            for j, cb in b.items():
+                for k, c in alg.struct.get((i, j), ()):
+                    out[k] = f.add(out.get(k, f.zero), f.mul(f.mul(ca, cb), c))
+        return out
+
+    def value(atoms, combo):
+        v = None
+        for a in atoms:
+            if isinstance(a, str):
+                fi, li = pos[a]
+                w = {combo[fi][0][li]: f.one}
+            elif isinstance(a, SparseTensor):
+                w = {i: c for (i,), c in a.entries.items()}
+            else:
+                leg, w = legs(a[0]), {}
+                for i, ci in value(a[1], combo).items():
+                    for (j,), n in leg.terms.get(i, ()):
+                        w[j] = f.add(w.get(j, f.zero),
+                                     f.mul(ci, f.over(n, leg.den)))
+            v = w if v is None else times(v, w)
+            if not v:
+                break
+        return v
+
     acc = {}
     for combo in iproduct(*[list(t.entries.items()) for t, _ in factors]):
-        c = 1
-        for _, cv in combo:
-            c *= cv
-        key = []
-        for leg in legs:
-            fi, li = leg[0]
-            cur = combo[fi][0][li]
-            for fj, lj in leg[1:]:
-                terms = alg.struct.get((cur, combo[fj][0][lj]))
-                if not terms:
-                    break
-                (cur, cv), = terms
-                c *= cv
-            else:
-                key.append(cur)
-                continue
-            break
+        vecs = []
+        for atoms in out:
+            v = value(atoms, combo)
+            if not v:
+                break
+            vecs.append(v.items())
         else:
-            key = tuple(key)
-            acc[key] = acc.get(key, 0) + c
-    canon = {k: f.canon(v) for k, v in acc.items()}
-    return {k: v for k, v in canon.items() if not f.is_zero(v)}
+            c = f.one
+            for _, cv in combo:
+                c = f.mul(c, cv)
+            for picks in iproduct(*vecs):
+                cc = c
+                for _, x in picks:
+                    cc = f.mul(cc, x)
+                key = tuple(i for i, _ in picks)
+                acc[key] = f.add(acc.get(key, f.zero), cc)
+    return {k: v for k, v in acc.items() if not f.is_zero(v)}
 
 
 def dense_basis(d, i):

@@ -209,15 +209,36 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+def _fuzzed_exit_code(doc, path, pos, value, command):
+    """(exit code, stderr) of `qhopf command` with the file path in place of
+    None, on doc with node number pos replaced by value; an exception
+    escaping main fails the test."""
+    paths = list(_node_paths(doc))
+    path.write_text(json.dumps(_replaced(doc, paths[pos % len(paths)], value)))
+    rc, out, err = _run([str(path) if a is None else a for a in command])
+    return rc, err
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(pos=st.integers(min_value=0), value=JSON_VALUES)
 def test_fuzzed_node_gives_an_exit_code(dz2_f3_doc, mutant_path, pos, value):
     # one node of a valid datum replaced by any JSON value: verify exits 0,
     # 1 or 2, and no exception escapes main
-    paths = list(_node_paths(dz2_f3_doc))
-    doc = _replaced(dz2_f3_doc, paths[pos % len(paths)], value)
-    mutant_path.write_text(json.dumps(doc))
-    rc, out, err = _run(["verify", str(mutant_path)])
+    rc, err = _fuzzed_exit_code(dz2_f3_doc, mutant_path, pos, value,
+                                ["verify", None])
+    assert rc in (0, 1, 2), err
+
+
+@pytest.mark.parametrize("command", [["check", "corpus", None],
+                                     ["ribbon", "find", None],
+                                     ["twist", None, "--seed", "0"]],
+                         ids=["check-corpus", "ribbon-find", "twist"])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(pos=st.integers(min_value=0), value=JSON_VALUES)
+def test_fuzzed_node_gives_an_exit_code_in(dz2_f3_doc, mutant_path, command,
+                                           pos, value):
+    # the same for the commands that build on a verified datum
+    rc, err = _fuzzed_exit_code(dz2_f3_doc, mutant_path, pos, value, command)
     assert rc in (0, 1, 2), err
 
 
@@ -460,6 +481,13 @@ def test_check_corpus_singular_inverse_fails_its_line(dz2w_file, tmp_path):
         ("map[eps](alpha) * map[eps](beta) == 1", "pass")]
     assert checks[0]["witness"] == {
         "reason": "left-multiplication system is singular"}
+
+
+def test_ribbon_find_over_q_names_the_field_not_a_budget(h4_file):
+    res = _process(["ribbon", "find", h4_file])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: ribbon search needs a finite field\n"
 
 
 def test_jobs_option_is_gone(dz2w_file, capsys):

@@ -8,7 +8,7 @@ from qhopf import (FiniteAbelianGroup, default_level, group_algebra, load,
 from qhopf.errors import MissingR, ParseError, ShapeError
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
-from qhopf.tensor import apply_legs, mult
+from qhopf.tensor import apply_legs, mult, scale
 
 from mutation import mutate
 
@@ -279,3 +279,21 @@ def test_ribbon_layer_needs_the_layers_below(dz2_f5):
     assert not rep.ok
     names = [c.name for c in rep.checks]
     assert names[-1] == "r_antipode" and "ribbon_nonzero" not in names
+
+
+def test_supplied_inverses_are_checked(dz3w):
+    # a wrong inverse given to the constructor fails its invertibility check
+    # as one that invert() finds would, and the layers above it do not run
+    reason = {"reason": "candidate inverse failed the product check"}
+    bad_phi = dz3w.with_changes(phi_inv=scale(dz3w.phi_inv, 2))
+    rep = verify(bad_phi)
+    assert rep.checks[-1].to_dict() == {"name": "phi_invertible",
+                                        "status": "fail", "witness": reason}
+    bad_r = dz3w.with_changes(R_inv=scale(dz3w.r_inv, 2))
+    checks = {c.name: c.to_dict() for c in verify(bad_r).checks}
+    assert checks["phi_invertible"]["status"] == "pass"
+    assert checks["r_invertible"] == {"name": "r_invertible", "status": "fail",
+                                      "witness": reason}
+    assert verify(dz3w.with_changes(R_inv=dz3w.r_inv)).ok
+    assert dz3w.supplied == {"phi_inv"}
+    assert bad_r.supplied == {"phi_inv", "R_inv"}

@@ -5,21 +5,18 @@ test_tensor.py, gamma, delta and F in test_derived.py and the Drinfel'd
 element in test_drinfeld.py.  The last section runs every integer kernel
 on H4/Q in bases whose structure constants have denominators."""
 
-import functools
 import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from qhopf import sweedler
 from qhopf.cli import main
 from qhopf.rng import SplitMix64
 from qhopf.tensor import (SparseTensor, add, apply_legs, hom_sum, invert, mult,
                           sub)
-from qhopf.twisting import random_twist
 
-from basis import REBASED, change_basis, rebase_tensor, rebased
+from basis import REBASED, SCALED, rebased, scaled
 from oracle import (dense_apply_legs, dense_basis, dense_mult, dense_of,
                     dense_s, dense_vec_mul, hom_sum_cartesian)
 
@@ -77,23 +74,6 @@ def test_rebased_apply_legs_matches_dense_oracle(name):
 
 
 # ----- structure constants with denominators ---------------------------------
-
-SCALED = {"mono": (3, 0), "dense": (4, 2)}
-
-
-@functools.lru_cache(maxsize=None)
-def scaled(name):
-    """H4/Q in the basis of a seeded triangular P with diagonal entries in
-    1..3, so that its structure constants have denominators: "mono" keeps
-    single-term products, "dense" does not.  With the seed-0 twist T, T^-1
-    of H4 and R, written in the same basis."""
-    seed, extra = SCALED[name]
-    sw = sweedler()
-    d = change_basis(sw, seed, extra, diagonal=True)
-    T, T_inv = random_twist(sw, 0)
-    return d, [rebase_tensor(sw.field, t, seed, extra, True)
-               for t in (T, T_inv, sw.R)]
-
 
 def _assert_exact(t):
     assert all(type(c) is Fraction and c and gcd(c.numerator, c.denominator) == 1
@@ -157,20 +137,20 @@ def test_scaled_hom_sum_matches_oracles(name):
         _assert_exact(got)
         if name == "mono":
             assert list(got.entries.items()) == list(
-                hom_sum_cartesian(alg, factors, out).items())
+                hom_sum_cartesian(alg, None, factors, out).items())
     got = hom_sum(alg, None, *plain[0])
     assert dense_of(got) == dense_mult(d, T, T_inv)
-    # the general loop with maps and constants
+    # maps and constants, g read twice
+    s_beta = apply_legs(d.beta, d.legs("S"))
     got = d.hsum([(T_inv, ("f", "g"))],
-                 [[("S", ["f"]), d.alpha, "g"], ["g", ("S", [d.beta, "f"])]])
+                 [[("S", ["f"]), d.alpha, "g"], ["g", s_beta]])
     _assert_exact(got)
     alpha, beta = dense_of(d.alpha), dense_of(d.beta)
     want = [f.zero] * (n * n)
     for (a, b), c in T_inv.entries.items():
         left = dense_vec_mul(d, dense_vec_mul(d, dense_s(d, dense_basis(d, a)), alpha),
                              dense_basis(d, b))
-        right = dense_vec_mul(d, dense_basis(d, b),
-                              dense_s(d, dense_vec_mul(d, beta, dense_basis(d, a))))
+        right = dense_vec_mul(d, dense_basis(d, b), dense_s(d, beta))
         for i in range(n):
             for j in range(n):
                 want[i * n + j] += c * left[i] * right[j]

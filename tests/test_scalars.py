@@ -49,13 +49,11 @@ def test_integer_views():
     assert (rows, den) == ({0: ((1, 1), (2, 12))}, 4)
     assert q.numerators({}) == ({}, 1)
     assert q.over(-4, 6) == Fraction(-2, 3) and type(q.over(6, 6)) is Fraction
-    assert q.trim({0: 0, 1: -5}) == {1: -5}
     f = PrimeField(7)
     values = {0: 3, 1: 6}
     assert f.numerators(values) == (values, 1) and f.numerators(values)[0] is values
     assert f.numerator_rows(rows)[0] is rows
     assert f.over(-4, 1) == 3
-    assert f.trim({0: 14, 1: 9, 2: -1}) == {1: 2, 2: 6}
 
 
 def test_division_by_zero():

@@ -1,20 +1,24 @@
+import contextlib
 import functools
 from itertools import product as iproduct
 
 import pytest
 
-from qhopf import (FiniteAbelianGroup, big_f, cocycle_for, dpr_double,
-                   random_twist, sweedler, twist)
-from qhopf.errors import ArityMismatch, NotInvertible, ShapeMismatch
+from qhopf import (FiniteAbelianGroup, big_f, check_twist_elements,
+                   cocycle_for, dpr_double, drinfeld_u, modify_antipode,
+                   random_twist, recover_modifier, rtwist_elements, sweedler,
+                   twist, u_tilde, verify_quasi_hopf)
+from qhopf import datum, derived
+from qhopf.errors import ArityMismatch, NotInvertible, QhopfError, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
 from qhopf import tensor as te
 from qhopf.report import diff_witness
 from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, concat,
                           coprod_leg, counit_leg, flip, hom_sum, insert_leg,
-                          invert, lin_leg, mult, permute_legs, LEG_ID)
+                          invert, lin_leg, mult, permute_legs, scale, LEG_ID)
 
-from basis import REBASED, rebased
+from basis import REBASED, rebased, scaled
 from mutation import merge_blocks, mutate
 from oracle import dense_apply_legs, dense_mult, dense_of, hom_sum_cartesian
 
@@ -421,7 +425,93 @@ def test_hom_sum_join_matches_cartesian_loop(dz3w, sw):
         assert alg.mono is not None
         for factors, out in _plain_contractions(d):
             got = hom_sum(alg, None, factors, out)
-            want = hom_sum_cartesian(alg, factors, out)
+            want = hom_sum_cartesian(alg, None, factors, out)
             assert list(got.entries.items()) == list(want.items())
             nonzero += bool(want)
     assert nonzero > 5 * len(data)
+
+
+# ----- every hom_sum of the package against the cartesian loop --------------
+
+def _hom_sum_calls(monkeypatch, d):
+    """(alg, legs, factors, out, value) of every hom_sum call that the
+    verifiers and builders make on d.  A builder that fails on a mutant (an
+    inverse that does not exist) leaves the calls it made before."""
+    calls = []
+
+    def record(alg, legs, factors, out):
+        value = hom_sum(alg, legs, factors, out)
+        calls.append((alg, legs, factors, out, value))
+        return value
+    monkeypatch.setattr(datum, "hom_sum", record)
+    monkeypatch.setattr(derived, "hom_sum", record)
+    builders = (verify_quasi_hopf, big_f, drinfeld_u, u_tilde, rtwist_elements,
+                lambda d: check_twist_elements(d, random_twist(d, 0)),
+                lambda d: recover_modifier(
+                    d, modify_antipode(d, scale(d.unit, d.field.from_int(2)))))
+    for build in builders:
+        with contextlib.suppress(QhopfError):
+            build(d)
+    monkeypatch.undo()
+    return calls
+
+
+def test_every_hom_sum_matches_the_cartesian_loop(monkeypatch, dz3w, sw):
+    twisted = twist(dz3w, random_twist(dz3w, 0))
+    data = [twisted, sw, scaled("mono")[0], scaled("dense")[0]]
+    data += [mutate(twisted, "product", SplitMix64(seed)) for seed in range(2)]
+    kinds = set()
+    for d in data:
+        calls = _hom_sum_calls(monkeypatch, d)
+        assert len(calls) > d.dim
+        for alg, legs, factors, out, got in calls:
+            want = hom_sum_cartesian(alg, legs, factors, out)
+            assert got.entries == want
+            plain = all(isinstance(a, str) for leg in out for a in leg)
+            if plain:
+                assert list(got.entries) == list(want)
+            kinds.add((plain, len(factors), alg.mono is None))
+    # mapped sums of one and two factors and plain ones of two, on both
+    # kernel paths
+    assert kinds >= {(p, k, m) for p, k in ((False, 1), (False, 2), (True, 2))
+                     for m in (True, False)}
+
+
+def test_rewritten_atoms_match_the_old_ones(dz3w, sw):
+    # drinfeld_u and u_tilde mapped a whole output leg of their first sum and
+    # now map it where the second sum reads it; rtwist_elements mapped alpha
+    # and beta and now passes their images as constants.  The cartesian
+    # loop still reads the old atoms.
+    twisted = twist(dz3w, random_twist(dz3w, 0))
+    for d in (twisted, sw, scaled("dense")[0]):
+        def old(factors, out):
+            return SparseTensor(d.field, len(out), d.dim, hom_sum_cartesian(
+                d.algebra, d.leg, factors, out))
+        w = old([(d.phi_inv, ("x", "y", "z"))],
+                [[("S", ["y", d.beta, ("S", ["z"])])], ["x"]])
+        assert drinfeld_u(d).u == old([(w, ("w", "x")), (d.R, ("s", "t"))],
+                                      [["w", ("S", ["t"]), d.alpha, "s", "x"]])
+        w = old([(d.phi_inv, ("x", "y", "z"))],
+                [["z"], [("S", [("S", ["x"]), d.alpha, "y"])]])
+        assert u_tilde(d) == old([(w, ("zz", "w")), (d.R, ("s", "t"))],
+                                 [["zz", "s", d.beta, ("S", ["t"]), "w"]])
+        el = rtwist_elements(d)
+        assert el.u_hat == old([(d.phi, ("x", "y", "z"))],
+                               [[("S", ["z"]), el.alpha_hat, "y",
+                                 ("Sinv", [d.beta]), ("Sinv", ["x"])]])
+        assert el.u_hat_inv == old([(d.phi, ("x", "y", "z"))],
+                                   [[("Sinv", ["z"]), ("Sinv", [d.alpha]), "y",
+                                     el.beta_hat, ("S", ["x"])]])
+
+
+def test_a_mapped_name_read_twice_is_refused(dz3w):
+    # S applied to the leg that two atoms read would pair S(e_x) with e_x
+    # term by term
+    r = [(dz3w.R, ("s", "t"))]
+    for out in ([[("S", ["s"]), "s"]], [[("S", ["s"])], ["s", "t"]],
+                [[("S", ["s"]), ("S", ["s"])]]):
+        with pytest.raises(ValueError, match="occur once"):
+            dz3w.hsum(r, out)
+    with pytest.raises(ValueError):
+        dz3w.hsum(r, [[("S", ["s", "t"])]])
+
