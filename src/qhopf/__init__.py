@@ -16,8 +16,8 @@ _SOURCES = {
     "report": ("CheckReport",),
     "derived": ("DerivedElements", "gamma", "delta", "big_f", "check_F_compat",
                 "modify_antipode", "recover_modifier", "coopposite", "op_cop"),
-    "drinfeld": ("DrinfeldElements", "drinfeld_u", "check_u_under_modification",
-                 "u_tilde", "check_u_tilde"),
+    "drinfeld": ("drinfeld_u", "check_u_under_modification", "u_tilde",
+                 "check_u_tilde"),
     "twisting": ("Twist", "make_twist", "twist", "random_twist",
                  "random_invertible", "check_twist_elements",
                  "opcop_twist_iso"),

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .datum import LEVELS, default_level, load_path, verify
+from .datum import LEVELS, MISSING, default_level, load_path, verify
 from .errors import BudgetExceeded, ParseError, QhopfError, ShapeError
 
 
@@ -182,8 +182,7 @@ def cmd_ribbon(args):
     t0 = time.perf_counter()
     d = load_path(args.file)
     if args.action == "check" and d.v is None:
-        print("input error: datum carries no ribbon candidate v",
-              file=sys.stderr)
+        print("input error: %s" % MISSING["v"], file=sys.stderr)
         return 2
     if not _verified(args, d, t0):
         return 1
@@ -283,7 +282,7 @@ def cmd_check(args):
     if args.what == "twist-props":
         first, last = _parse_seed_range(args.seeds)
     if args.what == "ribbon-theorem" and d.v is None:
-        print("input error: datum carries no ribbon candidate v", file=sys.stderr)
+        print("input error: %s" % MISSING["v"], file=sys.stderr)
         return 2
     if not _verified(args, d, t0):
         return 1

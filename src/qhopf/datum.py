@@ -30,6 +30,10 @@ def cop_rows(rows):
             for i, row in rows.items()}
 
 
+# the one text for each optional part a datum may lack, in skipped identity
+# lines and in the errors of whatever needs that part
+MISSING = {"R": "datum has no R-matrix", "v": "datum has no ribbon candidate"}
+
 LegMap = namedtuple("LegMap", "width build")
 # the leg maps of `QuasiHopfDatum.leg` and of map[...] in the identity
 # language: the number of legs each makes of one, and its Leg on a datum
@@ -85,11 +89,9 @@ class QuasiHopfDatum:
 
     def eps_of(self, t):
         """Counit applied to an arity-1 tensor, as a scalar."""
-        f = self.field
-        out = f.zero
-        for (i,), c in t.entries.items():
-            out = f.add(out, f.mul(c, self.eps[i]))
-        return out
+        eps = self.eps
+        return self.field.canon(sum([c * eps[i]
+                                     for (i,), c in t.entries.items()]))
 
     def coproduct(self, t):
         return apply_legs(t, [self.leg("D")])
@@ -110,7 +112,7 @@ class QuasiHopfDatum:
     @property
     def r_inv(self):
         if self.R is None:
-            raise MissingR("datum carries no R-matrix")
+            raise MissingR(MISSING["R"])
         return self.cache("R_inv", lambda: invert(self.R, self.algebra))
 
     @property
@@ -153,16 +155,16 @@ class QuasiHopfDatum:
         doc = {
             "field": f.spec(),
             "dim": self.dim,
-            "product": [[i, j, k, f.to_str(c)]
+            "product": [[i, j, k, str(c)]
                         for (i, j), terms in sorted(self.algebra.struct.items())
                         for k, c in sorted(terms)],
             "unit": vector(f, self.dim, self.algebra.unit_coeffs).to_json(),
-            "delta": [[i, j, k, f.to_str(c)]
+            "delta": [[i, j, k, str(c)]
                       for i, row in sorted(self.delta_rows.items())
                       for (j, k), c in sorted(row)],
-            "epsilon": [f.to_str(c) for c in self.eps],
+            "epsilon": [str(c) for c in self.eps],
             "phi": self.phi.to_json(),
-            "antipode": [[i, j, f.to_str(c)]
+            "antipode": [[i, j, str(c)]
                          for i, row in sorted(self.s_rows.items())
                          for j, c in sorted(row)],
             "alpha": self.alpha.to_json(),
@@ -271,7 +273,7 @@ def _rows(doc, key, field, dim, nidx):
             raise ShapeError("%s: repeated index %r" % (where, list(idx)))
         seen.add(idx)
         c = _scalar(field, row[nidx], where)
-        if not field.is_zero(c):
+        if c:
             out.append((idx, c))
     return out
 
@@ -406,7 +408,7 @@ def verify_quasi_bialgebra(d, witness_limit=1):
         for i in range(n):
             for j in range(n):
                 lhs = d.eps_of(d.mul(d.basis(i), d.basis(j)))
-                rhs = f.mul(d.eps[i], d.eps[j])
+                rhs = f.canon(d.eps[i] * d.eps[j])
                 if lhs != rhs:
                     yield scale(one, lhs), scale(one, rhs), {"basis": [i, j]}
     rep.compare_each("epsilon_alg_hom", counit_multiplicative(), limit)
@@ -471,7 +473,7 @@ def verify_quasi_hopf(d, witness_limit=1):
 def verify_quasitriangular(d, witness_limit=1):
     """Check the R-matrix layer; assumes the quasi-Hopf layer holds."""
     if d.R is None:
-        raise MissingR("datum carries no R-matrix")
+        raise MissingR(MISSING["R"])
     rep = CheckReport()
     if not rep.invertible("r_invertible",
                           lambda: _checked(d, "R_inv", d.R, d.r_inv)):
@@ -521,7 +523,7 @@ def verify(d, level=None, witness_limit=1):
         return rep
     from .ribbon import check_main_theorem, check_ribbon_lemma, is_ribbon
     if d.v is None:
-        raise MissingR("ribbon level requested but the datum has no candidate v")
+        raise MissingR(MISSING["v"])
     rep.extend(is_ribbon(d, d.v, witness_limit))
     rep.extend(check_ribbon_lemma(d, d.v, witness_limit))
     return rep.extend(check_main_theorem(d, d.v, witness_limit))

@@ -4,8 +4,7 @@ opposite-coopposite datum.  Its characterizing properties (counit value,
 conjugation to the antipode square, coproduct formula) are named lines of
 the identity corpus."""
 
-from collections import namedtuple
-
+from .datum import MISSING
 from .derived import modify_antipode, op_cop
 from .dsl import check_named
 from .errors import MissingR
@@ -13,20 +12,17 @@ from .report import CheckReport
 from .tensor import invert, mul_all
 
 
-DrinfeldElements = namedtuple("DrinfeldElements", "u u_inv")
-
-
 def drinfeld_u(d):
-    """u and its inverse.  On a datum that passes `verify` u is invertible by
-    theorem; elsewhere `invert` may raise NotInvertible."""
+    """The canonical element u.  On a datum that passes `verify` u is
+    invertible by theorem; elsewhere it need not be."""
     def build():
         if d.R is None:
-            raise MissingR("datum carries no R-matrix")
+            raise MissingR(MISSING["R"])
         w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
                    [["y", d.beta, ("S", ["z"])], ["x"]])
         u = d.hsum([(w, ("w", "x")), (d.R, ("s", "t"))],
                    [[("S", ["w"]), ("S", ["t"]), d.alpha, "s", "x"]])
-        return DrinfeldElements(u=u, u_inv=invert(u, d.algebra))
+        return u
     return d.cache("drinfeld", build)
 
 
@@ -34,8 +30,8 @@ def check_u_under_modification(d, x):
     """The canonical element of the x-modified datum against its predicted
     transform x S(x^-1) u."""
     alg = d.algebra
-    ux = drinfeld_u(modify_antipode(d, x)).u
-    expected = mul_all(alg, x, d.antipode(invert(x, alg)), drinfeld_u(d).u)
+    ux = drinfeld_u(modify_antipode(d, x))
+    expected = mul_all(alg, x, d.antipode(invert(x, alg)), drinfeld_u(d))
     return CheckReport().compare("u_transform_under_modification", ux, expected)
 
 
@@ -44,7 +40,7 @@ def u_tilde(d):
     formula; `check_u_tilde` compares it with the from-scratch computation."""
     def build():
         if d.R is None:
-            raise MissingR("datum carries no R-matrix")
+            raise MissingR(MISSING["R"])
         w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
                    [["z"], [("S", ["x"]), d.alpha, "y"]])
         return d.hsum([(w, ("zz", "w")), (d.R, ("s", "t"))],
@@ -56,5 +52,5 @@ def check_u_tilde(d):
     """The closed formula for u_tilde against the canonical element of the
     opposite-coopposite datum, and u = S(u_tilde)."""
     rep = CheckReport().compare("u_tilde_formula_vs_opcop", u_tilde(d),
-                                drinfeld_u(op_cop(d)).u)
+                                drinfeld_u(op_cop(d)))
     return rep.extend(check_named(d, ("u_is_antipode_of_u_tilde",)))

@@ -20,7 +20,7 @@ import os
 from collections import namedtuple
 from operator import attrgetter
 
-from .datum import LEGS
+from .datum import LEGS, MISSING
 from .errors import ArityError, ParseError, UndefinedName
 from .report import CheckReport, diff_witness
 from .tensor import apply_legs, concat, flip, invert, mult, scale
@@ -41,7 +41,7 @@ def _element(path):
 
 
 # The named constants: arity, the attribute the datum must carry (`needs`,
-# reported by MISSING when it is None), and the value on a datum.
+# reported by datum.MISSING when it is None), and the value on a datum.
 CONSTANTS = {
     **{"one_%d" % k: Constant(k, None, lambda d, k=k: d.unit_tensor(k))
        for k in range(1, 5)},
@@ -57,7 +57,7 @@ CONSTANTS = {
     "delta": Constant(2, None, _element("derived.delta")),
     "alpha": Constant(1, None, attrgetter("alpha")),
     "beta": Constant(1, None, attrgetter("beta")),
-    "u": Constant(1, "R", _element("drinfeld.drinfeld_u.u")),
+    "u": Constant(1, "R", _element("drinfeld.drinfeld_u")),
     "uhat": Constant(1, "R", _element("ribbon.rtwist_elements.u_hat")),
     "ucheck": Constant(1, "R", _element("ribbon.rtwist_elements.u_check")),
     "utilde": Constant(1, "R", _element("drinfeld.u_tilde")),
@@ -68,7 +68,6 @@ CONSTANTS = {
     "betacheck": Constant(1, "R", _element("ribbon.rtwist_elements.beta_check")),
     "v": Constant(1, "v", attrgetter("v")),
 }
-MISSING = {"R": "datum has no R-matrix", "v": "datum has no ribbon candidate"}
 
 
 def _constant(name):
@@ -459,7 +458,7 @@ def _eval_node(node, run):
         if node.op == "#":
             return concat(a, b)
         if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-            return _Scalar(f.mul(a.value, b.value))
+            return _Scalar(f.canon(a.value * b.value))
         if isinstance(a, _Scalar):
             return scale(b, a.value)
         if isinstance(b, _Scalar):

@@ -9,10 +9,6 @@ class FieldMismatch(QhopfError):
     pass
 
 
-class DivisionByZero(QhopfError):
-    pass
-
-
 class NoSuchRoot(QhopfError):
     pass
 
@@ -31,6 +27,10 @@ class ShapeError(QhopfError):
 
 class NotInvertible(QhopfError):
     pass
+
+
+class DivisionByZero(NotInvertible):
+    """The inverse of the scalar 0."""
 
 
 class ParseError(QhopfError):

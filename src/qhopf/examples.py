@@ -89,11 +89,10 @@ class Cocycle3:
                         or self.value(a, b, e) != f.one):
                     raise InternalInconsistency("cocycle is not normalized")
         for a, b, c, d in iproduct(range(n), repeat=4):
-            lhs = f.mul(f.mul(self.value(b, c, d),
-                              self.value(a, g.add_i(b, c), d)),
-                        self.value(a, b, c))
-            rhs = f.mul(self.value(g.add_i(a, b), c, d),
-                        self.value(a, b, g.add_i(c, d)))
+            lhs = f.canon(self.value(b, c, d) * self.value(a, g.add_i(b, c), d)
+                          * self.value(a, b, c))
+            rhs = f.canon(self.value(g.add_i(a, b), c, d)
+                          * self.value(a, b, g.add_i(c, d)))
             if lhs != rhs:
                 raise InternalInconsistency(
                     "cocycle identity fails at %r" % ((a, b, c, d),))
@@ -127,8 +126,7 @@ def cocycle_for(group, q, field):
             carry = (eb[m] + ec[m]) // nm
             if carry:
                 e = (q * ea[m] * carry) % nm
-                val = field.mul(val, pow(roots[m], e, field.p)
-                                if field.kind == "prime" else roots[m] ** e)
+                val = field.canon(val * roots[m] ** e)
         table[(a, b, c)] = val
     return Cocycle3(group, field, table)
 
@@ -186,10 +184,10 @@ def dpr_double(group, omega):
         return omega.value(a, b, c)
 
     def theta(gi, x, y):
-        return f.mul(f.mul(w(gi, x, y), w(x, y, gi)), f.inv(w(x, gi, y)))
+        return f.canon(w(gi, x, y) * w(x, y, gi) * f.inv(w(x, gi, y)))
 
     def gam(x, h, k):
-        return f.mul(f.mul(w(h, k, x), w(x, h, k)), f.inv(w(h, x, k)))
+        return f.canon(w(h, k, x) * w(x, h, k) * f.inv(w(h, x, k)))
 
     e = g.index(g.identity)
     product = {}
@@ -223,7 +221,7 @@ def dpr_double(group, omega):
     for gi in range(m):
         for x in range(m):
             ng, nx = g.neg_i(gi), g.neg_i(x)
-            c = f.mul(f.inv(theta(ng, x, nx)), f.inv(gam(x, gi, ng)))
+            c = f.canon(f.inv(theta(ng, x, nx)) * f.inv(gam(x, gi, ng)))
             s_rows[idx(gi, x)] = ((idx(ng, nx), c),)
     alpha = SparseTensor.make(f, 1, n, {(idx(gi, e),): one for gi in range(m)})
     beta = SparseTensor.make(f, 1, n, {(idx(gi, e),): w(gi, g.neg_i(gi), gi)
@@ -291,8 +289,8 @@ def sweedler():
     Basis order: 1, g, x, gx."""
     f = RationalField()
     one = f.one
-    neg = f.neg(one)
-    half = f.div(one, f.from_int(2))
+    neg = -one
+    half = one / 2
     product = {
         (0, 0): ((0, one),), (0, 1): ((1, one),), (0, 2): ((2, one),),
         (0, 3): ((3, one),),
@@ -314,7 +312,7 @@ def sweedler():
     alpha = SparseTensor.make(f, 1, 4, {(0,): one})
     beta = SparseTensor.make(f, 1, 4, {(0,): one})
     R = SparseTensor.make(f, 2, 4, {(0, 0): half, (0, 1): half,
-                                    (1, 0): half, (1, 1): f.neg(half)})
+                                    (1, 0): half, (1, 1): -half})
     return QuasiHopfDatum(
         f, 4, product, unit, delta_rows, eps, phi, s_rows, alpha, beta,
         R=R, metadata={"kind": "sweedler"}, phi_inv=phi)

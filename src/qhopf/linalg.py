@@ -26,7 +26,7 @@ def _eliminate_sparse(field, rows, ncols):
     values at columns in range(ncols).  The dicts are reduced in place.
     Returns the nonzero rows as (pivot column, row) pairs in increasing
     pivot order, each row scaled to 1 at its pivot."""
-    zero, is_zero, mul, sub = field.zero, field.is_zero, field.mul, field.sub
+    canon = field.canon
     occupancy = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -42,7 +42,7 @@ def _eliminate_sparse(field, rows, ncols):
         row = rows[r]
         inv = field.inv(row[c])
         for j, v in row.items():
-            row[j] = mul(inv, v)
+            row[j] = canon(inv * v)
         # Jordan-style: clear the pivot column from every other row, so no
         # back-substitution pass is needed afterwards.  The pivot row is
         # zero in every earlier column, so fill-in lands only after c.
@@ -52,8 +52,8 @@ def _eliminate_sparse(field, rows, ncols):
             other = rows[i]
             f = other[c]
             for j, v in row.items():
-                newv = sub(other.get(j, zero), mul(f, v))
-                if is_zero(newv):
+                newv = canon(other.get(j, 0) - f * v)
+                if not newv:
                     if j in other:
                         del other[j]
                         occupancy[j].discard(i)
@@ -73,7 +73,7 @@ def solve(field, rows, n, rhs):
     or None if the system is inconsistent."""
     aug = [dict(row) for row in rows]
     for i, v in rhs.items():
-        if not field.is_zero(v):
+        if v:
             aug[i][n] = v
     x = {}
     for c, row in _eliminate_sparse(field, aug, n + 1):
@@ -90,7 +90,7 @@ def invert_matrix(field, rows, n):
     aug = [{n + i: field.one} for i in range(n)]
     for i, row in rows.items():
         for j, v in row:
-            if not field.is_zero(v):
+            if v:
                 aug[i][j] = v
     # [A | I] has rank n, so A is invertible iff its pivots are 0..n-1
     rref = _eliminate_sparse(field, aug, 2 * n)
@@ -115,6 +115,6 @@ def nullspace(field, rows, n):
         v[free] = field.one
         for c, row in rref:
             if free in row:
-                v[c] = field.neg(row[free])
+                v[c] = field.canon(-row[free])
         basis.append(v)
     return basis

@@ -165,7 +165,7 @@ def find_ribbon(d, budget):
     if d.field.size is None:
         raise QhopfError("ribbon search needs a finite field")
     alg = d.algebra
-    u = drinfeld_u(d).u
+    u = drinfeld_u(d)
     c = invert(mult(u, d.antipode(u), alg), alg)
     roots, region = _block_roots(d, c, budget)
     out = [RibbonCandidate(v=v, provenance="solver")

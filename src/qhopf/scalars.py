@@ -1,12 +1,14 @@
 """Exact scalar arithmetic over a prime field F_p or over the rationals.
 
 Scalars are plain Python values in canonical form: residues in [0, p) for a
-prime field, `fractions.Fraction` (auto-reduced, positive denominator) for
-the rationals, so equality of scalars is plain equality of representations.
-Single operations go through the Field methods (add, mul, inv, ...).
+prime field, `fractions.Fraction` (reduced, positive denominator) for the
+rationals, so equality of scalars is plain equality of representations and a
+scalar is zero exactly when it is falsy.  Arithmetic is Python's operators on
+representatives, reduced by `canon` where a result is stored, as in
+`f.canon(a * b - c)`; a Field holds only what differs between the fields.
 
-The accumulation kernels of tensor.py run on integers instead.  A field
-turns a dict of scalars into integer numerators over one common denominator
+The accumulation kernels of tensor.py run on integers.  A field turns a
+dict of scalars into integer numerators over one common denominator
 (`numerators`, `numerator_rows`), and an accumulated numerator back into one
 canonical scalar (`over`).  Over Q the numerators are scaled to the lcm of
 the denominators.  Over F_p a residue is its own numerator over 1, so the
@@ -45,9 +47,9 @@ class Field:
         if self != other:
             raise FieldMismatch("cannot mix %r and %r" % (self, other))
 
-    # subclasses: canon, parse, to_str, add, sub, mul, neg, div, inv,
-    # is_zero, zero, one, from_int, size, spec, root_of_unity, sample, and
-    # integer views of the module docstring: numerators, numerator_rows, over
+    # subclasses: canon, parse, inv, zero, one, size, spec, root_of_unity,
+    # sample, and the integer views of the module docstring: numerators,
+    # numerator_rows, over
 
 
 class PrimeField(Field):
@@ -85,15 +87,6 @@ class PrimeField(Field):
     def parse(self, s):
         return int(s, 10) % self.p
 
-    def to_str(self, v):
-        return str(v)
-
-    def from_int(self, n):
-        return n % self.p
-
-    def is_zero(self, v):
-        return v == 0
-
     def numerators(self, values):
         return values, 1
 
@@ -103,25 +96,10 @@ class PrimeField(Field):
     def over(self, n, den):
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise DivisionByZero("inverse of 0 in %r" % self)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def root_of_unity(self, n):
         """Smallest residue that is a primitive n-th root of unity."""
@@ -172,19 +150,11 @@ class RationalField(Field):
         return None
 
     def canon(self, x):
-        return self.frac(x)
+        frac = self.frac
+        return x if type(x) is frac else frac(x)
 
     def parse(self, s):
         return self.frac(s)
-
-    def to_str(self, v):
-        return str(v)
-
-    def from_int(self, n):
-        return self.frac(n)
-
-    def is_zero(self, v):
-        return v == 0
 
     def numerators(self, values):
         """({key: numerator}, den) with value = numerator / den and den the
@@ -202,27 +172,10 @@ class RationalField(Field):
     def over(self, n, den):
         return self.frac(n, den)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
         return 1 / self.frac(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by 0 in Q")
-        return self.frac(a) / b
 
     def root_of_unity(self, n):
         if n == 1:

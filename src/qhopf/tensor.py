@@ -61,7 +61,7 @@ class SparseTensor:
             if any(i < 0 or i >= dim for i in key):
                 raise ShapeMismatch("index out of range in %r (dim %d)" % (key, dim))
             val = field.canon(val)
-            if not field.is_zero(val):
+            if val:
                 entries[key] = val
         return SparseTensor(field, arity, dim, entries)
 
@@ -75,9 +75,8 @@ class SparseTensor:
         return sorted(self.entries.items())
 
     def to_json(self):
-        f = self.field
         return {"arity": self.arity,
-                "entries": [[list(k), f.to_str(v)] for k, v in self.sorted_items()]}
+                "entries": [[list(k), str(v)] for k, v in self.sorted_items()]}
 
     def __eq__(self, other):
         return (isinstance(other, SparseTensor) and self.field == other.field
@@ -88,7 +87,7 @@ class SparseTensor:
         return hash((self.arity, self.dim, tuple(self.sorted_items())))
 
     def __repr__(self):
-        items = ", ".join("%r: %s" % (k, self.field.to_str(v))
+        items = ", ".join("%r: %s" % (k, v)
                           for k, v in self.sorted_items()[:6])
         more = "" if len(self.entries) <= 6 else ", ... (%d entries)" % len(self.entries)
         return "SparseTensor(arity=%d, dim=%d, {%s%s})" % (self.arity, self.dim, items, more)
@@ -114,7 +113,7 @@ def diff_entries(a, b, limit=None):
         va = a.entries.get(key, f.zero)
         vb = b.entries.get(key, f.zero)
         if va != vb:
-            out.append((key, f.to_str(va), f.to_str(vb)))
+            out.append((key, str(va), str(vb)))
             if limit is not None and len(out) >= limit:
                 break
     return out
@@ -131,8 +130,8 @@ class Algebra:
         self.field = field
         self.dim = dim
         self.struct = struct
-        self.unit_coeffs = {i: field.canon(c) for i, c in unit_coeffs.items()
-                            if not field.is_zero(field.canon(c))}
+        coeffs = {i: field.canon(c) for i, c in unit_coeffs.items()}
+        self.unit_coeffs = {i: c for i, c in coeffs.items() if c}
         self._units = {}
         self.nstruct, self.den = field.numerator_rows(struct)
         # group-like bases have single-term products (module docstring)
@@ -153,7 +152,7 @@ class Algebra:
             f = self.field
             entries = {(): f.one}
             for _ in range(k):
-                entries = {key + (i,): f.mul(c, ci)
+                entries = {key + (i,): f.canon(c * ci)
                            for key, c in entries.items()
                            for i, ci in self.unit_coeffs.items()}
             self._units[k] = SparseTensor(f, k, self.dim, entries)
@@ -383,7 +382,7 @@ def concat(t1, t2):
     out = {}
     for k1, c1 in t1.entries.items():
         for k2, c2 in t2.entries.items():
-            out[k1 + k2] = f.mul(c1, c2)
+            out[k1 + k2] = f.canon(c1 * c2)
     return SparseTensor(f, t1.arity + t2.arity, t1.dim, out)
 
 
@@ -399,10 +398,10 @@ def insert_leg(t, pos, vec):
 def scale(t, c):
     f = t.field
     c = f.canon(c)
-    if f.is_zero(c):
+    if not c:
         return SparseTensor(f, t.arity, t.dim, {})
     return SparseTensor(f, t.arity, t.dim,
-                        {k: f.mul(c, v) for k, v in t.entries.items()})
+                        {k: f.canon(c * v) for k, v in t.entries.items()})
 
 
 def add(t1, t2):
@@ -415,7 +414,7 @@ def add(t1, t2):
 
 
 def sub(t1, t2):
-    return add(t1, scale(t2, t1.field.neg(t1.field.one)))
+    return add(t1, scale(t2, -1))
 
 
 # ----- inversion ------------------------------------------------------------

@@ -5,8 +5,8 @@ The new basis is f_a = sum_i P[a][i] e_i for a seeded upper triangular P,
 with a unit diagonal or, on request, a seeded diagonal in 1..3.  A diagonal
 entry 2 or 3 gives P^-1, and so the new structure constants, denominators
 over Q.  Every structure map is transformed with plain dense loops over
-field operations; nothing here calls the sparse kernels of the package,
-except `random_twist` for the twist that `scaled` rewrites.
+scalars; nothing here calls the sparse kernels of the package, except
+`random_twist` for the twist that `scaled` rewrites.
 """
 
 import functools
@@ -28,18 +28,16 @@ def triangular(f, n, seed, extra, diagonal=False):
     for _ in range(extra):
         i = rng.below(n - 1)
         j = i + 1 + rng.below(n - 1 - i)
-        P[i][j] = f.from_int(rng.below(3) + 1)
+        P[i][j] = f.canon(rng.below(3) + 1)
     if diagonal:
         for i in range(n):
-            P[i][i] = f.from_int(rng.below(3) + 1)
+            P[i][i] = f.canon(rng.below(3) + 1)
     Q = [[f.zero] * n for _ in range(n)]
     for i in range(n):
         Q[i][i] = f.inv(P[i][i])
         for j in range(i + 1, n):
-            s = f.zero
-            for k in range(i, j):
-                s = f.add(s, f.mul(Q[i][k], P[k][j]))
-            Q[i][j] = f.neg(f.div(s, P[j][j]))
+            s = sum(Q[i][k] * P[k][j] for k in range(i, j))
+            Q[i][j] = f.canon(-s * f.inv(P[j][j]))
     return P, Q
 
 
@@ -52,11 +50,11 @@ def _legs_to_new(f, items, Q):
         nxt = {}
         for key, c in out.items():
             for m, q in enumerate(Q[key[leg]]):
-                if f.is_zero(q):
+                if not q:
                     continue
                 kk = key[:leg] + (m,) + key[leg + 1:]
-                nxt[kk] = f.add(nxt.get(kk, f.zero), f.mul(c, q))
-        out = {k: v for k, v in nxt.items() if not f.is_zero(v)}
+                nxt[kk] = f.canon(nxt.get(kk, 0) + c * q)
+        out = {k: v for k, v in nxt.items() if v}
     return out
 
 
@@ -64,10 +62,10 @@ def _old_combination(f, P, a, image):
     """sum_i P[a][i] image(i), where image(i) is a {key: scalar} dict."""
     out = {}
     for i, p in enumerate(P[a]):
-        if f.is_zero(p):
+        if not p:
             continue
         for key, c in image(i).items():
-            out[key] = f.add(out.get(key, f.zero), f.mul(p, c))
+            out[key] = f.canon(out.get(key, 0) + p * c)
     return out
 
 
@@ -99,11 +97,10 @@ def change_basis(d, seed, extra=None, diagonal=False):
             old = {}
             for i, pa in enumerate(P[a]):
                 for j, pb in enumerate(P[b]):
-                    if f.is_zero(pa) or f.is_zero(pb):
+                    if not pa or not pb:
                         continue
                     for k, c in struct.get((i, j), ()):
-                        old[(k,)] = f.add(old.get((k,), f.zero),
-                                          f.mul(f.mul(pa, pb), c))
+                        old[(k,)] = f.canon(old.get((k,), 0) + pa * pb * c)
             new = _legs_to_new(f, old, Q)
             if new:
                 product[(a, b)] = tuple(sorted((k, c) for (k,), c in new.items()))
@@ -116,10 +113,7 @@ def change_basis(d, seed, extra=None, diagonal=False):
         for a in range(n)})
     eps = []
     for a in range(n):
-        s = f.zero
-        for i, p in enumerate(P[a]):
-            s = f.add(s, f.mul(p, d.eps[i]))
-        eps.append(s)
+        eps.append(f.canon(sum(p * e for p, e in zip(P[a], d.eps))))
     return QuasiHopfDatum(f, n, product, unit, delta_rows, eps,
                           _tensor(f, d.phi, Q), s_rows, _tensor(f, d.alpha, Q),
                           _tensor(f, d.beta, Q), R=_tensor(f, d.R, Q),

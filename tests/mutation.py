@@ -6,7 +6,7 @@ from qhopf.tensor import SparseTensor
 def _different(field, old, rng):
     while True:
         if field.size is not None:
-            new = field.from_int(rng.below(field.size))
+            new = rng.below(field.size)
         else:
             new = field.sample(rng)
         if new != old:
@@ -32,7 +32,7 @@ def _mutate_rows(field, rows, rng):
     row = list(rows[key])
     idx, c = row[pos]
     new = _different(field, c, rng)
-    if field.is_zero(new):
+    if not new:
         del row[pos]
     else:
         row[pos] = (idx, new)

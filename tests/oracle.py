@@ -53,22 +53,22 @@ def dense_mult(d, t1, t2):
     size = n ** k
     out = [f.zero] * size
     for x in range(size):
-        if f.is_zero(a[x]):
+        if not a[x]:
             continue
         kx = unflatten(x, n, k)
         for y in range(size):
-            if f.is_zero(b[y]):
+            if not b[y]:
                 continue
             ky = unflatten(y, n, k)
             for kz in iproduct(range(n), repeat=k):
-                c = f.mul(a[x], b[y])
+                c = f.canon(a[x] * b[y])
                 for l in range(k):
-                    c = f.mul(c, struct_coeff(d, kx[l], ky[l], kz[l]))
-                    if f.is_zero(c):
+                    c = f.canon(c * struct_coeff(d, kx[l], ky[l], kz[l]))
+                    if not c:
                         break
-                if not f.is_zero(c):
+                if c:
                     z = flatten(kz, n)
-                    out[z] = f.add(out[z], c)
+                    out[z] = f.canon(out[z] + c)
     return out
 
 
@@ -95,11 +95,11 @@ def dense_apply_legs(d, t, names):
                 exp = [(jk, v) for jk, v in d.delta_rows.get(idx, ())]
             elif nm == "Dcop":
                 exp = [((kk, jj), v) for (jj, kk), v in d.delta_rows.get(idx, ())]
-            terms = [(kk + sub, f.mul(cc, cv))
+            terms = [(kk + sub, f.canon(cc * cv))
                      for kk, cc in terms for sub, cv in exp]
         for kk, cc in terms:
             z = flatten(kk, n)
-            out[z] = f.add(out[z], cc)
+            out[z] = f.canon(out[z] + cc)
     return out
 
 
@@ -109,14 +109,14 @@ def dense_vec_mul(d, a, b):
     n = d.dim
     out = [f.zero] * n
     for i in range(n):
-        if f.is_zero(a[i]):
+        if not a[i]:
             continue
         for j in range(n):
-            if f.is_zero(b[j]):
+            if not b[j]:
                 continue
             for k in range(n):
-                c = f.mul(f.mul(a[i], b[j]), struct_coeff(d, i, j, k))
-                out[k] = f.add(out[k], c)
+                out[k] = f.canon(out[k]
+                                 + a[i] * b[j] * struct_coeff(d, i, j, k))
     return out
 
 
@@ -137,7 +137,7 @@ def hom_sum_cartesian(alg, legs, factors, out):
         for i, ca in a.items():
             for j, cb in b.items():
                 for k, c in alg.struct.get((i, j), ()):
-                    out[k] = f.add(out.get(k, f.zero), f.mul(f.mul(ca, cb), c))
+                    out[k] = f.canon(out.get(k, 0) + ca * cb * c)
         return out
 
     def value(atoms, combo):
@@ -152,8 +152,7 @@ def hom_sum_cartesian(alg, legs, factors, out):
                 leg, w = legs(a[0]), {}
                 for i, ci in value(a[1], combo).items():
                     for (j,), n in leg.terms.get(i, ()):
-                        w[j] = f.add(w.get(j, f.zero),
-                                     f.mul(ci, f.over(n, leg.den)))
+                        w[j] = f.canon(w.get(j, 0) + ci * f.over(n, leg.den))
             v = w if v is None else times(v, w)
             if not v:
                 break
@@ -170,14 +169,14 @@ def hom_sum_cartesian(alg, legs, factors, out):
         else:
             c = f.one
             for _, cv in combo:
-                c = f.mul(c, cv)
+                c = f.canon(c * cv)
             for picks in iproduct(*vecs):
                 cc = c
                 for _, x in picks:
-                    cc = f.mul(cc, x)
+                    cc = f.canon(cc * x)
                 key = tuple(i for i, _ in picks)
-                acc[key] = f.add(acc.get(key, f.zero), cc)
-    return {k: v for k, v in acc.items() if not f.is_zero(v)}
+                acc[key] = f.canon(acc.get(key, 0) + cc)
+    return {k: v for k, v in acc.items() if v}
 
 
 def dense_basis(d, i):
@@ -191,10 +190,10 @@ def dense_s(d, vec, inverse=False):
     rows = d.s_inv_rows if inverse else d.s_rows
     out = [f.zero] * d.dim
     for i, c in enumerate(vec):
-        if f.is_zero(c):
+        if not c:
             continue
         for j, v in rows.get(i, ()):
-            out[j] = f.add(out[j], f.mul(c, v))
+            out[j] = f.canon(out[j] + c * v)
     return out
 
 
@@ -204,15 +203,15 @@ def dense_delta(d, vec):
     n = d.dim
     out = [f.zero] * (n * n)
     for i, c in enumerate(vec):
-        if f.is_zero(c):
+        if not c:
             continue
         for (j, k), v in d.delta_rows.get(i, ()):
-            out[j * n + k] = f.add(out[j * n + k], f.mul(c, v))
+            out[j * n + k] = f.canon(out[j * n + k] + c * v)
     return out
 
 
 def scale_vec(f, vec, c):
-    return [f.mul(c, v) for v in vec]
+    return [f.canon(c * v) for v in vec]
 
 
 def dense_gamma(d):
@@ -226,7 +225,7 @@ def dense_gamma(d):
     for (xb, yb, zb), ci in d.phi_inv.entries.items():
         for (x, y, z), cj in d.phi.entries.items():
             for (z1, z2), cd in d.delta_rows.get(z, ()):
-                c = f.mul(f.mul(ci, cj), cd)
+                c = f.canon(ci * cj * cd)
                 left = dense_vec_mul(d, dense_basis(d, xb), dense_basis(d, y))
                 left = dense_s(d, left)
                 left = dense_vec_mul(d, left, alpha)
@@ -237,13 +236,13 @@ def dense_gamma(d):
                 right = dense_vec_mul(d, right, dense_basis(d, zb))
                 right = dense_vec_mul(d, right, dense_basis(d, z2))
                 for a in range(n):
-                    if f.is_zero(left[a]):
+                    if not left[a]:
                         continue
                     for b in range(n):
-                        if f.is_zero(right[b]):
+                        if not right[b]:
                             continue
-                        out[a * n + b] = f.add(out[a * n + b],
-                                               f.mul(c, f.mul(left[a], right[b])))
+                        out[a * n + b] = f.canon(out[a * n + b]
+                                                 + c * left[a] * right[b])
     return out
 
 
@@ -257,7 +256,7 @@ def dense_delta_elt(d):
     for (x, y, z), ci in d.phi.entries.items():
         for (xb, yb, zb), cj in d.phi_inv.entries.items():
             for (x1, x2), cd in d.delta_rows.get(x, ()):
-                c = f.mul(f.mul(ci, cj), cd)
+                c = f.canon(ci * cj * cd)
                 left = dense_vec_mul(d, dense_basis(d, x1), dense_basis(d, xb))
                 left = dense_vec_mul(d, left, beta)
                 left = dense_vec_mul(d, left, dense_s(d, dense_basis(d, z)))
@@ -266,13 +265,13 @@ def dense_delta_elt(d):
                 right = dense_vec_mul(d, right, beta)
                 right = dense_vec_mul(d, right, dense_s(d, yz))
                 for a in range(n):
-                    if f.is_zero(left[a]):
+                    if not left[a]:
                         continue
                     for b in range(n):
-                        if f.is_zero(right[b]):
+                        if not right[b]:
                             continue
-                        out[a * n + b] = f.add(out[a * n + b],
-                                               f.mul(c, f.mul(left[a], right[b])))
+                        out[a * n + b] = f.canon(out[a * n + b]
+                                                 + c * left[a] * right[b])
     return out
 
 
@@ -291,27 +290,27 @@ def dense_big_f(d, gamma_dense):
             sx1 = dense_s(d, dense_basis(d, x1))
             for g in range(n * n):
                 cg = gamma_dense[g]
-                if f.is_zero(cg):
+                if not cg:
                     continue
                 g1, g2 = g // n, g % n
                 left = dense_vec_mul(d, sx2, dense_basis(d, g1))
                 right = dense_vec_mul(d, sx1, dense_basis(d, g2))
                 for w12 in range(n * n):
                     cw = dw[w12]
-                    if f.is_zero(cw):
+                    if not cw:
                         continue
                     w1, w2 = w12 // n, w12 % n
                     lv = dense_vec_mul(d, left, dense_basis(d, w1))
                     rv = dense_vec_mul(d, right, dense_basis(d, w2))
-                    c = f.mul(f.mul(ci, cd), f.mul(cg, cw))
+                    c = f.canon(ci * cd * cg * cw)
                     for a in range(n):
-                        if f.is_zero(lv[a]):
+                        if not lv[a]:
                             continue
                         for b in range(n):
-                            if f.is_zero(rv[b]):
+                            if not rv[b]:
                                 continue
-                            out[a * n + b] = f.add(
-                                out[a * n + b], f.mul(c, f.mul(lv[a], rv[b])))
+                            out[a * n + b] = f.canon(out[a * n + b]
+                                                     + c * lv[a] * rv[b])
     return out
 
 
@@ -332,9 +331,9 @@ def dense_drinfeld(d):
             v = dense_vec_mul(d, v, alpha)
             v = dense_vec_mul(d, v, dense_basis(d, s))
             v = dense_vec_mul(d, v, dense_basis(d, xb))
-            c = f.mul(ci, cl)
+            c = f.canon(ci * cl)
             for a in range(n):
-                out[a] = f.add(out[a], f.mul(c, v[a]))
+                out[a] = f.canon(out[a] + c * v[a])
     return out
 
 
@@ -352,7 +351,7 @@ def dense_square_roots(d, gens, target):
     for xs in iproduct(range(f.size), repeat=len(gens)):
         v = [f.zero] * d.dim
         for x, g in zip(xs, dense_gens):
-            v = [f.add(a, f.mul(f.from_int(x), b)) for a, b in zip(v, g)]
+            v = [f.canon(a + x * b) for a, b in zip(v, g)]
         if dense_vec_mul(d, v, v) == want:
             out.append(v)
     return out
@@ -369,16 +368,16 @@ def dense_rref(f, rows, ncols):
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(a)) if not f.is_zero(a[i][c])), None)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, v) for v in a[r]]
+        a[r] = [f.canon(inv * v) for v in a[r]]
         for i in range(len(a)):
-            if i != r and not f.is_zero(a[i][c]):
+            if i != r and a[i][c]:
                 g = a[i][c]
-                a[i] = [f.sub(x, f.mul(g, y)) for x, y in zip(a[i], a[r])]
+                a[i] = [f.canon(x - g * y) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -391,7 +390,7 @@ def dense_solve(f, rows, n, b):
                               n + 1)
     if n in pivots:
         return None
-    return {c: row[n] for row, c in zip(rref, pivots) if not f.is_zero(row[n])}
+    return {c: row[n] for row, c in zip(rref, pivots) if row[n]}
 
 
 def dense_inverse(f, rows, n):
@@ -414,7 +413,7 @@ def dense_nullspace(f, rows, n):
         v = [f.zero] * n
         v[free] = f.one
         for row, c in zip(rref, pivots):
-            v[c] = f.neg(row[free])
+            v[c] = f.canon(-row[free])
         basis.append(v)
     return basis
 

@@ -483,6 +483,44 @@ def test_check_corpus_singular_inverse_fails_its_line(dz2w_file, tmp_path):
         "reason": "left-multiplication system is singular"}
 
 
+def test_check_expr_singular_scalar_inverse_fails_its_line(dz2w_file):
+    # the scalar 0 has no inverse, like a singular tensor: the identity
+    # fails with the reason instead of ending the command
+    res = _process(["check", "expr", dz2w_file, "--expr", "inv(0) == 1"])
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == ""
+    assert res.stdout == ("FAIL  inv(0) == 1\n"
+                          "  witness: {'reason': 'inverse of 0 in F_7'}\n")
+
+
+@pytest.mark.parametrize("args, text", [
+    (["derive", "{fz2w}", "--element", "u"], "error: datum has no R-matrix"),
+    (["ribbon", "find", "{fz2w}"], "error: datum has no R-matrix"),
+    (["check", "twist-props", "{fz2w}", "--seeds", "0"],
+     "error: datum has no R-matrix"),
+    (["check", "expr", "{fz2w}", "--expr", "Rinv"],
+     "error: datum has no R-matrix"),
+    (["verify", "{fz2w}", "--level", "qt"], "error: datum has no R-matrix"),
+    (["verify", "{dz2w}", "--level", "ribbon"],
+     "error: datum has no ribbon candidate"),
+    (["ribbon", "check", "{dz2w}"],
+     "input error: datum has no ribbon candidate"),
+    (["check", "ribbon-theorem", "{dz2w}"],
+     "input error: datum has no ribbon candidate"),
+], ids=["derive", "ribbon-find", "twist-props", "expr", "verify-qt",
+        "verify-ribbon", "ribbon-check", "ribbon-theorem"])
+def test_missing_part_has_one_text(dz2w_file, tmp_path, args, text, capsys):
+    # every command names a missing R-matrix or ribbon candidate with the
+    # text that a skipped identity gives as its reason
+    fz2w = tmp_path / "fz2w.json"
+    assert main(["example", "--kind", "function", "--group", "Z2", "--q", "1",
+                 "--field", "p:7", "--out", str(fz2w)]) == 0
+    capsys.readouterr()
+    args = [a.format(fz2w=fz2w, dz2w=dz2w_file) for a in args]
+    assert main(args) == 2
+    assert capsys.readouterr().err == text + "\n"
+
+
 def test_ribbon_find_over_q_names_the_field_not_a_budget(h4_file):
     res = _process(["ribbon", "find", h4_file])
     assert res.returncode == 2

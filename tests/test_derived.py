@@ -28,7 +28,7 @@ def test_gamma_with_general_alpha_trivial_phi(sw):
     # keeping the trivial associator but scaling the evaluation element:
     # the first pairing element becomes alpha (x) alpha
     f = sw.field
-    two = f.from_int(2)
+    two = f.canon(2)
     alpha2 = SparseTensor.make(f, 1, 4, {(0,): two})
     half = f.inv(two)
     beta2 = SparseTensor.make(f, 1, 4, {(0,): half})

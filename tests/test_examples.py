@@ -145,10 +145,9 @@ def test_sweedler_structure(sw):
     assert isinstance(sw.field, RationalField)
     assert verify_quasitriangular(sw).ok
     # x * g = -(g * x)
-    f = sw.field
     xg = sw.mul(sw.basis(2), sw.basis(1))
     gx = sw.mul(sw.basis(1), sw.basis(2))
-    assert xg.entries == {k: f.neg(v) for k, v in gx.entries.items()}
+    assert xg.entries == {k: -v for k, v in gx.entries.items()}
     # x^2 = 0
     assert sw.mul(sw.basis(2), sw.basis(2)).is_zero()
 

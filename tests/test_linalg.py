@@ -41,22 +41,19 @@ def _matrix(rng, f, m, n, rank, fill):
         row = [f.zero] * n
         for src in rows[:free]:
             c = _scalar(rng, f)
-            row = [f.add(a, f.mul(c, b)) for a, b in zip(row, src)]
+            row = [f.canon(a + c * b) for a, b in zip(row, src)]
         rows.append(row)
     return rows
 
 
 def _sparse(f, rows):
-    return [{j: v for j, v in enumerate(r) if not f.is_zero(v)} for r in rows]
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
 def _apply(f, rows, x):
     out = []
     for r in rows:
-        acc = f.zero
-        for j, v in x.items():
-            acc = f.add(acc, f.mul(r[j], v))
-        out.append(acc)
+        out.append(f.canon(sum(r[j] * v for j, v in x.items())))
     return out
 
 
@@ -78,10 +75,10 @@ def test_solve_matches_dense_rref(fname, shape):
         candidates = [b, [_scalar(rng, f) for _ in rows]]
         if SHAPES[shape][2] is not None:
             # break the relation that ties the last row to the first ones
-            candidates.append(b[:-1] + [f.add(b[-1], f.one)])
+            candidates.append(b[:-1] + [f.canon(b[-1] + 1)])
         for rhs in candidates:
             got = linalg.solve(f, _sparse(f, rows), n,
-                               {i: v for i, v in enumerate(rhs) if not f.is_zero(v)})
+                               {i: v for i, v in enumerate(rhs) if v})
             assert got == dense_solve(f, rows, n, rhs)
             if got is None:
                 inconsistent += 1
@@ -98,14 +95,14 @@ def test_invert_matrix_matches_dense_rref(fname, shape):
     singular = 0
     for f, rng, rows, n in _systems(fname, shape):
         got = linalg.invert_matrix(
-            f, {i: tuple((j, v) for j, v in enumerate(r) if not f.is_zero(v))
+            f, {i: tuple((j, v) for j, v in enumerate(r) if v)
                 for i, r in enumerate(rows)}, n)
         want = dense_inverse(f, rows, n)
         if want is None:
             assert got is None
             singular += 1
             continue
-        assert got == {i: tuple((j, v) for j, v in enumerate(r) if not f.is_zero(v))
+        assert got == {i: tuple((j, v) for j, v in enumerate(r) if v)
                        for i, r in enumerate(want)}
     if shape == "singular":
         assert singular == len(SEEDS)
@@ -118,8 +115,8 @@ def test_nullspace_matches_dense_rref(fname, shape):
         basis = linalg.nullspace(f, _sparse(f, rows), n)
         assert basis == dense_nullspace(f, rows, n)
         for v in basis:
-            x = {j: c for j, c in enumerate(v) if not f.is_zero(c)}
-            assert all(f.is_zero(c) for c in _apply(f, rows, x))
+            x = {j: c for j, c in enumerate(v) if c}
+            assert not any(_apply(f, rows, x))
 
 
 def test_empty_and_zero_systems():

@@ -15,8 +15,7 @@ def test_identity_twist_is_noop(dz2w, sw):
 
 
 def test_make_twist_rejects_unnormalized(sw):
-    f = sw.field
-    bad = scale(sw.unit_tensor(2), f.from_int(2))
+    bad = scale(sw.unit_tensor(2), 2)
     with pytest.raises(InvalidTwist):
         make_twist(sw, bad)
 
@@ -26,6 +25,13 @@ def test_make_twist_rejects_singular(sw):
     t = SparseTensor.make(f, 2, 4, {(0, 2): f.one})
     with pytest.raises(InvalidTwist):
         make_twist(sw, t)
+
+
+def test_make_twist_rejects_a_wrong_supplied_inverse(sw):
+    tw = random_twist(sw, 0)
+    assert make_twist(sw, tw.T, tw.T_inv).T_inv == tw.T_inv
+    with pytest.raises(InvalidTwist, match="supplied inverse"):
+        make_twist(sw, tw.T, scale(tw.T_inv, 2))
 
 
 def test_random_twist_deterministic(sw, dz3w):
@@ -111,7 +117,7 @@ def test_u_twist_invariance(sw, dz2w):
     for d, seeds in ((sw, range(8)), (dz2w, range(5))):
         for seed in seeds:
             dt = twist(d, random_twist(d, seed))
-            assert drinfeld_u(dt).u == drinfeld_u(d).u
+            assert drinfeld_u(dt) == drinfeld_u(d)
 
 
 def test_twist_identity_twist_trivial_checks(dz2w):
