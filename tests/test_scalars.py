@@ -25,6 +25,23 @@ def test_f7_inverse():
     # oracle: the defining equation, not a copied constant
     assert f.canon(2 * inv2) == 1
     assert inv2 == 4
+
+
+def test_rational_add():
+    q = RationalField()
+    assert q.canon(Fraction(1, 2) + Fraction(1, 3)) == Fraction(5, 6)
+    assert q.canon(-q.zero) == q.zero
+
+
+def test_prime_field_operations():
+    # the field operations are operators on representatives reduced by canon
+    f = PrimeField(7)
+    assert f.canon(3 + 5) == 1
+    assert f.canon(3 - 5) == 5
+    assert f.canon(3 * 5) == 1
+    quotient = f.canon(3 * f.inv(5))
+    assert f.canon(5 * quotient) == 3 and quotient == 2  # 5*2 = 10 = 3 mod 7
+    assert f.canon(-3) == 4
     assert f.inv(3) == 5  # 3*5 = 15 = 1 mod 7
 
 
