@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 when everything requested passed, 1 when any check failed,
-2 for usage or input errors.  Reports are plain text by default or JSON
-behind --format json; JSON reports are byte-identical across runs for the
-same input and seeds (apart from elapsed_ms).
+2 for usage or input errors, and when stdout closes before the output is
+written.  Reports are plain text by default or JSON behind --format json;
+JSON reports are byte-identical across runs for the same input and seeds
+(apart from elapsed_ms).
 
 Start-up is most of the wall time of a small command, so only `datum` and
 `errors` are imported here; every other module is imported inside the
@@ -27,11 +28,15 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.handler(args)
-    except (ParseError, ShapeError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: what is still buffered
+        # goes to devnull, so that the flush at exit fails with no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except FileNotFoundError as exc:
+    except (ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

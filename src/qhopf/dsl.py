@@ -12,17 +12,25 @@ Grammar (whitespace-insensitive):
 
 '*' is the componentwise product (equal arities), '#' concatenates tensor
 factors.  Scalar literals are arity-polymorphic and coerce against the other
-operand.  basis(i) with an identifier expands over all basis indices when
-run through the corpus runner.  A name is a key of CONSTANTS.
+operand.  A name is a key of CONSTANTS.  An int is a run of decimal digits;
+a name begins with any other letter, digit or underscore, so `basis(²)`
+names a variable.  Text of more than MAX_TOKENS tokens is a ParseError,
+which keeps every walk of the tree within the recursion limit.
+
+`evaluate` gives the value of a term.  An identity is checked on one path,
+`CheckReport.compare_each`, by `check_line` (one line, where basis(i) with
+an identifier runs over all basis indices) and by `check_named` (the tagged
+lines of the shipped corpus).
 """
 
 import os
+import re
 from collections import namedtuple
 from operator import attrgetter
 
 from .datum import LEGS, MISSING
 from .errors import ArityError, ParseError, UndefinedName
-from .report import CheckReport, diff_witness
+from .report import CheckReport
 from .tensor import apply_legs, concat, flip, invert, mult, scale
 
 Constant = namedtuple("Constant", "arity needs value")
@@ -98,54 +106,27 @@ Eq = _node("Eq", "left right")
 
 # ----- tokenizer / parser ---------------------------------------------------
 
-_SYMBOLS = ("==", "*", "#", "(", ")", "[", "]", ",", "/", "-")
+MAX_TOKENS = 256
+# one group per token kind: symbol, int, name, and any other character
+_TOKEN = re.compile(r"(==|[*#()\[\],/-])|(\d+)|([^\W\d]\w*)|(\S)")
+_KINDS = (None, "sym", "int", "name")
 
 
 def _tokenize(src):
+    """(kind, text, line, column) for each token, then an "eof" token; no
+    token spans a newline, so each line is matched on its own."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if src.startswith("==", i):
-            toks.append(("sym", "==", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "*#()[],/-":
-            toks.append(("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line=line, column=col)
-    toks.append(("eof", "", line, col))
-    return toks
+    lines = src.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN.finditer(text):
+            if m.lastindex == 4:
+                raise ParseError("unexpected character %r" % m[0],
+                                 line, m.start() + 1)
+            if len(toks) == MAX_TOKENS:
+                raise ParseError("more than %d tokens" % MAX_TOKENS,
+                                 line, m.start() + 1)
+            toks.append((_KINDS[m.lastindex], m[0], line, m.start() + 1))
+    return toks + [("eof", "", len(lines), len(lines[-1]) + 1)]
 
 
 class _Parser:
@@ -158,120 +139,101 @@ class _Parser:
         return self.toks[self.pos]
 
     def next(self):
-        t = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
-    def expect(self, kind, value=None):
+    def expect(self, want):
+        """The next token, which must be of kind `want` ("int" or "name")
+        or the symbol `want`."""
         t = self.next()
-        if t[0] != kind or (value is not None and t[1] != value):
-            raise ParseError("expected %s, found %r" % (value or kind, t[1]),
-                             line=t[2], column=t[3])
+        if want != (t[1] if t[0] == "sym" else t[0]):
+            raise ParseError("expected %s, found %r" % (want, t[1]), t[2], t[3])
         return t
 
     def parse(self):
-        left = self.term()
+        node = self.term()
         if self.peek()[1] == "==":
             self.next()
-            right = self.term()
-            node = Eq(left, right)
-        else:
-            node = left
+            node = Eq(node, self.term())
         t = self.peek()
         if t[0] != "eof":
-            raise ParseError("trailing input %r" % t[1], line=t[2], column=t[3])
+            raise ParseError("trailing input %r" % t[1], t[2], t[3])
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek()[0] == "sym" and self.peek()[1] in ("*", "#"):
-            op = self.next()[1]
-            node = Prod(op, node, self.factor())
+        while self.peek()[1] in ("*", "#"):
+            node = Prod(self.next()[1], node, self.factor())
         return node
 
     def factor(self):
-        t = self.peek()
-        if t[0] == "sym" and t[1] == "(":
-            self.next()
+        t = self.next()
+        if t[1] == "(":
             node = self.term()
             if self.peek()[1] == "==":
                 raise ParseError("'==' may only appear at the top level",
-                                 line=t[2], column=t[3])
-            self.expect("sym", ")")
+                                 t[2], t[3])
+            self.expect(")")
             return node
-        if t[0] == "sym" and t[1] == "-":
-            self.next()
-            num = self.expect("int")[1]
-            return self._scalar_tail("-" + num, t)
+        if t[1] == "-":
+            return self._scalar("-" + self.expect("int")[1], t)
         if t[0] == "int":
-            self.next()
-            return self._scalar_tail(t[1], t)
+            return self._scalar(t[1], t)
         if t[0] != "name":
-            raise ParseError("expected a factor, found %r" % t[1],
-                             line=t[2], column=t[3])
-        self.next()
-        word = t[1]
-        if word == "inv":
-            self.expect("sym", "(")
+            raise ParseError("expected a factor, found %r" % t[1], t[2], t[3])
+        if t[1] == "inv":
+            self.expect("(")
+            node = Inv(self.term())
+        elif t[1] == "flip":
+            self.expect("(")
             node = self.term()
-            self.expect("sym", ")")
-            return Inv(node)
-        if word == "flip":
-            self.expect("sym", "(")
-            node = self.term()
-            self.expect("sym", ",")
-            i = int(self.expect("int")[1])
-            self.expect("sym", ",")
-            j = int(self.expect("int")[1])
-            self.expect("sym", ")")
-            return Flip(node, i, j)
-        if word == "map":
-            self.expect("sym", "[")
+            self.expect(",")
+            i = self._int(self.expect("int"))
+            self.expect(",")
+            node = Flip(node, i, self._int(self.expect("int")))
+        elif t[1] == "map":
+            self.expect("[")
             legs = [self._leg()]
             while self.peek()[1] == ",":
                 self.next()
                 legs.append(self._leg())
-            self.expect("sym", "]")
-            self.expect("sym", "(")
-            node = self.term()
-            self.expect("sym", ")")
-            return MapLegs(tuple(legs), node)
-        if word == "basis":
-            self.expect("sym", "(")
-            t2 = self.next()
-            if t2[0] == "int":
-                idx = int(t2[1])
-            elif t2[0] == "name":
-                idx = t2[1]
-            else:
+            self.expect("]")
+            self.expect("(")
+            node = MapLegs(tuple(legs), self.term())
+        elif t[1] == "basis":
+            self.expect("(")
+            t = self.next()
+            if t[0] not in ("int", "name"):
                 raise ParseError("basis() takes an index or a variable",
-                                 line=t2[2], column=t2[3])
-            self.expect("sym", ")")
-            return Basis(idx)
-        return Name(word)
+                                 t[2], t[3])
+            node = Basis(self._int(t) if t[0] == "int" else t[1])
+        else:
+            return Name(t[1])
+        self.expect(")")
+        return node
 
-    def _scalar_tail(self, num, start):
-        if self.peek()[0] == "sym" and self.peek()[1] == "/":
-            save = self.pos
-            self.next()
-            t = self.peek()
-            if t[0] == "int":
-                self.next()
-                num += "/" + t[1]
-            else:
-                self.pos = save
+    def _int(self, t):
+        try:
+            return int(t[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("integer of %d digits" % len(t[1]), t[2], t[3])
+
+    def _scalar(self, num, start):
+        if self.peek()[1] == "/" and self.toks[self.pos + 1][0] == "int":
+            num += "/" + self.toks[self.pos + 1][1]
+            self.pos += 2
         if self.field is not None:
             try:
                 self.field.parse(num)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError("bad scalar %r (%s)" % (num, exc),
-                                 line=start[2], column=start[3])
+                                 start[2], start[3])
         return ScalarLit(num)
 
     def _leg(self):
         t = self.expect("name")
         if t[1] not in LEGS:
-            raise ParseError("unknown leg map %r" % t[1], line=t[2], column=t[3])
+            raise ParseError("unknown leg map %r" % t[1], t[2], t[3])
         return t[1]
 
 
@@ -279,52 +241,74 @@ def parse(source, field=None):
     """Parse one identity or term; raises ParseError with position info and
     ArityError if the arities cannot be made consistent.  With a field, a
     scalar literal it cannot read is a ParseError too."""
-    node = _Parser(source, field).parse()
-    infer_arity(node)
-    return node
+    return _plan(source, field).expr
 
 
-# ----- arity inference -------------------------------------------------------
+# ----- arity and basis variables ---------------------------------------------
 
 def infer_arity(node):
     """Arity of the expression; None for a bare scalar literal."""
-    if isinstance(node, Eq):
-        a = infer_arity(node.left)
-        b = infer_arity(node.right)
-        if a is not None and b is not None and a != b:
-            raise ArityError("cannot compare arity %d with arity %d" % (a, b))
-        return a if a is not None else b
+    return _analyse(node, set())[0]
+
+
+def _analyse(node, free):
+    """(arity, basis variables) of node, the arity None for a bare scalar
+    literal; adds node and each of its subterms without a basis variable
+    to `free`."""
+    found = set()
     if isinstance(node, Name):
-        return _constant(node.name).arity
-    if isinstance(node, Basis):
-        return 1
-    if isinstance(node, ScalarLit):
-        return None
-    if isinstance(node, Prod):
-        a = infer_arity(node.left)
-        b = infer_arity(node.right)
-        if node.op == "*":
-            if a is not None and b is not None and a != b:
-                raise ArityError("product of arity %d with arity %d" % (a, b))
-            return a if a is not None else b
-        if a is None or b is None:
-            raise ArityError("'#' needs tensors on both sides")
-        return a + b
-    if isinstance(node, Inv):
-        return infer_arity(node.expr)
-    if isinstance(node, Flip):
-        a = infer_arity(node.expr)
-        if a is None or node.i >= a or node.j >= a or node.i == node.j \
-                or node.i < 0 or node.j < 0:
-            raise ArityError("flip(%d,%d) on arity %r" % (node.i, node.j, a))
-        return a
-    if isinstance(node, MapLegs):
-        a = infer_arity(node.expr)
-        if a != len(node.legs):
-            raise ArityError("map with %d legs applied to arity %r"
-                             % (len(node.legs), a))
-        return sum(LEGS[l].width for l in node.legs)
-    raise TypeError(node)
+        arity = _constant(node.name).arity
+    elif isinstance(node, Basis):
+        arity = 1
+        if isinstance(node.index, str):
+            found.add(node.index)
+    elif isinstance(node, ScalarLit):
+        arity = None
+    elif isinstance(node, (Prod, Eq)):
+        a, left = _analyse(node.left, free)
+        b, right = _analyse(node.right, free)
+        found = left | right
+        if isinstance(node, Prod) and node.op == "#":
+            if a is None or b is None:
+                raise ArityError("'#' needs tensors on both sides")
+            arity = a + b
+        elif a is not None and b is not None and a != b:
+            raise ArityError("%s arity %d with arity %d" % (
+                "product of" if isinstance(node, Prod) else "cannot compare",
+                a, b))
+        else:
+            arity = a if a is not None else b
+    elif isinstance(node, (Inv, Flip, MapLegs)):
+        arity, found = _analyse(node.expr, free)
+        if isinstance(node, Flip) and (
+                arity is None or node.i == node.j
+                or not 0 <= node.i < arity or not 0 <= node.j < arity):
+            raise ArityError("flip(%d,%d) on arity %r"
+                             % (node.i, node.j, arity))
+        if isinstance(node, MapLegs):
+            if arity != len(node.legs):
+                raise ArityError("map with %d legs applied to arity %r"
+                                 % (len(node.legs), arity))
+            arity = sum(LEGS[l].width for l in node.legs)
+    else:
+        raise TypeError(node)
+    if not found:
+        free.add(node)
+    return arity, found
+
+
+_Plan = namedtuple("_Plan", "expr free variables")
+
+
+def _plan(expr, field=None):
+    """What evaluating expr, an AST or text parsed with `field`, needs
+    besides a datum: the subterms without a basis variable (`free`) and
+    the sorted basis variables."""
+    if isinstance(expr, str):
+        expr = _Parser(expr, field).parse()
+    free = set()
+    variables = sorted(_analyse(expr, free)[1])
+    return _Plan(expr, free, variables)
 
 
 # ----- printer ---------------------------------------------------------------
@@ -373,33 +357,20 @@ def _resolve(d, name, consts):
     return c.value(d)
 
 
-_Plan = namedtuple("_Plan", "expr keys free variables")
-
-
-def _plan(expr):
-    """What evaluating expr needs besides a datum: a key per subterm, equal
-    for equal subterms (`keys`, by node identity), the keys of the subterms
-    without a basis variable (`free`), and the sorted basis variables."""
-    keys, free = {}, set()
-    variables = sorted(_scan(expr, keys, free, {}))
-    return _Plan(expr, keys, free, variables)
-
-
 class _Run:
     """The state of one evaluation of a plan: the datum, bound constants,
     the basis variable's value, and the value of every subterm evaluated so
-    far.  The values of the free subterms stay in `memo` while a line loops
-    over the basis; the others (`local`) are dropped when the variable
-    moves on."""
+    far, keyed by the subterm.  The values of the free subterms stay in
+    `memo` while a line loops over the basis; the others (`local`) are
+    dropped when the variable moves on."""
 
-    __slots__ = ("d", "consts", "keys", "free", "bindings", "memo", "local")
+    __slots__ = ("d", "consts", "free", "bindings", "memo", "local")
 
     def __init__(self, d, consts, p):
         self.d = d
         self.consts = consts
-        self.keys = p.keys
         self.free = p.free
-        self.bindings = None
+        self.bindings = {}
         self.memo = {}
         self.local = {}
 
@@ -408,32 +379,12 @@ class _Run:
         self.local = {}
 
 
-def _scan(node, keys, free, first):
-    """The basis variables of node.  Sets keys[id(n)] for node and each of
-    its subterms n, equal for equal subterms (`first` maps each distinct
-    subterm to its key), and adds the keys of those without a basis
-    variable to `free`."""
-    if isinstance(node, Basis):
-        found = {node.index} if isinstance(node.index, str) else set()
-    elif isinstance(node, (Name, ScalarLit)):
-        found = set()
-    elif isinstance(node, (Prod, Eq)):
-        found = (_scan(node.left, keys, free, first)
-                 | _scan(node.right, keys, free, first))
-    else:
-        found = _scan(node.expr, keys, free, first)
-    key = keys[id(node)] = first.setdefault(node, id(node))
-    if not found:
-        free.add(key)
-    return found
-
-
 def _eval(node, run):
-    key = run.keys[id(node)]
-    cache = run.memo if key in run.free else run.local
-    if key not in cache:
-        cache[key] = _eval_node(node, run)
-    return cache[key]
+    cache = run.memo if node in run.free else run.local
+    value = cache.get(node)
+    if value is None:
+        value = cache[node] = _eval_node(node, run)
+    return value
 
 
 def _eval_node(node, run):
@@ -444,7 +395,7 @@ def _eval_node(node, run):
     if isinstance(node, Basis):
         idx = node.index
         if isinstance(idx, str):
-            if not run.bindings or idx not in run.bindings:
+            if idx not in run.bindings:
                 raise UndefinedName("unbound basis variable %r" % idx)
             idx = run.bindings[idx]
         if idx < 0 or idx >= d.dim:
@@ -476,36 +427,27 @@ def _eval_node(node, run):
     raise TypeError(node)
 
 
-def evaluate(expr, d, consts=None, bindings=None):
-    """A term evaluates to a tensor; an identity evaluates to
-    (bool, witness-or-None)."""
-    if isinstance(expr, str):
-        expr = parse(expr, d.field)
-    run = _Run(d, consts, _plan(expr))
-    run.bind(bindings)
-    if isinstance(expr, Eq):
-        witness = diff_witness(*_sides(expr, run))
-        return witness is None, witness
-    val = _eval(expr, run)
-    if isinstance(val, _Scalar):
-        return scale(d.unit_tensor(0), val.value)
-    return val
+def _tensor(value, d, arity):
+    """value as a tensor; a scalar becomes that multiple of the unit of
+    the given arity."""
+    if isinstance(value, _Scalar):
+        return scale(d.unit_tensor(arity), value.value)
+    return value
+
+
+def evaluate(expr, d):
+    """The value on d of a term, as an AST or as text: a tensor, of arity 0
+    for a bare scalar.  Identities are checked by `check_line`."""
+    p = _plan(expr, d.field)
+    return _tensor(_eval(p.expr, _Run(d, None, p)), d, 0)
 
 
 def _sides(eq, run):
     """Both sides of an identity as tensors of one arity; a scalar side
     becomes that multiple of the unit."""
-    d = run.d
-    lhs = _eval(eq.left, run)
-    rhs = _eval(eq.right, run)
-    if isinstance(lhs, _Scalar) and isinstance(rhs, _Scalar):
-        return (scale(d.unit_tensor(0), lhs.value),
-                scale(d.unit_tensor(0), rhs.value))
-    if isinstance(lhs, _Scalar):
-        return scale(d.unit_tensor(rhs.arity), lhs.value), rhs
-    if isinstance(rhs, _Scalar):
-        return lhs, scale(d.unit_tensor(lhs.arity), rhs.value)
-    return lhs, rhs
+    sides = _eval(eq.left, run), _eval(eq.right, run)
+    arity = next((s.arity for s in sides if not isinstance(s, _Scalar)), 0)
+    return tuple(_tensor(s, run.d, arity) for s in sides)
 
 
 def _cases(p, d, consts):
@@ -540,21 +482,19 @@ def corpus_entries(path=None):
                 yield None, line
 
 
-def corpus_lines(path=None):
-    for _, line in corpus_entries(path):
-        yield line
-
-
 def check_line(d, line):
-    """(status, witness) for one corpus line.  A line with a basis variable
+    """(status, witness) for one identity.  A line with a basis variable
     holds when it holds at every basis index; the first index where it does
     not is the witness's `basis`.  A line whose constants the datum does
     not carry is skipped; one that inverts a singular element fails, as in
-    `CheckReport.compare_each`."""
+    `CheckReport.compare_each`.  A term that is not an identity is a
+    ParseError."""
     try:
-        p = _plan(parse(line, d.field))
+        p = _plan(line, d.field)
     except (ArityError, UndefinedName) as exc:
         return "skipped", {"reason": str(exc)}
+    if not isinstance(p.expr, Eq):
+        raise ParseError("expected an identity, found the term %r" % line)
     if len(p.variables) > 1:
         return "skipped", {"reason": "multiple basis variables"}
     try:
@@ -585,7 +525,7 @@ def check_named(d, names, witness_limit=1, consts=None):
     if not _NAMED:
         for name, line in corpus_entries():
             if name:
-                _NAMED.setdefault(name, []).append(_plan(parse(line)))
+                _NAMED.setdefault(name, []).append(_plan(line))
     rep = CheckReport()
     for name in names:
         rep.compare_each(name, (case for p in _NAMED[name]

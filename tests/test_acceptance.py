@@ -17,7 +17,7 @@ from qhopf import (big_f, check_F_compat,
                    random_invertible, random_twist, rtwist_elements, u_tilde,
                    verify, verify_quasi_bialgebra, verify_quasi_hopf,
                    verify_quasitriangular)
-from qhopf.dsl import (check_named, corpus_lines, parse, print_expr,
+from qhopf.dsl import (check_named, corpus_entries, parse, print_expr,
                        run_corpus)
 from qhopf.rng import SplitMix64
 from qhopf.tensor import apply_legs, concat, flip, invert, mul_all, mult
@@ -229,7 +229,7 @@ def test_criterion_11_mutation_sensitivity(all_examples):
 
 def test_criterion_12_identity_corpus(all_examples):
     ok = True
-    for line in corpus_lines():
+    for _, line in corpus_entries():
         ok = ok and parse(print_expr(parse(line))) == parse(line)
     for name, d in all_examples.items():
         rep = run_corpus(d)

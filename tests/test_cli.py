@@ -37,15 +37,14 @@ def dz2_f5_file(tmp_path_factory):
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+QHOPF = [sys.executable, "-c",
+         "import sys; from qhopf.cli import main; sys.exit(main())"]
 
 
 def _process(args, timeout=None):
     """`qhopf args` run in a fresh interpreter."""
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from qhopf.cli import main; sys.exit(main())"] + args,
-        capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=SRC))
+    return subprocess.run(QHOPF + args, capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=SRC))
 
 
 def test_example_to_stdout(capsys):
@@ -460,6 +459,52 @@ def test_check_expr_bad_scalar_literal_exits_two(example, expr, tmp_path):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("input error: bad scalar")
     assert "at line 1, column 1" in res.stderr
+
+
+@pytest.mark.parametrize("expr", [
+    "flip(R,0,²)", "basis(²)", "flip(R,0,%s)" % ("1" * 5000),
+    "(" * 2000 + "R" + ")" * 2000, " * ".join(["R"] * 3000),
+], ids=["superscript-index", "superscript-basis", "5000-digit-index",
+        "2000-parentheses", "3000-factors"])
+def test_check_expr_hostile_text_exits_two(dz2w_file, expr):
+    rc, out, err = _run(["check", "expr", dz2w_file, "--expr", expr])
+    assert rc == 2 and not out
+    assert err.startswith(("input error:", "error:"))
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "DIR"],
+    ["verify", "BYTES"],
+    ["check", "corpus", "FILE", "--corpus", "DIR"],
+    ["check", "corpus", "FILE", "--corpus", "BYTES"],
+    ["check", "corpus", "FILE", "--corpus", "TERM"],
+], ids=["verify-directory", "verify-not-utf8", "corpus-directory",
+        "corpus-not-utf8", "corpus-line-not-an-identity"])
+def test_unreadable_input_exits_two(dz2w_file, tmp_path, args):
+    (tmp_path / "bytes").write_bytes(b"\xff")
+    (tmp_path / "term").write_text("R\n")
+    paths = {"DIR": str(tmp_path), "BYTES": str(tmp_path / "bytes"),
+             "TERM": str(tmp_path / "term"), "FILE": dz2w_file}
+    rc, out, err = _run([paths.get(a, a) for a in args])
+    assert rc == 2 and not out
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_two_quietly(tmp_path):
+    # the twist of D^w(Z4)/F13 prints about 230 KB, more than a pipe holds,
+    # so the command is still writing when the reader closes its end
+    path = tmp_path / "z4.json"
+    assert _run(["example", "--kind", "dpr", "--group", "Z4", "--q", "1",
+                 "--field", "p:13", "--out", str(path)])[0] == 0
+    proc = subprocess.Popen(QHOPF + ["twist", str(path), "--seed", "0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b""
 
 
 def test_check_corpus(dz2w_file, capsys):

@@ -3,14 +3,15 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qhopf.dsl
 import qhopf.ribbon
 from qhopf import verify
 from qhopf.cli import build_parser
 from qhopf.datum import LEGS
-from qhopf.dsl import (CONSTANTS, Basis, Eq, Inv, MapLegs, Name, Prod,
-                       check_line, check_named, corpus_entries, corpus_lines,
+from qhopf.dsl import (CONSTANTS, MAX_TOKENS, Basis, Eq, Inv, MapLegs, Name,
+                       Prod, check_line, check_named, corpus_entries,
                        evaluate, infer_arity, parse, print_expr, run_corpus)
 from qhopf.errors import ArityError, ParseError, UndefinedName
 from qhopf.scalars import PrimeField, RationalField
@@ -49,6 +50,49 @@ def test_parse_errors_have_position():
         parse("nonsense * R")
 
 
+@pytest.mark.parametrize("src, field, where", [
+    ("map[eps,id](R\n\t", None, (2, 2)),
+    ("one_1 ==\n\t1/2 * one_1", PrimeField(7), (2, 2)),
+    ("R *\n\n\t\tR )", None, (3, 5)),
+    ("map[eps,\n bogus](R)", None, (2, 2)),
+    ("map[eps,id](R)\n  == one_1 $", None, (2, 12)),
+    ("flip(R,\r\n0,\t\x0b1 x", None, (2, 7)),
+], ids=["end-of-text", "bad-scalar", "trailing-input", "unknown-leg",
+        "unexpected-character", "other-whitespace"])
+def test_parse_errors_have_position_on_multi_line_input(src, field, where):
+    # a newline starts a line; any other whitespace, a tab included, is one
+    # column
+    with pytest.raises(ParseError) as err:
+        parse(src, field)
+    assert (err.value.line, err.value.column) == where
+
+
+def test_text_over_the_token_bound_is_a_parse_error():
+    # the bound keeps every walk of the tree within the recursion limit
+    src = "inv(R)" + " *\n R" * 126
+    assert MAX_TOKENS == 256 and infer_arity(parse(src)) == 2
+    with pytest.raises(ParseError) as err:
+        parse(src + " *\n R")
+    assert (err.value.line, err.value.column) == (127, 4)
+    deep = "(" * 127 + "R" + ")" * 127
+    assert parse(print_expr(parse(deep))) == Name("R")
+
+
+GRAMMAR_TEXT = st.lists(st.sampled_from(
+    list("==*#()[],/-_ \t\n0123456789Rux²α") + [
+        "inv(", "flip(", "map[", "basis(", "eps", "id", "D", "S", "Phi",
+        "one_1", "one_2", "alpha", "i"]), max_size=40).map("".join)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(GRAMMAR_TEXT, st.sampled_from([None, PrimeField(7), RationalField()]))
+def test_parse_raises_only_its_own_errors(src, field):
+    try:
+        parse(src, field)
+    except (ParseError, ArityError, UndefinedName):
+        pass
+
+
 def test_flip_arity_validation():
     with pytest.raises(ArityError):
         parse("flip(alpha, 0, 1)")
@@ -57,7 +101,7 @@ def test_flip_arity_validation():
 
 
 def test_printer_round_trip_corpus():
-    lines = list(corpus_lines())
+    lines = [line for _, line in corpus_entries()]
     assert len(lines) >= 40
     for line in lines:
         ast = parse(line)
@@ -78,14 +122,13 @@ def test_evaluate_unit_product(kz2):
 
 
 def test_evaluate_scalar_coercion(kz2):
-    ok, diff = evaluate(parse("map[eps](alpha) * map[eps](beta) == 1"), kz2)
-    assert ok and diff is None
+    status, witness = check_line(kz2, "map[eps](alpha) * map[eps](beta) == 1")
+    assert status == "pass" and witness is None
 
 
 def test_evaluate_basis_binding(kz2):
-    ok, _ = evaluate(parse("map[eps,id](map[D](basis(i))) == basis(i)"),
-                     kz2, bindings={"i": 1})
-    assert ok
+    status, _ = check_line(kz2, "map[eps,id](map[D](basis(i))) == basis(i)")
+    assert status == "pass"
     with pytest.raises(UndefinedName):
         evaluate(parse("basis(i)"), kz2)
 
@@ -97,13 +140,13 @@ def test_evaluate_undefined_r(fz2w):
 
 def test_u_equals_ucheck_everywhere(sw, dz2w, dz3w):
     for d in (sw, dz2w, dz3w):
-        ok, diff = evaluate(parse("u == ucheck"), d)
-        assert ok, diff
+        status, witness = check_line(d, "u == ucheck")
+        assert status == "pass", witness
 
 
 def test_antipode_r_identity_on_double(dz2w):
-    ok, diff = evaluate(parse("map[S,S](R) == Fp * R * inv(F)"), dz2w)
-    assert ok, diff
+    status, witness = check_line(dz2w, "map[S,S](R) == Fp * R * inv(F)")
+    assert status == "pass", witness
 
 
 def test_check_line_skips_missing_constants(fz2w):
@@ -147,7 +190,6 @@ def test_scalar_literal_the_field_cannot_read_is_a_parse_error():
 
 def test_corpus_tags_name_checks_not_report_lines(dz2w):
     entries = list(corpus_entries())
-    assert [line for _, line in entries] == list(corpus_lines())
     assert ("pentagon", "map[id,id,D](Phi) * map[D,id,id](Phi) == "
             "(one_1 # Phi) * map[id,D,id](Phi) * (Phi # one_1)") in entries
     assert [n for n, _ in entries].count("counitality") == 2
