@@ -36,7 +36,7 @@ def main(argv=None):
         # goes to devnull, so that the flush at exit fails with no message
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ShapeError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
@@ -267,7 +267,7 @@ def cmd_check(args):
         from . import dsl
         expr = dsl.parse(args.expr, d.field)
         if isinstance(expr, dsl.Eq):
-            status, witness = dsl.check_line(d, args.expr)
+            status, witness = dsl.check_line(d, args.expr, expr)
             rep_ok = status == "pass"
             if getattr(args, "format", "text") == "json":
                 doc = {"datum": d.content_hash(), "expr": args.expr,

@@ -345,8 +345,17 @@ def loads(text):
 
 
 def load_path(path):
+    return loads(read_text(path))
+
+
+def read_text(path):
+    """The text of a UTF-8 file; one that is not UTF-8 is a ParseError that
+    names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s: %s" % (path, exc))
 
 
 # ----- verifiers ---------------------------------------------------------

@@ -28,7 +28,7 @@ import re
 from collections import namedtuple
 from operator import attrgetter
 
-from .datum import LEGS, MISSING
+from .datum import LEGS, MISSING, read_text
 from .errors import ArityError, ParseError, UndefinedName
 from .report import CheckReport
 from .tensor import apply_legs, concat, flip, invert, mult, scale
@@ -470,27 +470,27 @@ def corpus_entries(path=None):
     """(name, identity) for each line of a corpus.  A line may begin with
     `name:`, the named check that it states; name is None otherwise."""
     # '#' doubles as the concatenation operator, so comments are whole lines
-    with open(path or CORPUS_PATH, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, sep, rest = line.partition(":")
-            if sep and head.strip().isidentifier():
-                yield head.strip(), rest.strip()
-            else:
-                yield None, line
+    for raw in read_text(path or CORPUS_PATH).split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, sep, rest = line.partition(":")
+        if sep and head.strip().isidentifier():
+            yield head.strip(), rest.strip()
+        else:
+            yield None, line
 
 
-def check_line(d, line):
-    """(status, witness) for one identity.  A line with a basis variable
-    holds when it holds at every basis index; the first index where it does
-    not is the witness's `basis`.  A line whose constants the datum does
-    not carry is skipped; one that inverts a singular element fails, as in
+def check_line(d, line, expr=None):
+    """(status, witness) for one identity, the text `line`, parsed unless
+    its AST `expr` is given.  A line with a basis variable holds when it
+    holds at every basis index; the first index where it does not is the
+    witness's `basis`.  A line whose constants the datum does not carry is
+    skipped; one that inverts a singular element fails, as in
     `CheckReport.compare_each`.  A term that is not an identity is a
     ParseError."""
     try:
-        p = _plan(line, d.field)
+        p = _plan(line if expr is None else expr, d.field)
     except (ArityError, UndefinedName) as exc:
         return "skipped", {"reason": str(exc)}
     if not isinstance(p.expr, Eq):

@@ -12,12 +12,17 @@ product e_i e_j.  Elements of different blocks multiply to zero and a block
 is closed under products, for any structure constants, including ones that
 break an axiom.  D^w(G) has one block per group element; H4 and K[G] have
 one.  A multi-index has a block signature, the block of each leg.  mult()
-pairs entries of equal signature only, and invert() solves one linear system
-per signature.  hom_sum() joins its factors the same way, once each map is
-applied to its leg and each constant is a factor: a leg's product is
+multiplies entries of equal signature only, and invert() solves one linear
+system per signature.  hom_sum() joins its factors the same way, once each
+map is applied to its leg and each constant is a factor: a leg's product is
 nonzero only if all its atoms lie in one block, so each factor is bucketed
 by the blocks of its atoms on the legs it shares with the factors before it,
 and each combination of those meets only its bucket, in cartesian order.
+
+Prefix trees.  mult() multiplies dense operands, and every operand on a
+basis whose products have several terms, as prefix trees (trees.py).
+Single-term calls of arity 1, or with fewer than 4 entries per signature
+(the associator of D^w(G)), pair their entries one by one instead.
 
 Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
 input is read as numerators over one denominator (scalars.py); Algebra and
@@ -26,8 +31,9 @@ is fixed per call (d1*d2*den^k in mult), and _canon() makes one canonical
 scalar per output entry.  Over F_p the numerators are residues over 1, left
 unreduced until _canon(): reduction mod p is a ring map, so one loop serves
 both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
-products are single terms, selects the index-chasing loops of mult() and of
-hom_sum(); other bases expand each product (_basis_product(), _fold()).
+products are single terms, selects the index-chasing loops of mult(), of the
+system build of invert() and of hom_sum(); other bases expand each product
+(trees.expand(), _basis_product(), _fold()).
 """
 
 from itertools import product as iproduct
@@ -251,6 +257,19 @@ def _basis_product(struct, k1, k2, c):
     return out
 
 
+def _chase_terms(mono, k1, k2, c):
+    """_basis_product() on a basis of single-term products: the one term
+    of c e_k1 e_k2, found by following the mono rows, or none."""
+    key = []
+    for i, j in zip(k1, k2):
+        term = mono[i].get(j)
+        if term is None:
+            return ()
+        key.append(term[0])
+        c *= term[1]
+    return ((tuple(key), c),)
+
+
 def mult(t1, t2, alg):
     """Componentwise product in the k-th tensor power of the algebra."""
     if t1.arity != t2.arity:
@@ -258,18 +277,23 @@ def mult(t1, t2, alg):
     if t1.dim != t2.dim:
         raise ShapeMismatch("dim %d vs %d" % (t1.dim, t2.dim))
     t1.field.assert_same(t2.field)
-    f = alg.field
+    f, k = alg.field, t1.arity
     (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)
-    # only equal block signatures multiply to nonzero; t1 keeps its order,
-    # so accumulation runs in the order of the full double loop
-    block_of, mono, struct = alg.block_of, alg.mono, alg.nstruct
-    buckets = _buckets(e2.items(), range(t1.arity), block_of)
+    block_of, mono = alg.block_of, alg.mono
+    buckets = _buckets(e2.items(), range(k), block_of)
     acc = {}
-    for k1, c1 in e1.items():
-        partners = buckets.get(tuple([block_of[i] for i in k1]))
-        if partners is None:
-            continue
-        if mono is not None:
+    if (k and mono is None
+            or k > 1 and min(len(e1), len(e2)) >= 4 * len(buckets)):
+        # t2's signatures stand in for t1's in the density test
+        from .trees import multiply
+        multiply(acc, alg, e1, buckets, k)
+    else:
+        # t1 keeps its order: accumulation runs in the order of the full
+        # double loop
+        for k1, c1 in e1.items():
+            partners = buckets.get(tuple([block_of[i] for i in k1]))
+            if partners is None:
+                continue
             rows = [mono[i] for i in k1]
             for k2, c2 in partners:
                 c = c1 * c2
@@ -283,12 +307,7 @@ def mult(t1, t2, alg):
                 else:
                     key = tuple(key)
                     acc[key] = acc.get(key, 0) + c
-        else:
-            for k2, c2 in partners:
-                for key, c in _basis_product(struct, k1, k2, c1 * c2):
-                    acc[key] = acc.get(key, 0) + c
-    return SparseTensor(f, t1.arity, t1.dim,
-                        _canon(f, acc, d1 * d2 * alg.den ** t1.arity))
+    return SparseTensor(f, k, t1.dim, _canon(f, acc, d1 * d2 * alg.den ** k))
 
 
 def mul_all(alg, *tensors):
@@ -432,6 +451,8 @@ def invert(t, alg):
     block_of, blocks = alg.block_of, alg.blocks
     by_sig = _buckets(nums.items(), range(k), block_of)
     rhs_by_sig = _buckets(alg.unit_tensor(k).entries.items(), range(k), block_of)
+    table, terms = ((alg.nstruct, _basis_product) if alg.mono is None
+                    else (alg.mono, _chase_terms))
     inv_entries = {}
     for sig, rhs_items in rhs_by_sig.items():
         # this signature's multi-indices in lexicographic order: the order
@@ -442,7 +463,7 @@ def invert(t, alg):
         rows = [{} for _ in unknowns]
         for jflat, jkey in enumerate(unknowns):
             for key, c in entries:
-                for ikey, cc in _basis_product(alg.nstruct, key, jkey, c):
+                for ikey, cc in terms(table, key, jkey, c):
                     row = rows[index[ikey]]
                     row[jflat] = row.get(jflat, 0) + cc
         for row in rows:

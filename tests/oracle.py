@@ -179,6 +179,36 @@ def hom_sum_cartesian(alg, legs, factors, out):
     return {k: v for k, v in acc.items() if v}
 
 
+def mult_pairs(t1, t2, alg):
+    """mult by pairs of entries: each entry of t1 meets the entries of t2
+    of its block signature, and the cartesian product of the legs' term
+    lists is expanded for each pair (one term or none a leg on a basis of
+    single-term products), on integer numerators.  This is the loop that
+    the package's prefix trees replaced for dense operands and multi-term
+    bases.  Returns the accumulator in insertion order, with canonical
+    nonzero values."""
+    f, k = alg.field, t1.arity
+    (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)
+    block_of, struct = alg.block_of, alg.nstruct
+    buckets = {}
+    for k2, c2 in e2.items():
+        sig = tuple(block_of[j] for j in k2)
+        buckets.setdefault(sig, []).append((k2, c2))
+    acc = {}
+    for k1, c1 in e1.items():
+        for k2, c2 in buckets.get(tuple(block_of[i] for i in k1), ()):
+            lists = [struct.get((i, j), ()) for i, j in zip(k1, k2)]
+            for picks in iproduct(*lists):
+                c = c1 * c2
+                for _, cv in picks:
+                    c *= cv
+                key = tuple(kk for kk, _ in picks)
+                acc[key] = acc.get(key, 0) + c
+    den = d1 * d2 * alg.den ** k
+    acc = {key: f.over(v, den) for key, v in acc.items()}
+    return {key: v for key, v in acc.items() if v}
+
+
 def dense_basis(d, i):
     out = [d.field.zero] * d.dim
     out[i] = d.field.one

@@ -277,16 +277,18 @@ def h4_file(tmp_path_factory):
 
 @pytest.mark.parametrize("case, extra", [
     ("malformed", set()),
-    ("verify_qt", {"qhopf.derived", "qhopf.dsl", "fractions"}),
+    ("verify_qt", {"qhopf.derived", "qhopf.dsl", "qhopf.trees", "fractions"}),
     ("twist_props", {"qhopf.derived", "qhopf.drinfeld", "qhopf.dsl",
-                     "qhopf.rng", "qhopf.twisting", "fractions"}),
+                     "qhopf.rng", "qhopf.trees", "qhopf.twisting",
+                     "fractions"}),
     ("verify_qt_prime", {"qhopf.derived", "qhopf.dsl"}),
 ])
 def test_commands_import_only_what_they_run(case, extra, h4_file, dz2w_file,
                                             tmp_path):
     # a command imports only the modules it runs: no examples or ribbon for
-    # these, no dataclasses on the verify and twist paths, and fractions
-    # only for rational data (H4 is over Q, D^w(Z2) over F_7)
+    # these, no dataclasses on the verify and twist paths, fractions only
+    # for rational data (H4 is over Q, D^w(Z2) over F_7), and trees only
+    # where a product is dense (H4 is one block, D^w(Z2) has two)
     if case == "malformed":
         bad = tmp_path / "bad.json"
         bad.write_text('{"field": ')
@@ -429,6 +431,20 @@ def test_check_expr(dz2w_file, capsys):
     assert main(["check", "expr", dz2w_file, "--expr", "u == inv(u)"]) == 1
 
 
+def test_check_expr_parses_an_identity_once(dz2w_file, monkeypatch):
+    from qhopf import dsl
+    parses = []
+    real = dsl._Parser.parse
+
+    def parse(self):
+        parses.append(self)
+        return real(self)
+    monkeypatch.setattr(dsl._Parser, "parse", parse)
+    rc, out, _ = _run(["check", "expr", dz2w_file, "--expr", "u == ucheck"])
+    assert rc == 0 and out == "PASS  u == ucheck\n"
+    assert len(parses) == 1
+
+
 def test_check_expr_twist_constant_is_unknown(dz2w_file):
     # no command binds a twist, so the language has no T or Tinv
     res = _process(["check", "expr", dz2w_file, "--expr", "T * Tinv == one_2"])
@@ -488,6 +504,10 @@ def test_unreadable_input_exits_two(dz2w_file, tmp_path, args):
     rc, out, err = _run([paths.get(a, a) for a in args])
     assert rc == 2 and not out
     assert err.startswith("input error: ") and err.count("\n") == 1
+    if "BYTES" in args:
+        # the message names the file that is not UTF-8
+        assert err == ("input error: %s: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n" % paths["BYTES"])
 
 
 def test_closed_stdout_exits_two_quietly(tmp_path):

@@ -8,7 +8,7 @@ from qhopf import (FiniteAbelianGroup, big_f, check_twist_elements,
                    cocycle_for, dpr_double, drinfeld_u, modify_antipode,
                    random_twist, recover_modifier, rtwist_elements, sweedler,
                    twist, u_tilde, verify_quasi_hopf)
-from qhopf import datum, derived
+from qhopf import datum, derived, dsl, ribbon, trees
 from qhopf.errors import ArityMismatch, NotInvertible, QhopfError, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
@@ -18,9 +18,10 @@ from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, conca
                           coprod_leg, counit_leg, flip, hom_sum, insert_leg,
                           invert, lin_leg, mult, permute_legs, scale, LEG_ID)
 
-from basis import REBASED, rebased, scaled
+from basis import REBASED, change_basis, rebased, scaled
 from mutation import merge_blocks, mutate
-from oracle import dense_apply_legs, dense_mult, dense_of, hom_sum_cartesian
+from oracle import (dense_apply_legs, dense_mult, dense_of, hom_sum_cartesian,
+                    mult_pairs)
 
 F7 = PrimeField(7)
 
@@ -515,3 +516,49 @@ def test_a_mapped_name_read_twice_is_refused(dz3w):
     with pytest.raises(ValueError):
         dz3w.hsum(r, [[("S", ["s", "t"])]])
 
+
+# ----- every mult of three commands against the pair loop -------------------
+
+def _mult_calls(monkeypatch, run):
+    """(t1, t2, alg, value, trees) of every mult call that run() makes;
+    trees tells whether the call built prefix trees."""
+    calls, built = [], []
+    real_mult, real_tree = te.mult, trees.tree
+
+    def record(t1, t2, alg):
+        built.append(False)
+        value = real_mult(t1, t2, alg)
+        calls.append((t1, t2, alg, value, built.pop()))
+        return value
+
+    def tree(items):
+        built[-1] = True
+        return real_tree(items)
+    for mod in (te, datum, derived, dsl, ribbon):
+        monkeypatch.setattr(mod, "mult", record)
+    monkeypatch.setattr(trees, "tree", tree)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
+    twisted = twist(dz3w, random_twist(dz3w, 0))
+    dense_h4 = change_basis(sweedler(), seed=3, extra=4)
+    z4 = FiniteAbelianGroup((4,))
+    dz4w = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
+    runs = [lambda: datum.verify(twisted),
+            lambda: datum.verify(dense_h4, level="qt"),
+            lambda: (datum.verify(dz4w, level="qt"),
+                     ribbon.find_ribbon(dz4w, 10 ** 6))]
+    paths = set()
+    for run in runs:
+        calls = _mult_calls(monkeypatch, run)
+        assert len(calls) > 100
+        for t1, t2, alg, got, trees in calls:
+            assert got.entries == mult_pairs(t1, t2, alg)
+            paths.add((alg.mono is None, t1.arity > 1, trees))
+    # both sides of the density selection on single-term bases, and the
+    # trees on the multi-term basis, at arity 1 and above
+    assert paths >= {(False, True, True), (False, True, False),
+                     (True, False, True), (True, True, True)}
