@@ -7,6 +7,7 @@ candidates, and searches for ribbon elements."""
 from collections import namedtuple
 from functools import reduce
 from itertools import product as iproduct
+from math import prod
 
 from . import linalg
 from .drinfeld import drinfeld_u
@@ -156,12 +157,14 @@ def find_ribbon(d, budget):
     """All ribbon elements, each verified by the defining checks before
     being returned, in increasing order of their sorted entries.
 
-    A ribbon element v is central and satisfies v v = c with
-    c = (u S(u))^-1.  The center is the direct sum of the block centers, so
-    v is the sum of one square root of the block part of c in the span of
-    each block's center.  Each block's roots are enumerated over F_p on
-    their own; the search needs a finite field and at most `budget` points
-    and combinations."""
+    A ribbon element v is central, fixed by S, of counit 1, and satisfies
+    v v = c with c = (u S(u))^-1.  The center is the direct sum of the block
+    centers, so v is the sum of one square root of the block part of c in
+    the span of each block's center.  Each block's roots are enumerated over
+    F_p on their own; `_block_roots` combines only those that give
+    S(v) = v and eps(v) = 1, and `is_ribbon` checks each combination.  The
+    search needs a finite field and at most `budget` points and
+    combinations."""
     if d.field.size is None:
         raise QhopfError("ribbon search needs a finite field")
     alg = d.algebra
@@ -175,9 +178,20 @@ def find_ribbon(d, budget):
 
 
 def _block_roots(d, c, budget):
-    """Every central square root of c, as the sums of one root per block.
-    The roots of different blocks have disjoint supports, so the sums are
-    distinct."""
+    """Every central square root v of c with S(v) = v and eps(v) = 1, as
+    sums of one root per block, and the region searched.
+
+    Write v = sum_b r_b with r_b a root in block b.  When S maps each block
+    b into one block s(b) and s permutes the blocks (`_block_image`), the
+    part of S(v) in block s(b) is S(r_b), so S(v) = v iff S(r_b) = r_s(b)
+    for every b.  On an orbit b, s(b), ..., s^(k-1)(b) the root r_b then
+    fixes the others: the orbit contributes r_b + S(r_b) + ... +
+    S^(k-1)(r_b) for each root r_b whose images are roots of their blocks
+    and with S^k(r_b) = r_b.  Otherwise each block is its own orbit and
+    contributes each of its roots.  Of the combinations of one part per
+    orbit, those with eps(v) = 1 are returned; parts of different orbits
+    have disjoint supports, so the sums are distinct.  `budget` bounds the
+    points enumerated and the combinations formed."""
     f = d.field
     alg = d.algebra
     per_block = []
@@ -195,19 +209,58 @@ def _block_roots(d, c, budget):
         if not roots:
             return [], "blockwise, %d points, no square root in a block" % total
         per_block.append(roots)
-    combos = 1
-    for roots in per_block:
-        combos *= len(roots)
+    image = _block_image(d)
+    s = [d.leg("S")]
+    parts = []     # per orbit: (part, eps(part)) for each part it contributes
+    seen = set()
+    for head in range(len(per_block)):
+        if head in seen:
+            continue
+        orbit = [head]
+        while image is not None and image[orbit[-1]] != head:
+            orbit.append(image[orbit[-1]])
+        seen.update(orbit)
+        found = []
+        for r in per_block[head]:
+            entries = dict(r.entries)
+            x = r
+            for b in orbit[1:]:
+                x = apply_legs(x, s)
+                if x not in per_block[b]:
+                    break
+                entries.update(x.entries)
+            else:
+                if image is None or apply_legs(x, s) == r:
+                    part = SparseTensor(f, 1, d.dim, entries)
+                    found.append((part, d.eps_of(part)))
+        parts.append(found)
+    combos = prod(len(found) for found in parts)
     if combos > budget:
         raise BudgetExceeded("combining block roots needs %d candidates"
                              % combos, required=combos)
     out = []
-    for pick in iproduct(*per_block):
+    for pick in iproduct(*parts):
+        if f.canon(sum([e for _, e in pick])) != f.one:
+            continue
         entries = {}
-        for part in pick:
+        for part, _ in pick:
             entries.update(part.entries)
         out.append(SparseTensor(f, 1, d.dim, entries))
     return out, "blockwise over %d blocks, %d points" % (len(alg.blocks), total)
+
+
+def _block_image(d):
+    """{b: s(b)} when the antipode maps every basis element of each block b
+    into the one block s(b) and s permutes the blocks; None otherwise."""
+    alg = d.algebra
+    terms = d.leg("S").terms
+    image = {}
+    for b, members in enumerate(alg.blocks):
+        hit = {alg.block_of[j] for i in members for (j,), _ in terms.get(i, ())}
+        if len(hit) != 1:
+            return None
+        image[b] = hit.pop()
+    return image if len(set(image.values())) == len(image) else None
 
 
 def _square_roots(alg, gens, target):

@@ -3,14 +3,18 @@ operations used as an oracle.  Everything here loops over all index tuples
 and stores dense coefficient lists; nothing is shared with the sparse code
 paths in the package.
 
-The last section is the exception: alternative formulas for derived
-elements, evaluated with the engine's own kernels.  They check the
-package's formula, not its kernels.
+The last two sections are the exception.  Alternative formulas for
+derived elements, evaluated with the engine's own kernels, check the
+package's formula, not its kernels.  The unfactored ribbon search, on the
+engine's square-root kernel, checks how `find_ribbon` prunes candidates.
 """
 
 from itertools import product as iproduct
 
-from qhopf.tensor import LEG_ID, SparseTensor, apply_legs
+from qhopf.drinfeld import drinfeld_u
+from qhopf.ribbon import (RibbonCandidate, RibbonSearch, _block_center,
+                          _square_roots, is_ribbon)
+from qhopf.tensor import LEG_ID, SparseTensor, apply_legs, invert, mult
 
 
 def dense_of(t):
@@ -471,3 +475,39 @@ def delta_alt(d):
     q = apply_legs(p, [LEG_ID, LEG_ID, d.leg("S"), d.leg("S")])
     return d.hsum([(q, ("x", "y", "sz1", "sz2")), (d1, ("d1", "d2"))],
                   [["x", "d1", "sz2"], ["y", "d2", "sz1"]])
+
+
+# ----- reference ribbon search ----------------------------------------------
+
+
+def find_ribbon_unfactored(d):
+    """The ribbon search with no pruning: every combination of one central
+    square root of c = (u S(u))^-1 per block goes through `is_ribbon`.
+    Candidates, their order and the region are those `find_ribbon` must
+    report."""
+    f, alg = d.field, d.algebra
+    u = drinfeld_u(d)
+    c = invert(mult(u, d.antipode(u), alg), alg)
+    per_block = []
+    total = 0
+    for b, members in enumerate(alg.blocks):
+        zs = _block_center(alg, members)
+        total += f.size ** len(zs)
+        c_block = SparseTensor(f, 1, d.dim, {
+            k: v for k, v in c.entries.items() if alg.block_of[k[0]] == b})
+        roots = _square_roots(alg, zs, c_block)
+        if not roots:
+            return RibbonSearch(
+                [], "blockwise, %d points, no square root in a block" % total)
+        per_block.append(roots)
+    out = []
+    for pick in iproduct(*per_block):
+        entries = {}
+        for part in pick:
+            entries.update(part.entries)
+        v = SparseTensor(f, 1, d.dim, entries)
+        if is_ribbon(d, v).ok:
+            out.append(RibbonCandidate(v=v, provenance="solver"))
+    out.sort(key=lambda cand: tuple(cand.v.sorted_items()))
+    return RibbonSearch(out, "blockwise over %d blocks, %d points"
+                        % (len(alg.blocks), total))

@@ -13,10 +13,10 @@ from qhopf.errors import BudgetExceeded, NotInvertible, QhopfError, ShapeMismatc
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
 from qhopf.tensor import (Algebra, SparseTensor, basis_vector, flip, invert,
-                          mult)
+                          lin_leg, mult)
 
 from oracle import (dense_nullspace, dense_of, dense_square_roots,
-                    dense_vec_mul, struct_coeff)
+                    dense_vec_mul, find_ribbon_unfactored, struct_coeff)
 
 
 def test_rtwist_trivial_r(kz2):
@@ -264,19 +264,112 @@ def _shuffle(n, seed):
     return perm
 
 
-def test_find_ribbon_relabelled_z4_double():
+@pytest.fixture(scope="module")
+def z4w():
+    """D^w(Z4)/F13: S swaps blocks 1 and 3 and fixes blocks 0 and 2."""
     z4 = FiniteAbelianGroup((4,))
-    d = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
-    perm = _shuffle(d.dim, 21)
-    dr = load(_relabel(d.to_json(), perm))
+    return dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
+
+
+@pytest.fixture(scope="module")
+def z4w_relabelled(z4w):
+    return load(_relabel(z4w.to_json(), _shuffle(z4w.dim, 21)))
+
+
+def test_find_ribbon_relabelled_z4_double(z4w, z4w_relabelled):
+    perm = _shuffle(z4w.dim, 21)
+    dr = z4w_relabelled
     res = find_ribbon(dr, 10 ** 6)
     assert res.region == "blockwise over 4 blocks, 114244 points"
     assert len(res.candidates) == 2
     for cand in res.candidates:
         assert is_ribbon(dr, cand.v).ok
     moved = {tuple(sorted(((perm[i],), c) for (i,), c in cand.v.entries.items()))
-             for cand in find_ribbon(d, 10 ** 6).candidates}
+             for cand in find_ribbon(z4w, 10 ** 6).candidates}
     assert moved == {tuple(cand.v.sorted_items()) for cand in res.candidates}
+
+
+# ----- pruning by S-orbits of blocks against the unfactored search -----------
+
+
+def _named(name, request):
+    if name.startswith("h4_f"):
+        return _h4(int(name[4:]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["dz2_f5", "dz2w", "dz3w", "kz2", "h4_f3",
+                                  "h4_f5", "z4w_relabelled"])
+def test_find_ribbon_against_unfactored_search(name, request):
+    # dropping the candidates with S(v) != v or eps(v) != 1 before is_ribbon
+    # changes neither the candidates, nor their order, nor the region
+    d = _named(name, request)
+    assert find_ribbon(d, 10 ** 6) == find_ribbon_unfactored(d)
+
+
+def _count_checks(monkeypatch):
+    """The candidates find_ribbon passes to is_ribbon, from now on."""
+    seen = []
+    real = ribbon.is_ribbon
+
+    def counted(d, v, witness_limit=1):
+        seen.append(v)
+        return real(d, v, witness_limit)
+    monkeypatch.setattr(ribbon, "is_ribbon", counted)
+    return seen
+
+
+def test_find_ribbon_checks_only_orbit_candidates(z4w, monkeypatch):
+    checked = _count_checks(monkeypatch)
+    # 4^4 combinations of one root per block; 32 are fixed by S with eps 1
+    assert len(find_ribbon(z4w, 10 ** 6).candidates) == 2
+    assert len(checked) == 32
+    # the untwisted double: 16^4 combinations, 1024 over the orbits of S,
+    # 512 of them with eps 1
+    z4 = FiniteAbelianGroup((4,))
+    d = dpr_double(z4, cocycle_for(z4, 0, PrimeField(13)))
+    checked.clear()
+    res = find_ribbon(d, 10 ** 6)
+    assert len(checked) == 512
+    assert len(res.candidates) == 4
+    assert d.v in [cand.v for cand in res.candidates]
+
+
+@pytest.mark.parametrize("name", ["dz3w", "z4w_relabelled"])
+def test_find_ribbon_without_block_image(name, request, monkeypatch):
+    # when S does not permute the blocks, each block is its own orbit and
+    # only the counit prunes
+    d = request.getfixturevalue(name)
+    want = find_ribbon_unfactored(d)
+    monkeypatch.setattr(ribbon, "_block_image", lambda d: None)
+    checked = _count_checks(monkeypatch)
+    assert find_ribbon(d, 10 ** 6) == want
+    assert all(d.eps_of(v) == 1 for v in checked)
+
+
+def test_block_image(z4w):
+    assert ribbon._block_image(z4w) == {0: 0, 1: 3, 2: 2, 3: 1}
+    z2z2 = FiniteAbelianGroup((2, 2))
+    d = dpr_double(z2z2, cocycle_for(z2z2, 0, PrimeField(5)))
+    assert ribbon._block_image(d) == {b: b for b in range(4)}
+    # an antipode that sends a block across two blocks, or two blocks into
+    # one, does not permute the blocks
+    f, alg = z4w.field, z4w.algebra
+    first = alg.blocks[0][0]
+    for rows in ({i: ((i, 1), (first, 1)) for i in range(z4w.dim)},
+                 {i: ((first, 1),) for i in range(z4w.dim)}):
+        fake = SimpleNamespace(algebra=alg, leg=lambda name: lin_leg(f, rows))
+        assert ribbon._block_image(fake) is None
+
+
+def test_find_ribbon_budget_counts_orbit_combinations():
+    # D(Z2xZ2)/F5: 2500 points, and S fixes every block and every one of
+    # the 16 roots of each, so all 16^4 combinations are formed
+    z2z2 = FiniteAbelianGroup((2, 2))
+    d = dpr_double(z2z2, cocycle_for(z2z2, 0, PrimeField(5)))
+    with pytest.raises(BudgetExceeded, match="combining block roots") as err:
+        find_ribbon(d, 10 ** 4)
+    assert err.value.required == 16 ** 4
 
 
 # ----- the square-root kernel against the dense oracle -----------------------
