@@ -33,7 +33,7 @@ unreduced until _canon(): reduction mod p is a ring map, so one loop serves
 both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
 products are single terms, selects the index-chasing loops of mult(), of the
 system build of invert() and of hom_sum(); other bases expand each product
-(trees.expand(), _basis_product(), _fold()).
+in trees.py (expand(), fold()), imported only for them.
 """
 
 from itertools import product as iproduct
@@ -239,27 +239,9 @@ def _buckets(items, legs, block_of):
     return out
 
 
-def _basis_product(struct, k1, k2, c):
-    """The terms (key, numerator) of c e_k1 e_k2 in the tensor power; none
-    when some leg multiplies to zero."""
-    lists = []
-    for ij in zip(k1, k2):
-        terms = struct.get(ij)
-        if not terms:
-            return ()
-        lists.append(terms)
-    out = []
-    for picks in iproduct(*lists):
-        cc = c
-        for _, cv in picks:
-            cc *= cv
-        out.append((tuple([k for k, _ in picks]), cc))
-    return out
-
-
 def _chase_terms(mono, k1, k2, c):
-    """_basis_product() on a basis of single-term products: the one term
-    of c e_k1 e_k2, found by following the mono rows, or none."""
+    """The term (key, numerator) of c e_k1 e_k2 by the mono rows of a
+    single-term basis, or none; on any basis at arity 0."""
     key = []
     for i, j in zip(k1, k2):
         term = mono[i].get(j)
@@ -442,17 +424,19 @@ def invert(t, alg):
     """Two-sided inverse in the k-th tensor power, by solving the linear
     system of left multiplication against the unit, one system per block
     signature that the unit reaches (zero on the others); both product
-    checks run before returning."""
+    checks run before returning.  On a basis whose products have several
+    terms, column j of a system is t e_j, multiplied as in mult()."""
     f = alg.field
     k = t.arity
     if t.is_zero():
         raise NotInvertible("the zero tensor has no inverse")
     nums, den = f.numerators(t.entries)
-    block_of, blocks = alg.block_of, alg.blocks
+    block_of, blocks, mono = alg.block_of, alg.blocks, alg.mono
     by_sig = _buckets(nums.items(), range(k), block_of)
     rhs_by_sig = _buckets(alg.unit_tensor(k).entries.items(), range(k), block_of)
-    table, terms = ((alg.nstruct, _basis_product) if alg.mono is None
-                    else (alg.mono, _chase_terms))
+    walk = k and mono is None
+    if walk:
+        from .trees import expand, tree
     inv_entries = {}
     for sig, rhs_items in rhs_by_sig.items():
         # this signature's multi-indices in lexicographic order: the order
@@ -461,11 +445,18 @@ def invert(t, alg):
         index = {key: n for n, key in enumerate(unknowns)}
         entries = by_sig.get(sig, ())
         rows = [{} for _ in unknowns]
-        for jflat, jkey in enumerate(unknowns):
-            for key, c in entries:
-                for ikey, cc in terms(table, key, jkey, c):
-                    row = rows[index[ikey]]
-                    row[jflat] = row.get(jflat, 0) + cc
+        if walk:
+            n1 = tree(entries)
+            for jflat, jkey in enumerate(unknowns):
+                column = expand({}, alg.nstruct, n1, tree([(jkey, 1)]), k)
+                for ikey, cc in column.items():
+                    rows[index[ikey]][jflat] = cc
+        else:
+            for jflat, jkey in enumerate(unknowns):
+                for key, c in entries:
+                    for ikey, cc in _chase_terms(mono, key, jkey, c):
+                        row = rows[index[ikey]]
+                        row[jflat] = row.get(jflat, 0) + cc
         for row in rows:
             _canon(f, row, den * alg.den ** k)
         rhs = {index[key]: c for key, c in rhs_items}
@@ -525,8 +516,10 @@ def hom_sum(alg, legs, factors, out):
     for firsts, buckets in levels[:-1]:
         combos = [(idx + key, c0 * c) for idx, c0 in combos for key, c in
                   buckets.get(tuple([block_of[idx[p]] for p in firsts]), ())]
-    table, add_terms = ((alg.mono, _chase) if alg.mono is not None
-                        else (alg.nstruct, _fold))
+    table, add_terms = alg.mono, _chase
+    if table is None:
+        from .trees import fold as add_terms
+        table = alg.nstruct
     firsts, buckets = levels[-1]
     acc = {}
     for idx, c0 in combos:
@@ -576,17 +569,3 @@ def _chase(acc, mono, idx, legs, scalars):
         key.append(cur)
     key = tuple(key)
     acc[key] = acc.get(key, 0) + prod(scalars)
-
-
-def _fold(acc, struct, idx, legs, scalars):
-    """Add to acc the terms of one combination of indices, each output
-    leg's product folded with _vec_mul."""
-    vecs, c = [], prod(scalars)
-    for leg in legs:
-        v = {idx[leg[0]]: 1}
-        for p in leg[1:]:
-            v = _vec_mul(struct, v, {idx[p]: 1})
-        vecs.append(v.items())
-    for picks in iproduct(*vecs):
-        key = tuple([i for i, _ in picks])
-        acc[key] = acc.get(key, 0) + c * prod([x for _, x in picks])

@@ -1,5 +1,5 @@
-"""Prefix trees: mult() of tensor.py on dense operands and on bases whose
-products have several terms.
+"""Products on bases whose products have several terms, and mult() of
+tensor.py on dense operands.
 
 Within one block signature, both operands are read as nested dicts, leg by
 leg, and multiplied by recursion on legs: a leg's product runs once per pair
@@ -7,17 +7,23 @@ of prefixes, and only the last leg loops over entries.  On a basis of
 single-term products (Algebra.mono) each pair of prefixes carries its output
 prefix and scalar down (chase()).  On other bases each pair of subtrees is
 multiplied and summed before the product e_i e_j of the two prefixes
-expands it (expand()):
+expands it (expand()), and so is each column t e_j of invert(), e_j a
+one-entry tree:
 
     t1 t2 = sum_{i,j} (e_i e_j) (x) (t1^(i) t2^(j)),
 
 the contraction order that sums an index as soon as nothing later reads it.
-Trees are built one signature at a time, so only one signature's trees
-exist at once.  The loops add integer numerators, as every kernel of
-tensor.py does.  This module is apart from tensor.py, which every command
-compiles: the compile of the largest module sets the peak memory of short
-commands, and only some commands build trees.
+On such bases hom_sum() expands each combination with fold().  Only one
+signature's trees exist at once.  The loops add integer numerators, as every
+kernel of tensor.py does.  This module is apart from tensor.py, which every
+command compiles: the compile of the largest module sets the peak memory of
+short commands, and only some commands build trees.
 """
+
+from itertools import product as iproduct
+from math import prod
+
+from .tensor import _vec_mul
 
 
 def multiply(acc, alg, e1, buckets, k):
@@ -95,3 +101,17 @@ def expand(out, struct, n1, n2, depth):
                     kk = (k,) + suffix
                     out[kk] = out.get(kk, 0) + ck * c
     return out
+
+
+def fold(acc, struct, idx, legs, scalars):
+    """Add to acc the terms of one combination of indices, each output
+    leg's product folded with _vec_mul."""
+    vecs, c = [], prod(scalars)
+    for leg in legs:
+        v = {idx[leg[0]]: 1}
+        for p in leg[1:]:
+            v = _vec_mul(struct, v, {idx[p]: 1})
+        vecs.append(v.items())
+    for picks in iproduct(*vecs):
+        key = tuple([i for i, _ in picks])
+        acc[key] = acc.get(key, 0) + c * prod([x for _, x in picks])

@@ -44,8 +44,8 @@ def make_twist(d, T, T_inv=None):
 
 def twist(d, tw):
     """The twisted datum: conjugated coproduct, transported associator,
-    evaluation and coevaluation elements, and R-matrix; product, counit and
-    antipode are untouched."""
+    evaluation and coevaluation elements, and R-matrix, whose inverse is left
+    to invert(); product, counit and antipode are untouched."""
     alg = d.algebra
     T, T_inv = tw.T, tw.T_inv
     delta_rows = {}
@@ -71,7 +71,6 @@ def twist(d, tw):
               alpha=alpha_t, beta=beta_t)
     if d.R is not None:
         kw["R"] = mul_all(alg, flip(T, 0, 1), d.R, T_inv)
-        kw["R_inv"] = mul_all(alg, T, d.r_inv, flip(T_inv, 0, 1))
     return d.with_changes(**kw)
 
 

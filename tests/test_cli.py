@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhopf.cli import main
-from qhopf import Cocycle3, FiniteAbelianGroup, dpr_double, loads, verify
+from qhopf import (Cocycle3, FiniteAbelianGroup, dpr_double, loads, sweedler,
+                   verify)
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
 
+from basis import change_basis
 from mutation import all_layers_of, mutate
 
 
@@ -275,6 +277,14 @@ def h4_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def dense_h4_file(tmp_path_factory):
+    """H4/Q in a basis whose products have several terms."""
+    path = tmp_path_factory.mktemp("data") / "dense_h4.json"
+    path.write_text(change_basis(sweedler(), seed=3, extra=4).dumps())
+    return str(path)
+
+
 @pytest.mark.parametrize("case, extra", [
     ("malformed", set()),
     ("verify_qt", {"qhopf.derived", "qhopf.dsl", "qhopf.trees", "fractions"}),
@@ -282,13 +292,17 @@ def h4_file(tmp_path_factory):
                      "qhopf.rng", "qhopf.trees", "qhopf.twisting",
                      "fractions"}),
     ("verify_qt_prime", {"qhopf.derived", "qhopf.dsl"}),
+    ("verify_qt_dense", {"qhopf.derived", "qhopf.dsl", "qhopf.trees",
+                         "fractions"}),
 ])
 def test_commands_import_only_what_they_run(case, extra, h4_file, dz2w_file,
-                                            tmp_path):
+                                            dense_h4_file, tmp_path):
     # a command imports only the modules it runs: no examples or ribbon for
     # these, no dataclasses on the verify and twist paths, fractions only
     # for rational data (H4 is over Q, D^w(Z2) over F_7), and trees only
-    # where a product is dense (H4 is one block, D^w(Z2) has two)
+    # where a product is dense (H4 is one block, D^w(Z2) has two) or the
+    # basis has multi-term products (every product, inverse and sum of the
+    # dense-basis H4 expands there)
     if case == "malformed":
         bad = tmp_path / "bad.json"
         bad.write_text('{"field": ')
@@ -297,6 +311,8 @@ def test_commands_import_only_what_they_run(case, extra, h4_file, dz2w_file,
         args, want_code = ["verify", h4_file, "--level", "qt"], 0
     elif case == "verify_qt_prime":
         args, want_code = ["verify", dz2w_file, "--level", "qt"], 0
+    elif case == "verify_qt_dense":
+        args, want_code = ["verify", dense_h4_file, "--level", "qt"], 0
     else:
         args, want_code = ["check", "twist-props", h4_file, "--seeds", "0"], 0
     code, modules = _startup_modules(args)

@@ -8,9 +8,10 @@ from qhopf import (FiniteAbelianGroup, default_level, group_algebra, load,
 from qhopf.errors import MissingR, ParseError, ShapeError
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
-from qhopf.tensor import apply_legs, mult, scale
+from qhopf.report import CheckReport
+from qhopf.tensor import apply_legs, mult, scale, vector
 
-from mutation import mutate
+from mutation import merge_blocks, mutate
 
 
 def test_round_trip_all_examples(kz2, fz2w, fz3w, sw, dz2_f5, dz2, dz2w, dz3,
@@ -296,3 +297,55 @@ def test_supplied_inverses_are_checked(dz3w):
     assert verify(dz3w.with_changes(R_inv=dz3w.r_inv)).ok
     assert dz3w.supplied == {"phi_inv"}
     assert bad_r.supplied == {"phi_inv", "R_inv"}
+
+
+def _full_loops(d, limit):
+    """product_associative and delta_alg_hom over every triple and pair of
+    basis indices, each coproduct of a basis element formed per pair."""
+    alg, f, n = d.algebra, d.field, d.dim
+
+    def associativity():
+        for i in range(n):
+            ei = {i: f.one}
+            for j in range(n):
+                ij = alg.vec_mul(ei, {j: f.one})
+                for k in range(n):
+                    lhs = alg.vec_mul(ij, {k: f.one})
+                    rhs = alg.vec_mul(ei, alg.vec_mul({j: f.one}, {k: f.one}))
+                    if lhs != rhs:
+                        yield (vector(f, n, lhs), vector(f, n, rhs),
+                               {"basis": [i, j, k]})
+
+    def coproduct_multiplicative():
+        yield d.coproduct(d.unit), d.unit_tensor(2), {}
+        for i in range(n):
+            di = d.coproduct(d.basis(i))
+            for j in range(n):
+                yield (d.coproduct(d.mul(d.basis(i), d.basis(j))),
+                       mult(di, d.coproduct(d.basis(j)), alg), {"basis": [i, j]})
+    rep = CheckReport().compare_each("product_associative", associativity(),
+                                     limit)
+    return rep.compare_each("delta_alg_hom", coproduct_multiplicative(), limit)
+
+
+@pytest.mark.parametrize("name", ["kz2", "fz2w", "fz3w", "sw", "dz2_f5", "dz2",
+                                  "dz2w", "dz3", "dz3w"])
+def test_block_loops_match_the_full_loops(name, request):
+    # associativity runs over the triples of one block and delta_alg_hom
+    # forms each coproduct once; on seeded product and coproduct mutants,
+    # merged blocks included, statuses and witnesses are the full loops'
+    d = request.getfixturevalue(name)
+    mutants = [d] + [mutate(d, layer, SplitMix64(seed))
+                     for layer in ("product", "delta") for seed in range(5)]
+    if len(d.algebra.blocks) > 1:
+        mutants += [merge_blocks(d, SplitMix64(seed)) for seed in range(2)]
+    failing = set()
+    for bad in mutants:
+        for limit in (1, None):
+            got = {c.name: c.to_dict()
+                   for c in verify_quasi_bialgebra(bad, limit).checks}
+            for c in _full_loops(bad, limit).checks:
+                assert got[c.name] == c.to_dict()
+                if c.status == "fail":
+                    failing.add(c.name)
+    assert failing == {"product_associative", "delta_alg_hom"}

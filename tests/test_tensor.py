@@ -20,8 +20,8 @@ from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, conca
 
 from basis import REBASED, change_basis, rebased, scaled
 from mutation import merge_blocks, mutate
-from oracle import (dense_apply_legs, dense_mult, dense_of, hom_sum_cartesian,
-                    mult_pairs)
+from oracle import (dense_apply_legs, dense_inverse, dense_mult, dense_of,
+                    hom_sum_cartesian, mult_pairs, unflatten)
 
 F7 = PrimeField(7)
 
@@ -378,6 +378,62 @@ def test_block_invert_passes_oracle_product_checks(name):
     assert inverted > 0
 
 
+def _dense_inverse(d, t):
+    """t^-1 as a dense list: the solution of t x = 1 by the dense inverse of
+    the matrix of x -> t x, or None when that matrix is singular."""
+    f, n, k = d.field, d.dim, t.arity
+    size = n ** k
+    cols = [dense_mult(d, t, SparseTensor(f, k, n, {unflatten(j, n, k): f.one}))
+            for j in range(size)]
+    inv = dense_inverse(f, [[col[i] for col in cols] for i in range(size)], size)
+    if inv is None:
+        return None
+    unit = dense_of(d.unit_tensor(k))
+    return [f.canon(sum(a * u for a, u in zip(row, unit))) for row in inv]
+
+
+def _kron(f, vecs):
+    out = [f.one]
+    for v in vecs:
+        out = [f.canon(x * y) for x in out for y in v]
+    return out
+
+
+@pytest.mark.parametrize("name", REBASED + ("dense_h4",))
+def test_invert_matches_the_dense_inverse(name):
+    # multi-term bases at arities 0-3: invert builds its columns with
+    # trees.expand above arity 0; a singular input keeps its message
+    d = (change_basis(sweedler(), seed=3, extra=4) if name == "dense_h4"
+         else rebased(name))
+    f, alg = d.field, d.algebra
+    assert alg.mono is None
+    e = [d.basis(i) for i in range(d.dim)]
+    # a nonzero element of the ideal ker(eps) has no inverse
+    kernel = te.sub(e[-1], scale(d.unit, d.eps[-1]))
+    cases = [(t, _dense_inverse(d, t)) for t in (
+        SparseTensor.make(f, 0, d.dim, {(): 3}), d.alpha, d.beta, e[0],
+        kernel, d.R, concat(e[0], d.beta), concat(kernel, d.alpha))]
+    if d.dim ** 3 <= 81:
+        cases.append((d.phi, _dense_inverse(d, d.phi)))
+    else:
+        # dense systems of dim^3 unknowns are too slow here; a decomposable
+        # tensor's inverse is the product of its factors' inverses
+        cases.append((concat(concat(d.alpha, d.beta), d.alpha), _kron(
+            f, [_dense_inverse(d, d.alpha), _dense_inverse(d, d.beta),
+                _dense_inverse(d, d.alpha)])))
+    singular = 0
+    for t, want in cases:
+        if want is None:
+            singular += 1
+            with pytest.raises(NotInvertible,
+                               match="^left-multiplication system is singular$"):
+                invert(t, alg)
+        else:
+            assert dense_of(invert(t, alg)) == want
+    assert {t.arity for t, want in cases if want is not None} == {0, 1, 2, 3}
+    assert singular >= 2
+
+
 def test_block_partition_matches_dpr_metadata():
     for factors, q, p in [((2,), 0, 5), ((2,), 1, 7), ((3,), 0, 7),
                           ((3,), 1, 7), ((4,), 1, 13), ((2, 2), 1, 7)]:
@@ -521,7 +577,8 @@ def test_a_mapped_name_read_twice_is_refused(dz3w):
 
 def _mult_calls(monkeypatch, run):
     """(t1, t2, alg, value, trees) of every mult call that run() makes;
-    trees tells whether the call built prefix trees."""
+    trees tells whether the call built prefix trees.  invert builds trees
+    outside any mult call; those are not counted."""
     calls, built = [], []
     real_mult, real_tree = te.mult, trees.tree
 
@@ -532,7 +589,8 @@ def _mult_calls(monkeypatch, run):
         return value
 
     def tree(items):
-        built[-1] = True
+        if built:
+            built[-1] = True
         return real_tree(items)
     for mod in (te, datum, derived, dsl, ribbon):
         monkeypatch.setattr(mod, "mult", record)
