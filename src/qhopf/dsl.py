@@ -17,10 +17,12 @@ a name begins with any other letter, digit or underscore, so `basis(²)`
 names a variable.  Text of more than MAX_TOKENS tokens is a ParseError,
 which keeps every walk of the tree within the recursion limit.
 
-`evaluate` gives the value of a term.  An identity is checked on one path,
-`CheckReport.compare_each`, by `check_line` (one line, where basis(i) with
-an identifier runs over all basis indices) and by `check_named` (the tagged
-lines of the shipped corpus).
+`evaluate` gives the value of a term.  An identity line has its verdict
+from one function, `_verdict`, through `CheckReport.compare_each`; it is
+read by `check_line` (one line, where basis(i) with an identifier runs over
+all basis indices) and by `check_named` (the tagged lines of the shipped
+corpus).  A verdict with no constant bound is kept in the datum's cache, so
+`run_corpus` does not re-run a line that `verify` has run.
 """
 
 import os
@@ -30,7 +32,7 @@ from operator import attrgetter
 
 from .datum import LEGS, MISSING, read_text
 from .errors import ArityError, ParseError, UndefinedName
-from .report import CheckReport
+from .report import PASS, CheckReport
 from .tensor import apply_legs, concat, flip, invert, mult, scale
 
 Constant = namedtuple("Constant", "arity needs value")
@@ -481,6 +483,18 @@ def corpus_entries(path=None):
             yield None, line
 
 
+def _verdict(d, p, limit=1, consts=None):
+    """(status, witness) of the identity of plan p on d, through
+    `CheckReport.compare_each`.  With no constant bound it depends only on
+    d, the identity and the limit, so it is kept in d's cache; an evaluation
+    that raises is not."""
+    def run():
+        check = CheckReport().compare_each(
+            None, _cases(p, d, consts), limit).checks[0]
+        return check.status, check.witness
+    return run() if consts is not None else d.cache(("line", p.expr, limit), run)
+
+
 def check_line(d, line, expr=None):
     """(status, witness) for one identity, the text `line`, parsed unless
     its AST `expr` is given.  A line with a basis variable holds when it
@@ -498,10 +512,9 @@ def check_line(d, line, expr=None):
     if len(p.variables) > 1:
         return "skipped", {"reason": "multiple basis variables"}
     try:
-        check = CheckReport().compare_each(line, _cases(p, d, None)).checks[0]
+        return _verdict(d, p)
     except UndefinedName as exc:
         return "skipped", {"reason": str(exc)}
-    return check.status, check.witness
 
 
 def run_corpus(d, path=None):
@@ -518,17 +531,17 @@ _NAMED = {}
 
 
 def check_named(d, names, witness_limit=1, consts=None):
-    """A report with one check per name, in the order given: the lines of
-    the shipped corpus tagged with that name, in corpus order, up to the
-    first that fails.  An inverse that does not exist fails the check.  A
-    name that tags no line raises KeyError."""
+    """A report with one check per name, in the order given: the verdict of
+    the first line of the shipped corpus tagged with that name, in corpus
+    order, that does not pass, or a pass when none is left.  An inverse that
+    does not exist fails the check.  A name that tags no line raises
+    KeyError."""
     if not _NAMED:
         for name, line in corpus_entries():
             if name:
                 _NAMED.setdefault(name, []).append(_plan(line))
     rep = CheckReport()
     for name in names:
-        rep.compare_each(name, (case for p in _NAMED[name]
-                                for case in _cases(p, d, consts)),
-                         witness_limit)
+        verdicts = (_verdict(d, p, witness_limit, consts) for p in _NAMED[name])
+        rep.add(name, *next((v for v in verdicts if v[0] != PASS), (PASS, None)))
     return rep

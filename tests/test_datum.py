@@ -300,8 +300,10 @@ def test_supplied_inverses_are_checked(dz3w):
 
 
 def _full_loops(d, limit):
-    """product_associative and delta_alg_hom over every triple and pair of
-    basis indices, each coproduct of a basis element formed per pair."""
+    """The four algebra-map checks over every triple and pair of basis
+    indices, each image of a basis element formed per pair:
+    product_associative, epsilon_alg_hom, delta_alg_hom and
+    antipode_antiautomorphism."""
     alg, f, n = d.algebra, d.field, d.dim
 
     def associativity():
@@ -316,6 +318,16 @@ def _full_loops(d, limit):
                         yield (vector(f, n, lhs), vector(f, n, rhs),
                                {"basis": [i, j, k]})
 
+    def counit_multiplicative():
+        one = d.unit_tensor(0)
+        yield scale(one, d.eps_of(d.unit)), one, {}
+        for i in range(n):
+            for j in range(n):
+                lhs = d.eps_of(d.mul(d.basis(i), d.basis(j)))
+                rhs = f.canon(d.eps[i] * d.eps[j])
+                if lhs != rhs:
+                    yield scale(one, lhs), scale(one, rhs), {"basis": [i, j]}
+
     def coproduct_multiplicative():
         yield d.coproduct(d.unit), d.unit_tensor(2), {}
         for i in range(n):
@@ -323,29 +335,59 @@ def _full_loops(d, limit):
             for j in range(n):
                 yield (d.coproduct(d.mul(d.basis(i), d.basis(j))),
                        mult(di, d.coproduct(d.basis(j)), alg), {"basis": [i, j]})
-    rep = CheckReport().compare_each("product_associative", associativity(),
-                                     limit)
-    return rep.compare_each("delta_alg_hom", coproduct_multiplicative(), limit)
+
+    def antiautomorphism():
+        yield d.antipode(d.unit), d.unit, {}
+        d.s_inv_rows
+        for i in range(n):
+            for j in range(n):
+                yield (d.antipode(d.mul(d.basis(i), d.basis(j))),
+                       d.mul(d.antipode(d.basis(j)), d.antipode(d.basis(i))),
+                       {"basis": [i, j]})
+    rep = CheckReport()
+    for name, cases in (("product_associative", associativity()),
+                        ("epsilon_alg_hom", counit_multiplicative()),
+                        ("delta_alg_hom", coproduct_multiplicative()),
+                        ("antipode_antiautomorphism", antiautomorphism())):
+        rep.compare_each(name, cases, limit)
+    return rep
 
 
 @pytest.mark.parametrize("name", ["kz2", "fz2w", "fz3w", "sw", "dz2_f5", "dz2",
                                   "dz2w", "dz3", "dz3w"])
 def test_block_loops_match_the_full_loops(name, request):
-    # associativity runs over the triples of one block and delta_alg_hom
-    # forms each coproduct once; on seeded product and coproduct mutants,
-    # merged blocks included, statuses and witnesses are the full loops'
+    # associativity runs over the triples of one block, and the counit,
+    # coproduct and antipode checks form each image of a basis element
+    # once; on seeded mutants of the product, coproduct, counit and
+    # antipode, merged blocks included, statuses and witnesses are the full
+    # loops'.  The antipode layer runs where the associator is invertible.
     d = request.getfixturevalue(name)
     mutants = [d] + [mutate(d, layer, SplitMix64(seed))
-                     for layer in ("product", "delta") for seed in range(5)]
+                     for layer in ("product", "delta", "epsilon", "S")
+                     for seed in range(5)]
     if len(d.algebra.blocks) > 1:
         mutants += [merge_blocks(d, SplitMix64(seed)) for seed in range(2)]
     failing = set()
     for bad in mutants:
         for limit in (1, None):
-            got = {c.name: c.to_dict()
-                   for c in verify_quasi_bialgebra(bad, limit).checks}
+            rep = verify_quasi_bialgebra(bad, limit)
+            if rep.checks[-1].name != "phi_invertible":
+                rep.extend(verify_quasi_hopf(bad, limit))
+            got = {c.name: c.to_dict() for c in rep.checks}
             for c in _full_loops(bad, limit).checks:
-                assert got[c.name] == c.to_dict()
-                if c.status == "fail":
-                    failing.add(c.name)
-    assert failing == {"product_associative", "delta_alg_hom"}
+                if c.name in got:
+                    assert got[c.name] == c.to_dict()
+                    if c.status == "fail":
+                        failing.add(c.name)
+    assert failing == {"product_associative", "epsilon_alg_hom",
+                       "delta_alg_hom", "antipode_antiautomorphism"}
+
+
+def test_a_singular_antipode_fails_with_its_reason(kz2):
+    # S(1) = 1 holds, so the check reaches the inverse of the antipode
+    bad = kz2.with_changes(s_rows={0: kz2.s_rows[0]})
+    check = verify_quasi_hopf(bad).checks[0]
+    assert check.to_dict() == {"name": "antipode_antiautomorphism",
+                               "status": "fail",
+                               "witness": {"reason":
+                                           "antipode matrix is singular"}}

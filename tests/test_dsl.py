@@ -7,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import qhopf.dsl
 import qhopf.ribbon
-from qhopf import verify
+from qhopf import load, random_twist, twist, verify
 from qhopf.cli import build_parser
 from qhopf.datum import LEGS
 from qhopf.dsl import (CONSTANTS, MAX_TOKENS, Basis, Eq, Inv, MapLegs, Name,
                        Prod, check_line, check_named, corpus_entries,
                        evaluate, infer_arity, parse, print_expr, run_corpus)
-from qhopf.errors import ArityError, ParseError, UndefinedName
+from qhopf.errors import (ArityError, Exhausted, ParseError, QhopfError,
+                          UndefinedName)
+from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
+
+from mutation import all_layers_of, mutate
 
 
 def test_parse_counit_line():
@@ -254,6 +258,76 @@ def test_singular_inverse_in_a_named_line_fails_the_check(dz2_f5, kz2):
     checks = {c.name: c for c in check_F_compat(bad).checks}
     assert checks["delta_is_coproduct_beta_times_F_inv"].witness == {
         "reason": "the zero tensor has no inverse"}
+
+
+def _data_of(d):
+    """d, its seed-0 twist where one exists, and one mutant per layer."""
+    out = [d]
+    try:
+        out.append(twist(d, random_twist(d, 0)))
+    except Exhausted:
+        pass
+    return out + [mutate(d, layer, SplitMix64(0)) for layer in all_layers_of(d)]
+
+
+def _named_of(d, tags, limit):
+    """check_named of each tag on its own, or the error it raises."""
+    out = []
+    for tag in tags:
+        try:
+            out.append(check_named(d, (tag,), limit).to_dict())
+        except QhopfError as exc:
+            out.append(repr(exc))
+    return out
+
+
+@pytest.mark.parametrize("name", ["kz2", "fz2w", "fz3w", "sw", "dz2_f5", "dz2",
+                                  "dz2w", "dz3", "dz3w"])
+def test_kept_verdicts_change_no_report(name, request):
+    # a datum that has been through verify, and then through run_corpus,
+    # reports what a freshly loaded one does, at both witness limits
+    tags = list(dict.fromkeys(tag for tag, _ in corpus_entries() if tag))
+    for d in _data_of(request.getfixturevalue(name)):
+        doc = d.to_json()
+        used = load(doc)
+        verify(used)
+        got = [run_corpus(used).to_dict()] + [
+            _named_of(used, tags, limit) for limit in (1, None)]
+        fresh = [run_corpus(load(doc)).to_dict()] + [
+            _named_of(load(doc), tags, limit) for limit in (1, None)]
+        assert got == fresh
+
+
+def test_a_verdict_under_a_bound_constant_is_not_kept(dz2_f5):
+    # the candidate v of a ribbon check is bound, not read from the datum:
+    # each candidate gets its own verdict, in either order
+    d = load(dz2_f5.to_json())
+    names = ("ribbon_inverse_square_is_u_Su",)
+    for v, status in ((d.v, "pass"), (d.basis(0), "fail"), (d.v, "pass")):
+        assert check_named(d, names, consts={"v": v}).checks[0].status == status
+
+
+def test_the_corpus_does_not_rerun_its_gate(dz2w, monkeypatch):
+    # after a passing gate, run_corpus evaluates no line whose tag names a
+    # check that passed there, and a second verify evaluates no line at all
+    d = load(dz2w.to_json())
+    gate = verify(d, level="qt")
+    assert gate.ok
+    passed = {c.name for c in gate.checks}
+    gated = {parse(line) for tag, line in corpus_entries() if tag in passed}
+    evaluated = []
+    real = qhopf.dsl._sides
+
+    def spy(eq, run):
+        evaluated.append(eq)
+        return real(eq, run)
+    monkeypatch.setattr(qhopf.dsl, "_sides", spy)
+    run_corpus(d)
+    assert evaluated
+    assert [print_expr(e) for e in gated & set(evaluated)] == []
+    evaluated.clear()
+    assert verify(d).to_dict() == gate.to_dict()
+    assert evaluated == []
 
 
 def test_readme_lists_the_tables():
