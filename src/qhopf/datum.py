@@ -379,18 +379,21 @@ def _checked(d, key, t, inv):
 def _algebra_map(d, name):
     """The cases of "the leg map `name` is an algebra map", an anti-map for
     S: L(1) = 1, then L(e_i e_j) = L(e_i) L(e_j), the factors swapped for S,
-    for every pair i, j; each L(e_i) is formed once."""
-    legs = d.legs(name)
+    for every pair i, j; each L(e_i) is formed once, and e_i e_j is read
+    off the structure constants."""
+    legs, alg = d.legs(name), d.algebra
     yield apply_legs(d.unit, legs), d.unit_tensor(LEGS[name].width), {}
     if name == "S":
         d.s_inv_rows  # a singular antipode fails the check with the reason
-    basis = [d.basis(i) for i in range(d.dim)]
-    images = [apply_legs(e, legs) for e in basis]
-    for i, (ei, a) in enumerate(zip(basis, images)):
-        for j, (ej, b) in enumerate(zip(basis, images)):
-            yield (apply_legs(d.mul(ei, ej), legs),
-                   mult(b, a, d.algebra) if name == "S"
-                   else mult(a, b, d.algebra), {"basis": [i, j]})
+    images = [apply_legs(d.basis(i), legs) for i in range(d.dim)]
+    for i, a in enumerate(images):
+        for j, b in enumerate(images):
+            eij = {}
+            for k, c in alg.struct.get((i, j), ()):
+                eij[(k,)] = eij.get((k,), 0) + c
+            yield (apply_legs(SparseTensor.make(d.field, 1, d.dim, eij), legs),
+                   mult(b, a, alg) if name == "S" else mult(a, b, alg),
+                   {"basis": [i, j]})
 
 
 def verify_quasi_bialgebra(d, witness_limit=1):

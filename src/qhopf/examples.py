@@ -151,17 +151,13 @@ def function_algebra(group, omega):
     phi = SparseTensor.make(f, 3, n,
                             {(a, b, c): omega.inv_value(a, b, c)
                              for a, b, c in iproduct(range(n), repeat=3)})
-    phi_inv = SparseTensor.make(f, 3, n,
-                                {(a, b, c): omega.value(a, b, c)
-                                 for a, b, c in iproduct(range(n), repeat=3)})
     s_rows = {i: ((g.neg_i(i), one),) for i in range(n)}
     alpha = SparseTensor.make(f, 1, n, {(i,): one for i in range(n)})
     beta = SparseTensor.make(f, 1, n,
                              {(i,): omega.value(i, g.neg_i(i), i) for i in range(n)})
     return QuasiHopfDatum(
         f, n, product, unit, delta_rows, eps, phi, s_rows, alpha, beta,
-        metadata={"kind": "function_algebra", "group": list(g.factors)},
-        phi_inv=phi_inv)
+        metadata={"kind": "function_algebra", "group": list(g.factors)})
 
 
 # ----- twisted double ------------------------------------------------------
@@ -208,15 +204,9 @@ def dpr_double(group, omega):
     eps = [f.zero] * n
     for x in range(m):
         eps[idx(e, x)] = one
-    phi_entries = {}
-    phi_inv_entries = {}
-    for a, b, c in iproduct(range(m), repeat=3):
-        val = f.inv(w(a, b, c))
-        key = (idx(a, e), idx(b, e), idx(c, e))
-        phi_entries[key] = val
-        phi_inv_entries[key] = f.inv(val)
-    phi = SparseTensor.make(f, 3, n, phi_entries)
-    phi_inv = SparseTensor.make(f, 3, n, phi_inv_entries)
+    phi = SparseTensor.make(f, 3, n, {(idx(a, e), idx(b, e), idx(c, e)):
+                                      f.inv(w(a, b, c))
+                                      for a, b, c in iproduct(range(m), repeat=3)})
     s_rows = {}
     for gi in range(m):
         for x in range(m):
@@ -238,7 +228,7 @@ def dpr_double(group, omega):
         "blocks": [[idx(gi, x) for x in range(m)] for gi in range(m)],
     }
     d = QuasiHopfDatum(f, n, product, unit, delta_rows, eps, phi, s_rows,
-                       alpha, beta, R=R, metadata=metadata, phi_inv=phi_inv)
+                       alpha, beta, R=R, metadata=metadata)
     if omega.is_trivial():
         # closed-form ribbon element sum_g delta_g (x) g
         from .ribbon import is_ribbon
@@ -279,8 +269,7 @@ def group_algebra(group, field, with_R=True):
     v = SparseTensor.make(f, 1, n, {(e,): one}) if with_R else None
     return QuasiHopfDatum(
         f, n, product, unit, delta_rows, eps, phi, s_rows, alpha, beta,
-        R=R, v=v, metadata={"kind": "group_algebra", "group": list(g.factors)},
-        phi_inv=phi)
+        R=R, v=v, metadata={"kind": "group_algebra", "group": list(g.factors)})
 
 
 def sweedler():
@@ -315,4 +304,4 @@ def sweedler():
                                     (1, 0): half, (1, 1): -half})
     return QuasiHopfDatum(
         f, 4, product, unit, delta_rows, eps, phi, s_rows, alpha, beta,
-        R=R, metadata={"kind": "sweedler"}, phi_inv=phi)
+        R=R, metadata={"kind": "sweedler"})

@@ -12,17 +12,20 @@ product e_i e_j.  Elements of different blocks multiply to zero and a block
 is closed under products, for any structure constants, including ones that
 break an axiom.  D^w(G) has one block per group element; H4 and K[G] have
 one.  A multi-index has a block signature, the block of each leg.  mult()
-multiplies entries of equal signature only, and invert() solves one linear
-system per signature.  hom_sum() joins its factors the same way, once each
-map is applied to its leg and each constant is a factor: a leg's product is
-nonzero only if all its atoms lie in one block, so each factor is bucketed
-by the blocks of its atoms on the legs it shares with the factors before it,
-and each combination of those meets only its bucket, in cartesian order.
+multiplies entries of equal signature only, and invert() inverts one
+signature at a time: by a scalar where t is a multiple of the unit there
+(the associator of D^w(G) on every signature), else by one linear system.
+hom_sum() joins its factors the same way, once each map is applied to its
+leg and each constant is a factor: a leg's product is nonzero only if all
+its atoms lie in one block, so each factor is bucketed by the blocks of its
+atoms on the legs it shares with the factors before it, and each
+combination of those meets only its bucket, in cartesian order.
 
 Prefix trees.  mult() multiplies dense operands, and every operand on a
-basis whose products have several terms, as prefix trees (trees.py).
-Single-term calls of arity 1, or with fewer than 4 entries per signature
-(the associator of D^w(G)), pair their entries one by one instead.
+basis whose products have several terms, as prefix trees (trees.py), and so
+does each column of a system of invert().  Single-term calls of arity 1, or
+with fewer than 4 entries per signature (the associator of D^w(G)), pair
+their entries one by one instead.
 
 Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
 input is read as numerators over one denominator (scalars.py); Algebra and
@@ -31,9 +34,9 @@ is fixed per call (d1*d2*den^k in mult), and _canon() makes one canonical
 scalar per output entry.  Over F_p the numerators are residues over 1, left
 unreduced until _canon(): reduction mod p is a ring map, so one loop serves
 both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
-products are single terms, selects the index-chasing loops of mult(), of the
-system build of invert() and of hom_sum(); other bases expand each product
-in trees.py (expand(), fold()), imported only for them.
+products are single terms, selects the index-chasing loops of mult(), of
+trees.chase() and of hom_sum(); other bases expand each product in trees.py
+(expand(), fold()).  trees.py is imported only where it runs.
 """
 
 from itertools import product as iproduct
@@ -239,19 +242,6 @@ def _buckets(items, legs, block_of):
     return out
 
 
-def _chase_terms(mono, k1, k2, c):
-    """The term (key, numerator) of c e_k1 e_k2 by the mono rows of a
-    single-term basis, or none; on any basis at arity 0."""
-    key = []
-    for i, j in zip(k1, k2):
-        term = mono[i].get(j)
-        if term is None:
-            return ()
-        key.append(term[0])
-        c *= term[1]
-    return ((tuple(key), c),)
-
-
 def mult(t1, t2, alg):
     """Componentwise product in the k-th tensor power of the algebra."""
     if t1.arity != t2.arity:
@@ -421,51 +411,64 @@ def sub(t1, t2):
 # ----- inversion ------------------------------------------------------------
 
 def invert(t, alg):
-    """Two-sided inverse in the k-th tensor power, by solving the linear
-    system of left multiplication against the unit, one system per block
-    signature that the unit reaches (zero on the others); both product
-    checks run before returning.  On a basis whose products have several
-    terms, column j of a system is t e_j, multiplied as in mult()."""
+    """Two-sided inverse in the k-th tensor power, one block signature that
+    the unit reaches at a time (zero on the others); both product checks
+    run before returning.  Where t is c times the unit on a signature whose
+    blocks the unit acts on as a left identity, the inverse there is c^-1
+    times the unit.  Elsewhere it solves the linear system of left
+    multiplication against the unit; column j is t e_j, multiplied on
+    prefix trees as in mult()."""
     f = alg.field
     k = t.arity
     if t.is_zero():
         raise NotInvertible("the zero tensor has no inverse")
-    nums, den = f.numerators(t.entries)
-    block_of, blocks, mono = alg.block_of, alg.blocks, alg.mono
-    by_sig = _buckets(nums.items(), range(k), block_of)
+    block_of, blocks = alg.block_of, alg.blocks
+    by_sig = _buckets(t.entries.items(), range(k), block_of)
+    units = {block_of[i] for i in alg.unit_coeffs}
+    # the unit reaches the signatures of units^k; where t has no entry, the
+    # system is zero against a nonzero right-hand side
+    if sum(units.issuperset(sig) for sig in by_sig) < len(units) ** k:
+        raise NotInvertible("left-multiplication system is singular")
+    # the blocks on which the unit acts as a left identity
+    left = {b for b in units if all(alg.vec_mul(alg.unit_coeffs, {i: f.one})
+                                    == {i: f.one} for i in blocks[b])}
     rhs_by_sig = _buckets(alg.unit_tensor(k).entries.items(), range(k), block_of)
-    walk = k and mono is None
-    if walk:
-        from .trees import expand, tree
     inv_entries = {}
     for sig, rhs_items in rhs_by_sig.items():
+        entries = by_sig[sig]
+        c = _unit_multiple(f, entries, rhs_items) if left.issuperset(sig) else None
+        if c is not None:
+            inv_entries.update(sorted((key, f.canon(c * u)) for key, u in rhs_items))
+            continue
+        from .trees import product, tree
         # this signature's multi-indices in lexicographic order: the order
         # of the rows and columns of its system
         unknowns = list(iproduct(*(blocks[b] for b in sig)))
         index = {key: n for n, key in enumerate(unknowns)}
-        entries = by_sig.get(sig, ())
+        nums, den = f.numerators(dict(entries))
+        n1 = tree(nums.items())
         rows = [{} for _ in unknowns]
-        if walk:
-            n1 = tree(entries)
-            for jflat, jkey in enumerate(unknowns):
-                column = expand({}, alg.nstruct, n1, tree([(jkey, 1)]), k)
-                for ikey, cc in column.items():
-                    rows[index[ikey]][jflat] = cc
-        else:
-            for jflat, jkey in enumerate(unknowns):
-                for key, c in entries:
-                    for ikey, cc in _chase_terms(mono, key, jkey, c):
-                        row = rows[index[ikey]]
-                        row[jflat] = row.get(jflat, 0) + cc
-        for row in rows:
-            _canon(f, row, den * alg.den ** k)
+        for jflat, jkey in enumerate(unknowns):
+            column = product({}, alg, n1, tree([(jkey, 1)]), k)
+            for ikey, cc in _canon(f, column, den * alg.den ** k).items():
+                rows[index[ikey]][jflat] = cc
         rhs = {index[key]: c for key, c in rhs_items}
         x = linalg.solve(f, rows, len(unknowns), rhs)
         if x is None:
             raise NotInvertible("left-multiplication system is singular")
-        for j, v in x.items():
-            inv_entries[unknowns[j]] = v
+        inv_entries.update((unknowns[j], v) for j, v in x.items())
     return checked_inverse(t, SparseTensor(f, k, t.dim, inv_entries), alg)
+
+
+def _unit_multiple(f, entries, units):
+    """1/c when the (key, scalar) entries are c times the unit's items
+    units, c nonzero; else None."""
+    values, (key, u) = dict(entries), units[0]
+    c = f.canon(values.get(key, 0) * f.inv(u))
+    if len(values) == len(units) and all(values.get(key) == f.canon(c * u)
+                                         for key, u in units):
+        return f.inv(c)
+    return None
 
 
 def checked_inverse(t, inv, alg):

@@ -1,5 +1,5 @@
-"""Products on bases whose products have several terms, and mult() of
-tensor.py on dense operands.
+"""Products on bases whose products have several terms, mult() of
+tensor.py on dense operands, and the columns of the systems of invert().
 
 Within one block signature, both operands are read as nested dicts, leg by
 leg, and multiplied by recursion on legs: a leg's product runs once per pair
@@ -7,42 +7,44 @@ of prefixes, and only the last leg loops over entries.  On a basis of
 single-term products (Algebra.mono) each pair of prefixes carries its output
 prefix and scalar down (chase()).  On other bases each pair of subtrees is
 multiplied and summed before the product e_i e_j of the two prefixes
-expands it (expand()), and so is each column t e_j of invert(), e_j a
-one-entry tree:
+expands it (expand()):
 
     t1 t2 = sum_{i,j} (e_i e_j) (x) (t1^(i) t2^(j)),
 
 the contraction order that sums an index as soon as nothing later reads it.
-On such bases hom_sum() expands each combination with fold().  Only one
-signature's trees exist at once.  The loops add integer numerators, as every
-kernel of tensor.py does.  This module is apart from tensor.py, which every
-command compiles: the compile of the largest module sets the peak memory of
-short commands, and only some commands build trees.
+product() picks one of the two; mult() and each column t e_j of invert(),
+e_j a one-entry tree, go through it.  On bases of several-term products
+hom_sum() expands each combination with fold().  Only one signature's trees
+exist at once.  The loops add integer numerators, as every kernel of
+tensor.py does.  This module is apart from tensor.py, which every command
+compiles: the compile of the largest module sets the peak memory of short
+commands, and only some commands build trees.
 """
 
 from itertools import product as iproduct
 from math import prod
 
-from .tensor import _vec_mul
+from .tensor import _buckets, _vec_mul
 
 
 def multiply(acc, alg, e1, buckets, k):
     """Add to acc the numerators of the product of the arity-k entries e1
     with those that buckets holds by block signature, as (key, numerator)
     lists."""
-    block_of, mono = alg.block_of, alg.mono
-    sigs = {}
-    for key in e1:
-        sigs.setdefault(tuple([block_of[i] for i in key]), []).append(key)
-    for sig, keys in sigs.items():
+    for sig, items in _buckets(e1.items(), range(k), alg.block_of).items():
         partners = buckets.get(sig)
-        if partners is None:
-            continue
-        n1, n2 = tree([(key, e1[key]) for key in keys]), tree(partners)
-        if mono is None:
-            expand(acc, alg.nstruct, n1, n2, k)
-        else:
-            chase(acc, mono, n1, n2, k, (), 1)
+        if partners is not None:
+            product(acc, alg, tree(items), tree(partners), k)
+
+
+def product(acc, alg, n1, n2, k):
+    """Add to acc the numerators of the product of the trees n1, n2 of k
+    legs: chase() on a basis of single-term products, expand() on others;
+    returns acc."""
+    if alg.mono is None:
+        return expand(acc, alg.nstruct, n1, n2, k)
+    chase(acc, alg.mono, n1, n2, k, (), 1)
+    return acc
 
 
 def tree(items):

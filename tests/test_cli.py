@@ -291,7 +291,7 @@ def dense_h4_file(tmp_path_factory):
     ("twist_props", {"qhopf.derived", "qhopf.drinfeld", "qhopf.dsl",
                      "qhopf.rng", "qhopf.trees", "qhopf.twisting",
                      "fractions"}),
-    ("verify_qt_prime", {"qhopf.derived", "qhopf.dsl"}),
+    ("verify_qt_prime", {"qhopf.derived", "qhopf.dsl", "qhopf.trees"}),
     ("verify_qt_dense", {"qhopf.derived", "qhopf.dsl", "qhopf.trees",
                          "fractions"}),
 ])
@@ -300,7 +300,8 @@ def test_commands_import_only_what_they_run(case, extra, h4_file, dz2w_file,
     # a command imports only the modules it runs: no examples or ribbon for
     # these, no dataclasses on the verify and twist paths, fractions only
     # for rational data (H4 is over Q, D^w(Z2) over F_7), and trees only
-    # where a product is dense (H4 is one block, D^w(Z2) has two) or the
+    # where a product is dense (H4 is one block), an inverse solves a
+    # system (R^-1 on D^w(Z2), where R is not a multiple of the unit) or the
     # basis has multi-term products (every product, inverse and sum of the
     # dense-basis H4 expands there)
     if case == "malformed":

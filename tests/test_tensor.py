@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import json
 from itertools import product as iproduct
 
 import pytest
@@ -8,7 +9,7 @@ from qhopf import (FiniteAbelianGroup, big_f, check_twist_elements,
                    cocycle_for, dpr_double, drinfeld_u, modify_antipode,
                    random_twist, recover_modifier, rtwist_elements, sweedler,
                    twist, u_tilde, verify_quasi_hopf)
-from qhopf import datum, derived, dsl, ribbon, trees
+from qhopf import datum, derived, dsl, linalg, ribbon, trees
 from qhopf.errors import ArityMismatch, NotInvertible, QhopfError, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField, RationalField
@@ -19,6 +20,7 @@ from qhopf.tensor import (Algebra, SparseTensor, apply_legs, basis_vector, conca
                           invert, lin_leg, mult, permute_legs, scale, LEG_ID)
 
 from basis import REBASED, change_basis, rebased, scaled
+from capped import run_capped
 from mutation import merge_blocks, mutate
 from oracle import (dense_apply_legs, dense_inverse, dense_mult, dense_of,
                     hom_sum_cartesian, mult_pairs, unflatten)
@@ -434,6 +436,110 @@ def test_invert_matches_the_dense_inverse(name):
     assert singular >= 2
 
 
+def _inverse_or_reason(t, alg):
+    try:
+        return invert(t, alg)
+    except NotInvertible as exc:
+        return str(exc)
+
+
+def _solves(monkeypatch, run):
+    """(value, number of linear systems solved) of run()."""
+    calls, real = [], linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *args: calls.append(1) or real(*args))
+    value = run()
+    monkeypatch.undo()
+    return value, len(calls)
+
+
+def _idem_doc(n):
+    """idem-n over F_7: e_i e_i = e_i, unit sum_i e_i, empty coproduct, zero
+    counit, identity antipode, Phi = e_0 (x) e_0 (x) e_0, alpha = beta =
+    e_0.  Phi misses all but one of the n^3 signatures that the unit
+    reaches."""
+    def e0(k):
+        return {"arity": k, "entries": [[[0] * k, "1"]]}
+    return {"field": {"kind": "prime", "p": 7}, "dim": n,
+            "product": [[i, i, i, "1"] for i in range(n)],
+            "unit": {"arity": 1, "entries": [[[i], "1"] for i in range(n)]},
+            "delta": [], "epsilon": ["0"] * n, "phi": e0(3),
+            "antipode": [[i, i, "1"] for i in range(n)],
+            "alpha": e0(1), "beta": e0(1)}
+
+
+@pytest.mark.parametrize("case, systems", [
+    ("phi", 0), ("twisted_phi", 6), ("mixed", 1), ("arity_0", 0),
+    ("missing_signature", 0), ("singular_signature", 1),
+    ("unit_not_an_identity", 7)])
+def test_invert_takes_unit_multiples_directly(monkeypatch, dz2w, case,
+                                              systems):
+    # D^w(Z2)/F7 has blocks {0, 1} and {2, 3} and unit e_0 + e_2; its Phi
+    # is a multiple of the unit on each of the 8 signatures, the seed-0
+    # twisted Phi on 2.  The inverse equals the dense one and that of a
+    # forced system solve on every signature, a singular input keeps its
+    # message, and only the signatures that are no unit multiple solve a
+    # system.
+    d, f = dz2w, dz2w.field
+    t = d.phi
+    if case == "twisted_phi":
+        t = twist(d, random_twist(d, 0)).phi
+    elif case in ("mixed", "singular_signature"):
+        # on the signature of (0, 0, 0), e_0 + c e_1 with e_1^2 = e_0:
+        # invertible for c = 2, a zero divisor for c = 1
+        t = te.add(t, SparseTensor.make(
+            f, 3, d.dim, {(1, 0, 0): 2 if case == "mixed" else 1}))
+    elif case == "arity_0":
+        t = SparseTensor.make(f, 0, d.dim, {(): 3})
+    elif case == "missing_signature":
+        t = SparseTensor.make(f, 3, d.dim, {key: c for key, c in
+                                            t.entries.items() if key[0]})
+    elif case == "unit_not_an_identity":
+        # e_0 e_0 = 3 e_0: Phi is still a multiple of the unit, but the
+        # unit acts on block {0, 1} as diag(3, 1), so each signature but
+        # that of (2, 2, 2) solves its system
+        d = d.with_changes(product={**d.algebra.struct, (0, 0): ((0, 3),)})
+    got, solved = _solves(monkeypatch, lambda: _inverse_or_reason(t, d.algebra))
+    assert solved == systems
+    if t.arity:
+        # a nonzero tensor of arity 0 is always a multiple of the unit, and
+        # a system has one leg at least
+        monkeypatch.setattr(te, "_unit_multiple", lambda *args: None)
+        assert _inverse_or_reason(t, d.algebra) == got
+        monkeypatch.undo()
+    want = _dense_inverse(d, t)
+    if want is None:
+        assert got == "left-multiplication system is singular"
+    else:
+        assert dense_of(got) == want
+
+
+def test_invert_builds_no_system_for_a_multiple_of_the_unit(monkeypatch,
+                                                            dz3w):
+    # D^w(Z3)/F7: Phi is a multiple of the unit on all 27 signatures, the
+    # seed-0 twisted Phi on none; both inverses equal a forced system solve
+    phi_t = twist(dz3w, random_twist(dz3w, 0)).phi
+    for t, systems in ((dz3w.phi, 0), (phi_t, 27)):
+        inv, solved = _solves(monkeypatch, lambda: invert(t, dz3w.algebra))
+        assert solved == systems
+        monkeypatch.setattr(te, "_unit_multiple", lambda *args: None)
+        assert invert(t, dz3w.algebra) == inv
+        monkeypatch.undo()
+
+
+def test_invert_exits_before_the_unit_tensor_on_a_missed_signature(tmp_path):
+    # idem-400's unit tensor of arity 3 has 64,000,000 entries: building it
+    # under a 1.5 GB address-space cap ends in a MemoryError traceback
+    path = tmp_path / "idem-400.json"
+    path.write_text(json.dumps(_idem_doc(400)))
+    out = run_capped(["verify", str(path), "--format", "json"],
+                     address_space=1_500_000_000, timeout=120)
+    assert out.returncode == 1 and out.stderr == ""
+    assert json.loads(out.stdout)["checks"][-1] == {
+        "name": "phi_invertible", "status": "fail",
+        "witness": {"reason": "left-multiplication system is singular"}}
+
+
 def test_block_partition_matches_dpr_metadata():
     for factors, q, p in [((2,), 0, 5), ((2,), 1, 7), ((3,), 0, 7),
                           ((3,), 1, 7), ((4,), 1, 13), ((2, 2), 1, 7)]:
@@ -605,8 +711,12 @@ def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
     dense_h4 = change_basis(sweedler(), seed=3, extra=4)
     z4 = FiniteAbelianGroup((4,))
     dz4w = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
+    # the algebra-map checks read e_i e_j off the structure constants, so
+    # one dim-4 datum makes fewer than 100 calls: the multi-term run
+    # verifies two
     runs = [lambda: datum.verify(twisted),
-            lambda: datum.verify(dense_h4, level="qt"),
+            lambda: (datum.verify(dense_h4, level="qt"),
+                     datum.verify(rebased("dw_z2_f5"), level="qt")),
             lambda: (datum.verify(dz4w, level="qt"),
                      ribbon.find_ribbon(dz4w, 10 ** 6))]
     paths = set()
