@@ -422,10 +422,13 @@ def verify_quasi_bialgebra(d, witness_limit=1):
                                {"basis": [i, j, k]})
     rep.compare_each("product_associative", associativity(), limit)
 
+    # the unit's part on another block multiplies e_i to zero
     def unitality():
-        u = alg.unit_coeffs
+        parts = {}
+        for j, c in alg.unit_coeffs.items():
+            parts.setdefault(alg.block_of[j], {})[j] = c
         for i in range(n):
-            ei = {i: f.one}
+            ei, u = {i: f.one}, parts.get(alg.block_of[i], {})
             for prod in (alg.vec_mul(u, ei), alg.vec_mul(ei, u)):
                 if prod != ei:
                     yield vector(f, n, prod), d.basis(i), {"basis": i}

@@ -15,11 +15,18 @@ one.  A multi-index has a block signature, the block of each leg.  mult()
 multiplies entries of equal signature only, and invert() inverts one
 signature at a time: by a scalar where t is a multiple of the unit there
 (the associator of D^w(G) on every signature), else by one linear system.
-hom_sum() joins its factors the same way, once each map is applied to its
-leg and each constant is a factor: a leg's product is nonzero only if all
-its atoms lie in one block, so each factor is bucketed by the blocks of its
-atoms on the legs it shares with the factors before it, and each
-combination of those meets only its bucket, in cartesian order.
+
+Joins.  hom_sum() joins its factors left to right, once each map is applied
+to its leg and each constant is a factor.  After each factor is bound, every
+output leg's product is chased as far as its bound atoms reach, so that a
+zero product (x x = 0 in H4) drops a combination before later factors join.
+A leg's state (Algebra.chain) is the index of its product so far on a basis
+of single-term products where a block has zero products; elsewhere it is its
+block, which prunes the same on D^w(G) and K[G], and, since a leg's product
+is nonzero only if all its atoms lie in one block, takes each factor's atoms
+at once in any order.  Each factor's entries are filtered once per distinct
+state of the legs it extends, and the survivors keep the cartesian order
+(trees.join()).
 
 Prefix trees.  mult() multiplies dense operands, and every operand on a
 basis whose products have several terms, as prefix trees (trees.py), and so
@@ -35,8 +42,9 @@ scalar per output entry.  Over F_p the numerators are residues over 1, left
 unreduced until _canon(): reduction mod p is a ring map, so one loop serves
 both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
 products are single terms, selects the index-chasing loops of mult(), of
-trees.chase() and of hom_sum(); other bases expand each product in trees.py
-(expand(), fold()).  trees.py is imported only where it runs.
+trees.chase() and of the join's index states; other bases expand each
+product in trees.py (expand(), fold()).  trees.py is imported only where it
+runs.
 """
 
 from itertools import product as iproduct
@@ -116,16 +124,13 @@ def diff_entries(a, b, limit=None):
     if a.field != b.field or a.arity != b.arity or a.dim != b.dim:
         return [((), "shape %r" % ((a.arity, a.dim),),
                  "shape %r" % ((b.arity, b.dim),))]
-    f = a.field
-    out = []
-    for key in sorted(set(a.entries) | set(b.entries)):
-        va = a.entries.get(key, f.zero)
-        vb = b.entries.get(key, f.zero)
-        if va != vb:
-            out.append((key, str(va), str(vb)))
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+    from heapq import nsmallest
+    zero, ea, eb = a.field.zero, a.entries, b.entries
+    keys = [k for k in ea.keys() | eb.keys()
+            if ea.get(k, zero) != eb.get(k, zero)]
+    # the first `limit` of them, at least one, without sorting them all
+    keys = sorted(keys) if limit is None else nsmallest(max(limit, 1), keys)
+    return [(k, str(ea.get(k, zero)), str(eb.get(k, zero))) for k in keys]
 
 
 class Algebra:
@@ -133,7 +138,7 @@ class Algebra:
     sparse list of (basis index, scalar)."""
 
     __slots__ = ("field", "dim", "struct", "unit_coeffs", "_units", "mono",
-                 "block_of", "blocks", "nstruct", "den")
+                 "block_of", "blocks", "nstruct", "den", "chain")
 
     def __init__(self, field, dim, struct, unit_coeffs):
         self.field = field
@@ -151,6 +156,15 @@ class Algebra:
                 if terms:
                     self.mono[i][j] = terms[0]
         self.block_of, self.blocks = _block_partition(dim, struct)
+        # the leg states of hom_sum's join (module docstring): the index of
+        # the product so far where a block has zero products, else the
+        # block's first index
+        if self.mono and any(len(self.mono[i]) < len(self.blocks[b])
+                             for i, b in enumerate(self.block_of)):
+            self.chain = self.mono, range(dim)
+        else:
+            self.chain = ({b[0]: dict.fromkeys(b, (b[0], 1)) for b in self.blocks},
+                          [self.blocks[b][0] for b in self.block_of])
 
     @property
     def unit(self):
@@ -494,41 +508,14 @@ def hom_sum(alg, legs, factors, out):
     as a datum's antipode "S", applied to a name that occurs once in out
     (ValueError otherwise).  By linearity each map is applied to its leg of
     the factor before the sum; each constant becomes a factor of its own.
+    The factors are then joined left to right on the states of the output
+    legs (module docstring, trees.join()); the sum and the order of its keys
+    are those of the cartesian loop.
     """
     factors, out = _leg_names(legs, factors, out)
-    f, block_of = alg.field, alg.block_of
-    pos = {nm: p for p, nm in enumerate(nm for _, ns in factors for nm in ns)}
-    lpos = [[pos[a] for a in leg] for leg in out]
-    # each factor's entries bucketed by the blocks of its atoms on the legs
-    # it shares with the factors before it; an entry whose own atoms on one
-    # leg span two blocks is dropped
-    levels, den, start = [], alg.den ** sum(len(l) - 1 for l in out), 0
-    for t, ns in factors:
-        e, d = f.numerators(t.entries)
-        den *= d
-        mine = [[p - start for p in leg if start <= p < start + len(ns)]
-                for leg in lpos]
-        items = [(key, c) for key, c in e.items()
-                 if all(len({block_of[key[p]] for p in ps}) < 2 for ps in mine)]
-        shared = [(min(leg), ps[0]) for leg, ps in zip(lpos, mine)
-                  if ps and min(leg) < start]
-        levels.append(([p for p, _ in shared],
-                       _buckets(items, [q for _, q in shared], block_of)))
-        start += len(ns)
-    combos = [((), 1)]  # the joined entries of all factors but the last
-    for firsts, buckets in levels[:-1]:
-        combos = [(idx + key, c0 * c) for idx, c0 in combos for key, c in
-                  buckets.get(tuple([block_of[idx[p]] for p in firsts]), ())]
-    table, add_terms = alg.mono, _chase
-    if table is None:
-        from .trees import fold as add_terms
-        table = alg.nstruct
-    firsts, buckets = levels[-1]
-    acc = {}
-    for idx, c0 in combos:
-        for key, c in buckets.get(tuple([block_of[idx[p]] for p in firsts]), ()):
-            add_terms(acc, table, idx + key, lpos, [c0, c])
-    return SparseTensor(f, len(out), alg.dim, _canon(f, acc, den))
+    from .trees import join
+    acc, den = join(alg, factors, out)
+    return SparseTensor(alg.field, len(out), alg.dim, _canon(alg.field, acc, den))
 
 
 def _leg_names(legs, factors, out):
@@ -554,21 +541,3 @@ def _leg_names(legs, factors, out):
                             for a in names]), names)
             if maps.keys() & set(names) else (t, names)
             for t, names in factors] + consts, plain
-
-
-def _chase(acc, mono, idx, legs, scalars):
-    """Add to acc the term of one combination of indices on a basis of
-    single-term products, unless a product is zero; the numerators multiply
-    only after a full chase."""
-    key = []
-    for leg in legs:
-        cur = idx[leg[0]]
-        for p in leg[1:]:
-            term = mono[cur].get(idx[p])
-            if term is None:
-                return
-            cur = term[0]
-            scalars.append(term[1])
-        key.append(cur)
-    key = tuple(key)
-    acc[key] = acc.get(key, 0) + prod(scalars)

@@ -13,12 +13,17 @@ expands it (expand()):
 
 the contraction order that sums an index as soon as nothing later reads it.
 product() picks one of the two; mult() and each column t e_j of invert(),
-e_j a one-entry tree, go through it.  On bases of several-term products
-hom_sum() expands each combination with fold().  Only one signature's trees
-exist at once.  The loops add integer numerators, as every kernel of
+e_j a one-entry tree, go through it.  Only one signature's trees exist at
+once.
+
+The join of hom_sum() is here too (join()): each factor's entries are
+filtered once per distinct state of the output legs it extends (extend()),
+and on bases of several-term products each surviving combination is
+expanded with fold().  The loops add integer numerators, as every kernel of
 tensor.py does.  This module is apart from tensor.py, which every command
 compiles: the compile of the largest module sets the peak memory of short
-commands, and only some commands build trees.
+commands, and only the commands that build trees or evaluate a sum compile
+this one.
 """
 
 from itertools import product as iproduct
@@ -105,10 +110,10 @@ def expand(out, struct, n1, n2, depth):
     return out
 
 
-def fold(acc, struct, idx, legs, scalars):
-    """Add to acc the terms of one combination of indices, each output
-    leg's product folded with _vec_mul."""
-    vecs, c = [], prod(scalars)
+def fold(acc, struct, idx, legs, c):
+    """Add to acc c times the terms of one combination of indices, each
+    output leg's product folded with _vec_mul."""
+    vecs = []
     for leg in legs:
         v = {idx[leg[0]]: 1}
         for p in leg[1:]:
@@ -117,3 +122,144 @@ def fold(acc, struct, idx, legs, scalars):
     for picks in iproduct(*vecs):
         key = tuple([i for i, _ in picks])
         acc[key] = acc.get(key, 0) + c * prod([x for _, x in picks])
+
+
+# ----- the join of hom_sum --------------------------------------------------
+
+def join(alg, factors, out):
+    """(acc, den): the numerators over den of the sum of tensor.hom_sum over
+    the (tensor, names) factors, out's atoms all names.
+
+    Each combination is a row: every factor's key, each followed, on index
+    states, by the new states of the legs that factor extends.  A factor's
+    entries are filtered once per distinct state of those legs, the key of a
+    memo (extend()); on index states, the atoms after an earlier factor's
+    name are chased per row (grow()).  Survivors keep the cartesian order."""
+    f, block_of = alg.field, alg.block_of
+    ordered = alg.chain[0] is alg.mono
+    owner = [n for n, (_, ns) in enumerate(factors) for _ in ns]
+    pos = {nm: p for p, nm in enumerate(nm for _, ns in factors for nm in ns)}
+    lpos = [[pos[a] for a in leg] for leg in out]
+    # at[p]: the row position of name p; state[l]: that of leg l's index
+    # state, or of a name of the leg, whose block is the leg's; done[l]: the
+    # number of leg l's atoms chased
+    at, state, done = [], [None] * len(out), [0] * len(out)
+    levels, den, width = [], alg.den ** sum(len(l) - 1 for l in out), 0
+    for n, (t, ns) in enumerate(factors):
+        e, d = f.numerators(t.entries)
+        den *= d
+        at += range(width, width + len(ns))
+        slots, firsts, heads, steps = [], [], [], []
+        for l, leg in enumerate(lpos):
+            # the atoms this factor chases: up to the first unbound one on
+            # index states, its own ones in any order on block states
+            if ordered:
+                b = done[l]
+                while b < len(leg) and owner[leg[b]] <= n:
+                    b += 1
+                seg, done[l] = leg[done[l]:b], b
+            else:
+                seg = [p for p in leg if owner[p] == n]
+            if not seg:
+                continue
+            k = next((k for k, p in enumerate(seg) if owner[p] < n), len(seg))
+            own = [at[p] - width for p in seg[:k]]
+            if state[l] is None:
+                heads.append((None, own[0], own[1:]))
+            else:
+                heads.append((len(slots), None, own))
+                slots.append(state[l])
+                firsts.append(own[0])
+            if ordered:
+                state[l] = width + len(ns) + len(heads) - 1
+            elif state[l] is None:
+                state[l] = at[seg[0]]
+            steps += [(l, at[p]) for p in seg[k:]]
+        width += len(ns) + (len(heads) if ordered else 0)
+        moves = []
+        for l, q in steps:
+            moves.append((state[l], q))
+            state[l], width = width, width + 1
+        buckets = (_buckets(e.items(), firsts, block_of) if firsts
+                   else {(): list(e.items())})
+        levels.append((buckets, slots, heads, moves))
+    # the last level streams into acc: its rows are the most numerous
+    combos = [((), 1)]
+    for level in levels[:-1]:
+        combos = list(grow(combos, level, alg))
+    combos = grow(combos, levels[-1], alg)
+    acc = {}
+    lrow = [[at[p] for p in leg] for leg in lpos]
+    if ordered:
+        for row, c in combos:
+            key = tuple([row[p] for p in state])
+            acc[key] = acc.get(key, 0) + c
+    elif alg.mono:
+        # block states on a basis whose blocks have no zero products: each
+        # leg's product is chased once the join is done
+        mono, chains = alg.mono, [(leg[0], leg[1:]) for leg in lrow]
+        for row, c in combos:
+            key = []
+            for s, rest in chains:
+                s = row[s]
+                for p in rest:
+                    s, x = mono[s][row[p]]
+                    c *= x
+                key.append(s)
+            key = tuple(key)
+            acc[key] = acc.get(key, 0) + c
+    else:
+        for row, c in combos:
+            fold(acc, alg.nstruct, row, lrow, c)
+    return acc, den
+
+
+def grow(combos, level, alg):
+    """The (row, numerator) combos joined with one factor's level, in
+    cartesian order: each row meets the extensions of its key, and on index
+    states the atoms after an earlier factor's name are chased per row."""
+    (buckets, slots, heads, moves), (table, init) = level, alg.chain
+    block_of, memo = alg.block_of, {}
+    for row, c in combos:
+        key = tuple([init[row[p]] for p in slots])
+        ext = memo.get(key)
+        if ext is None:
+            ext = memo[key] = extend(
+                buckets.get(tuple([block_of[s] for s in key]), ()),
+                heads, key, alg)
+        for x, cx in ext:
+            x = row + x
+            for p, q in moves:
+                term = table[x[p]].get(x[q])
+                if term is None:
+                    break
+                x, cx = x + (term[0],), cx * term[1]
+            else:
+                yield x, c * cx
+
+
+def extend(entries, heads, key, alg):
+    """(suffix, numerator) of each of the (key, numerator) entries whose
+    chase along heads meets no zero product, in order: the entry's key,
+    followed on index states by the legs' new states.  A head (slot, first,
+    offsets) chases the entry's atoms at offsets from the state key[slot],
+    or from the state of its atom at first."""
+    (table, init), out = alg.chain, []
+    ordered = table is alg.mono
+    for ekey, c in entries:
+        states = []
+        for slot, first, offsets in heads:
+            s = key[slot] if first is None else init[ekey[first]]
+            for i in offsets:
+                term = table[s].get(ekey[i])
+                if term is None:
+                    break
+                s, c = term[0], c * term[1]
+            else:
+                states.append(s)
+                continue
+            break
+        else:
+            out.append((ekey + tuple(states) if ordered else ekey, c))
+    return out
+

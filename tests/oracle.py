@@ -50,7 +50,9 @@ def struct_coeff(d, i, j, k):
 
 
 def dense_mult(d, t1, t2):
-    """Componentwise product, looping over all pairs of index tuples."""
+    """Componentwise product, looping over all pairs of index tuples; each
+    pair multiplies out, leg by leg, the rows struct[(i_l, j_l)] of the
+    structure constants."""
     f = d.field
     n, k = t1.dim, t1.arity
     a, b = dense_of(t1), dense_of(t2)
@@ -64,15 +66,13 @@ def dense_mult(d, t1, t2):
             if not b[y]:
                 continue
             ky = unflatten(y, n, k)
-            for kz in iproduct(range(n), repeat=k):
+            rows = [d.algebra.struct.get((kx[l], ky[l]), ()) for l in range(k)]
+            for terms in iproduct(*rows):
                 c = f.canon(a[x] * b[y])
-                for l in range(k):
-                    c = f.canon(c * struct_coeff(d, kx[l], ky[l], kz[l]))
-                    if not c:
-                        break
-                if c:
-                    z = flatten(kz, n)
-                    out[z] = f.canon(out[z] + c)
+                for _, s in terms:
+                    c = f.canon(c * s)
+                z = flatten([i for i, _ in terms], n)
+                out[z] = f.canon(out[z] + c)
     return out
 
 

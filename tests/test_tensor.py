@@ -268,6 +268,27 @@ def test_diff_witness():
     assert diff_witness(a, a) is None
 
 
+def test_diff_entries_matches_the_sorted_union():
+    # the first `limit` differing keys of the sorted key union, on random
+    # pairs that share some entries, change some and hold others alone
+    rng = SplitMix64(5)
+    for _ in range(40):
+        k = 1 + rng.below(3)
+
+        def items(count):
+            return {tuple(rng.below(4) for _ in range(k)): rng.below(7)
+                    for _ in range(count)}
+        a_items = items(rng.below(12))
+        b_items = {**a_items, **items(rng.below(6))}
+        a = SparseTensor.make(F7, k, 4, a_items)
+        b = SparseTensor.make(F7, k, 4, b_items)
+        want = [(key, str(a.get(key)), str(b.get(key)))
+                for key in sorted(set(a.entries) | set(b.entries))
+                if a.get(key) != b.get(key)]
+        for limit in (1, 3, None):
+            assert te.diff_entries(a, b, limit) == want[:limit]
+
+
 def test_scale_add_sub():
     a = SparseTensor.make(F7, 1, 3, {(0,): 3, (1,): 4})
     b = SparseTensor.make(F7, 1, 3, {(1,): 3})
@@ -582,6 +603,8 @@ def test_hom_sum_join_matches_cartesian_loop(dz3w, sw):
         assert all(len(m.algebra.blocks) < len(d.algebra.blocks)
                    for m in merged)
         data += merged
+    data += [twist(sw, random_twist(sw, seed)) for seed in range(3)]
+    data += [mutate(sw, "product", SplitMix64(seed)) for seed in range(2)]
     nonzero = 0
     for d in data:
         alg = d.algebra
