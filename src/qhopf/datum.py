@@ -110,6 +110,32 @@ class QuasiHopfDatum:
         return self.cache("phi_inv", lambda: invert(self.phi, self.algebra))
 
     @property
+    def p_r(self):
+        """Hausser-Nill's p_R = x (x) y beta S(z), summed over the entries
+        x (x) y (x) z of the inverse associator; built once per datum."""
+        return self.cache("p_r", lambda: self.hsum(
+            [(self.phi_inv, ("x", "y", "z"))],
+            [["x"], ["y", self.beta, ("S", ["z"])]]))
+
+    @property
+    def q_l(self):
+        """Hausser-Nill's q_L = S(x) alpha y (x) z over the inverse
+        associator, its mirror; built once per datum."""
+        return self.cache("q_l", lambda: self.hsum(
+            [(self.phi_inv, ("x", "y", "z"))],
+            [[("S", ["x"]), self.alpha, "y"], ["z"]]))
+
+    def ev(self, t):
+        """The evaluation contraction S(t1) alpha t2 of an arity-2 t: alpha
+        of the twist by t^-1, the left antipode equation at t = Delta(a)."""
+        return self.hsum([(t, ("a", "b"))], [[("S", ["a"]), self.alpha, "b"]])
+
+    def coev(self, t):
+        """The coevaluation contraction t1 beta S(t2) of an arity-2 t: beta
+        of the twist by t, the right antipode equation at t = Delta(a)."""
+        return self.hsum([(t, ("a", "b"))], [["a", self.beta, ("S", ["b"])]])
+
+    @property
     def r_inv(self):
         if self.R is None:
             raise MissingR(MISSING["R"])
@@ -458,22 +484,17 @@ def verify_quasi_hopf(d, witness_limit=1):
     rep.compare_each("antipode_antiautomorphism", _algebra_map(d, "S"), limit)
 
     # the two antipode equations, per basis element
-    for name, out, elt in (
-            ("left_antipode_equation", [("S", ["a"]), d.alpha, "b"], d.alpha),
-            ("right_antipode_equation", ["a", d.beta, ("S", ["b"])], d.beta)):
-        rep.compare_each(name, (
-            (d.hsum([(d.coproduct(d.basis(i)), ("a", "b"))], [out]),
-             scale(elt, d.eps[i]), {"basis": i})
-            for i in range(d.dim)), limit)
+    for name, contract, elt in (("left_antipode_equation", d.ev, d.alpha),
+                                ("right_antipode_equation", d.coev, d.beta)):
+        rep.compare_each(name, ((contract(d.coproduct(d.basis(i))),
+                                 scale(elt, d.eps[i]), {"basis": i})
+                                for i in range(d.dim)), limit)
 
     one = d.unit_tensor(1)
     rep.compare("duality_left",
                 d.hsum([(d.phi, ("x", "y", "z"))],
                        [["x", d.beta, ("S", ["y"]), d.alpha, "z"]]), one, limit)
-    rep.compare("duality_right",
-                d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                       [[("S", ["x"]), d.alpha, "y", d.beta, ("S", ["z"])]]),
-                one, limit)
+    rep.compare("duality_right", d.coev(d.q_l), one, limit)
     return _named(rep, d, ("counit_antipode", "counit_alpha_beta"), limit)
 
 

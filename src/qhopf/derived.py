@@ -3,15 +3,19 @@ and delta, the coproduct-conjugating element F with its inverse, antipode
 modification and recovery, and the coopposite / opposite-coopposite
 constructions.
 
-The double sums defining gamma and delta are evaluated by first collapsing
-the inner sum over one decomposition tensor into a small arity-2 tensor,
-then contracting it against the other decomposition; cost stays proportional
-to the product of the two supports instead of the sixth power of the
-dimension.  Each element is built from one formula and nothing is compared
-here: on a datum that passes `verify` the formulas hold by theorem, and the
-identities they satisfy are stated once, as named lines of the identity
-corpus (`corpus.txt`) that `check_F_compat` runs by name, beside its check
-of the inverse formula.
+Every element here is written through four shapes, each stated once: the
+datum's p_R and q_L (Hausser-Nill's sums over the inverse associator) and
+contractions ev(t) = S(t1) alpha t2 and coev(t) = t1 beta S(t2), and this
+module's conjugation sum and its mirror, whose inner sums for gamma and
+delta are read off q_L and p_R.  The prefix rule: a shape stands only for a
+left prefix of an output leg's product and no axiom is used, so writing a
+sum through a shape changes no value, even on data that break associativity
+or the antipode (p_L or q_R in `ribbon.rtwist_elements` would need S^-1 to
+be anti-multiplicative).  Each element is built from one formula and nothing
+is compared here: on a datum that passes `verify` the formulas hold by
+theorem, and the identities they satisfy are stated once, as named lines of
+the identity corpus (`corpus.txt`) that `check_F_compat` runs by name,
+beside its check of the inverse formula.
 """
 
 from collections import namedtuple
@@ -20,7 +24,7 @@ from .datum import cop_rows
 from .dsl import check_named
 from .errors import IncompatibleDatum, InternalInconsistency
 from .report import CheckReport
-from .tensor import LEG_ID, apply_legs, hom_sum, invert, mult, permute_legs
+from .tensor import apply_legs, invert, mult, permute_legs
 
 
 DerivedElements = namedtuple("DerivedElements", "gamma delta F F_inv")
@@ -28,49 +32,42 @@ DerivedElements = namedtuple("DerivedElements", "gamma delta F F_inv")
 
 def gamma(d):
     """First pairing element."""
-    return d.cache("gamma", lambda: _gamma_main(d))
+    return d.cache("gamma", lambda: conjugation_sum(
+        d, apply_legs(d.phi, d.legs("id", "id", "D")),
+        d.hsum([(d.q_l, ("a", "b"))], [["a"], [d.alpha, "b"]])))
 
 
 def delta(d):
     """Second pairing element."""
-    return d.cache("delta", lambda: _delta_main(d))
+    return d.cache("delta", lambda: mirror_sum(
+        d, apply_legs(d.phi, d.legs("D", "id", "id")),
+        d.hsum([(d.p_r, ("a", "b"))], [["a", d.beta], ["b"]])))
 
 
-def _gamma_main(d):
-    g0 = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                [[("S", ["x"]), d.alpha, "y"], [d.alpha, "z"]])
-    p = apply_legs(d.phi, [d.leg("S"), d.leg("S"), d.leg("D")])
-    return d.hsum([(p, ("sx", "sy", "z1", "z2")), (g0, ("g1", "g2"))],
-                  [["sy", "g1", "z1"], ["sx", "g2", "z2"]])
+def conjugation_sum(d, a, y):
+    """S(a2) y1 a3 (x) S(a1) y2 a4 over an arity-4 a and an arity-2 y: gamma,
+    F and the twisted-gamma law."""
+    sa = apply_legs(a, d.legs("S", "S", "id", "id"))
+    return d.hsum([(sa, ("sa1", "sa2", "a3", "a4")), (y, ("y1", "y2"))],
+                  [["sa2", "y1", "a3"], ["sa1", "y2", "a4"]])
 
 
-def _delta_main(d):
-    d0 = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                [["x", d.beta], ["y", d.beta, ("S", ["z"])]])
-    p = apply_legs(d.phi, [d.leg("D"), d.leg("S"), d.leg("S")])
-    return d.hsum([(p, ("x1", "x2", "sy", "sz")), (d0, ("d1", "d2"))],
-                  [["x1", "d1", "sz"], ["x2", "d2", "sy"]])
+def mirror_sum(d, a, y):
+    """a1 y1 S(a4) (x) a2 y2 S(a3), the mirror of conjugation_sum: delta,
+    F_inv and the twisted-delta law."""
+    sa = apply_legs(a, d.legs("id", "id", "S", "S"))
+    return d.hsum([(sa, ("a1", "a2", "sa3", "sa4")), (y, ("y1", "y2"))],
+                  [["a1", "y1", "sa4"], ["a2", "y2", "sa3"]])
 
 
 def big_f(d):
     """All four derived elements.  That F_inv inverts F is the check
     `F_inverse_formula` of `check_F_compat`."""
     def build():
-        g = gamma(d)
-        dl = delta(d)
-        w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                   [["x"], ["y", d.beta, ("S", ["z"])]])
-        w2 = apply_legs(apply_legs(w, [d.leg("D"), d.leg("D")]),
-                        [d.leg("S"), d.leg("S"), LEG_ID, LEG_ID])
-        F = d.hsum([(w2, ("sx1", "sx2", "w1", "w2")), (g, ("g1", "g2"))],
-                   [["sx2", "g1", "w1"], ["sx1", "g2", "w2"]])
-        v = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                   [[("S", ["x"]), d.alpha, "y"], ["z"]])
-        v2 = apply_legs(apply_legs(v, [d.leg("D"), d.leg("D")]),
-                        [LEG_ID, LEG_ID, d.leg("S"), d.leg("S")])
-        F_inv = d.hsum([(v2, ("w1", "w2", "sz1", "sz2")), (dl, ("d1", "d2"))],
-                       [["w1", "d1", "sz2"], ["w2", "d2", "sz1"]])
-        return DerivedElements(gamma=g, delta=dl, F=F, F_inv=F_inv)
+        g, dl, dd = gamma(d), delta(d), d.legs("D", "D")
+        return DerivedElements(
+            gamma=g, delta=dl, F=conjugation_sum(d, apply_legs(d.p_r, dd), g),
+            F_inv=mirror_sum(d, apply_legs(d.q_l, dd), dl))
     return d.cache("big_f", build)
 
 
@@ -120,14 +117,9 @@ def recover_modifier(d, d_prime):
     if not same:
         raise IncompatibleDatum(
             "the two data do not share algebra, coproduct, counit and associator")
-    alg = d.algebra
-    legs = {"S": d.leg("S"), "Sp": d_prime.leg("S")}.__getitem__
-    x = hom_sum(alg, legs, [(d.phi_inv, ("x", "y", "z"))],
-                [[("Sp", ["x"]), d_prime.alpha, "y", d.beta, ("S", ["z"])]])
-    x_inv = hom_sum(alg, legs, [(d.phi_inv, ("x", "y", "z"))],
-                    [[("S", ["x"]), d.alpha, "y", d_prime.beta, ("Sp", ["z"])]])
+    x, x_inv = d.coev(d_prime.q_l), d_prime.coev(d.q_l)
     one = d.unit_tensor(1)
-    if mult(x, x_inv, alg) != one or mult(x_inv, x, alg) != one:
+    if d.mul(x, x_inv) != one or d.mul(x_inv, x) != one:
         raise InternalInconsistency(
             "the recovered modifier is not invertible by its own inverse "
             "formula; the inputs are not antipode variants of each other")

@@ -13,16 +13,13 @@ from .tensor import invert, mul_all
 
 
 def drinfeld_u(d):
-    """The canonical element u.  On a datum that passes `verify` u is
-    invertible by theorem; elsewhere it need not be."""
+    """The canonical element u = S(p2) S(R2) alpha R1 p1.  On a datum that
+    passes `verify` u is invertible by theorem; elsewhere it need not be."""
     def build():
         if d.R is None:
             raise MissingR(MISSING["R"])
-        w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                   [["y", d.beta, ("S", ["z"])], ["x"]])
-        u = d.hsum([(w, ("w", "x")), (d.R, ("s", "t"))],
-                   [[("S", ["w"]), ("S", ["t"]), d.alpha, "s", "x"]])
-        return u
+        return d.hsum([(d.p_r, ("p1", "p2")), (d.R, ("s", "t"))],
+                      [[("S", ["p2"]), ("S", ["t"]), d.alpha, "s", "p1"]])
     return d.cache("drinfeld", build)
 
 
@@ -41,10 +38,8 @@ def u_tilde(d):
     def build():
         if d.R is None:
             raise MissingR(MISSING["R"])
-        w = d.hsum([(d.phi_inv, ("x", "y", "z"))],
-                   [["z"], [("S", ["x"]), d.alpha, "y"]])
-        return d.hsum([(w, ("zz", "w")), (d.R, ("s", "t"))],
-                      [["zz", "s", d.beta, ("S", ["t"]), ("S", ["w"])]])
+        return d.hsum([(d.q_l, ("q1", "q2")), (d.R, ("s", "t"))],
+                      [["q2", "s", d.beta, ("S", ["t"]), ("S", ["q1"])]])
     return d.cache("u_tilde", build)
 
 

@@ -14,8 +14,8 @@ from .drinfeld import drinfeld_u
 from .dsl import check_named
 from .errors import BudgetExceeded, QhopfError, ShapeMismatch
 from .report import PASS, CheckReport
-from .tensor import (SparseTensor, _canon, add, apply_legs, invert, mult,
-                     scale)
+from .tensor import (SparseTensor, _canon, add, apply_legs, flip, invert,
+                     mult, scale)
 
 
 RTwistElements = namedtuple(
@@ -35,10 +35,9 @@ def rtwist_elements(d):
         R, R_inv = d.R, d.r_inv
         sinv_alpha = apply_legs(d.alpha, d.legs("Sinv"))
         sinv_beta = apply_legs(d.beta, d.legs("Sinv"))
-        alpha_hat = d.hsum([(R_inv, ("s", "t"))], [[("S", ["s"]), d.alpha, "t"]])
-        beta_hat = d.hsum([(R, ("s", "t"))], [["s", d.beta, ("S", ["t"])]])
-        alpha_check = d.hsum([(R, ("s", "t"))], [[("S", ["t"]), d.alpha, "s"]])
-        beta_check = d.hsum([(R_inv, ("s", "t"))], [["t", d.beta, ("S", ["s"])]])
+        alpha_hat, beta_hat = d.ev(R_inv), d.coev(R)
+        alpha_check = d.ev(flip(R, 0, 1))
+        beta_check = d.coev(flip(R_inv, 0, 1))
 
         def comparison(ev):
             return d.hsum([(d.phi, ("x", "y", "z"))],

@@ -5,7 +5,7 @@ the opposite-coopposite datum."""
 
 from collections import namedtuple
 
-from .derived import big_f
+from .derived import big_f, conjugation_sum, mirror_sum
 from .drinfeld import drinfeld_u, u_tilde
 from .errors import Exhausted, InvalidTwist, NotInvertible
 from .report import CheckReport
@@ -65,10 +65,8 @@ def twist(d, tw):
                         d.phi_inv,
                         apply_legs(T_inv, [LEG_ID, d.leg("D")]),
                         insert_leg(T_inv, 0, d.unit))
-    alpha_t = d.hsum([(T_inv, ("f", "g"))], [[("S", ["f"]), d.alpha, "g"]])
-    beta_t = d.hsum([(T, ("f", "g"))], [["f", d.beta, ("S", ["g"])]])
     kw = dict(delta_rows=delta_rows, phi=phi_t, phi_inv=phi_t_inv,
-              alpha=alpha_t, beta=beta_t)
+              alpha=d.ev(T_inv), beta=d.coev(T))
     if d.R is not None:
         kw["R"] = mul_all(alg, flip(T, 0, 1), d.R, T_inv)
     return d.with_changes(**kw)
@@ -138,22 +136,17 @@ def check_twist_elements(d, tw):
     det = big_f(dt)
     de = big_f(d)
 
+    dd = d.legs("D", "D")
+    s_flip_inv = apply_legs(flip(T_inv, 0, 1), [S, S])
+
     lhs = mul_all(alg, apply_legs(flip(T, 0, 1), [S, S]), det.gamma, T)
-    p = apply_legs(apply_legs(T_inv, [d.leg("D"), d.leg("D")]),
-                   [S, S, LEG_ID, LEG_ID])
-    rhs = d.hsum([(p, ("sf1", "sf2", "g1", "g2")), (de.gamma, ("c1", "c2"))],
-                 [["sf2", "c1", "g1"], ["sf1", "c2", "g2"]])
-    rep.compare("twisted_gamma_transform", lhs, rhs)
-
-    lhs = mul_all(alg, T_inv, det.delta, apply_legs(flip(T_inv, 0, 1), [S, S]))
-    p = apply_legs(apply_legs(T, [d.leg("D"), d.leg("D")]),
-                   [LEG_ID, LEG_ID, S, S])
-    rhs = d.hsum([(p, ("f1", "f2", "sg1", "sg2")), (de.delta, ("c1", "c2"))],
-                 [["f1", "c1", "sg2"], ["f2", "c2", "sg1"]])
-    rep.compare("twisted_delta_transform", lhs, rhs)
-
-    rhs = mul_all(alg, apply_legs(flip(T_inv, 0, 1), [S, S]), de.F, T_inv)
-    rep.compare("twisted_F_transform", det.F, rhs)
+    rep.compare("twisted_gamma_transform", lhs,
+                conjugation_sum(d, apply_legs(T_inv, dd), de.gamma))
+    lhs = mul_all(alg, T_inv, det.delta, s_flip_inv)
+    rep.compare("twisted_delta_transform", lhs,
+                mirror_sum(d, apply_legs(T, dd), de.delta))
+    rep.compare("twisted_F_transform", det.F,
+                mul_all(alg, s_flip_inv, de.F, T_inv))
     return rep.compare("u_twist_invariant", drinfeld_u(dt), drinfeld_u(d))
 
 
