@@ -484,11 +484,13 @@ def verify_quasi_hopf(d, witness_limit=1):
     rep.compare_each("antipode_antiautomorphism", _algebra_map(d, "S"), limit)
 
     # the two antipode equations, per basis element
-    for name, contract, elt in (("left_antipode_equation", d.ev, d.alpha),
-                                ("right_antipode_equation", d.coev, d.beta)):
-        rep.compare_each(name, ((contract(d.coproduct(d.basis(i))),
-                                 scale(elt, d.eps[i]), {"basis": i})
-                                for i in range(d.dim)), limit)
+    for name, contract, elt in (
+            ("left_antipode_equation", d.ev, d.alpha),
+            ("right_antipode_equation", d.coev, d.beta)):
+        rep.compare_each(name, (
+            (contract(d.coproduct(d.basis(i))), scale(elt, d.eps[i]),
+             {"basis": i})
+            for i in range(d.dim)), limit)
 
     one = d.unit_tensor(1)
     rep.compare("duality_left",

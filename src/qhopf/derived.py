@@ -64,10 +64,12 @@ def big_f(d):
     """All four derived elements.  That F_inv inverts F is the check
     `F_inverse_formula` of `check_F_compat`."""
     def build():
-        g, dl, dd = gamma(d), delta(d), d.legs("D", "D")
-        return DerivedElements(
-            gamma=g, delta=dl, F=conjugation_sum(d, apply_legs(d.p_r, dd), g),
-            F_inv=mirror_sum(d, apply_legs(d.q_l, dd), dl))
+        g = gamma(d)
+        dl = delta(d)
+        dd = d.legs("D", "D")
+        F = conjugation_sum(d, apply_legs(d.p_r, dd), g)
+        F_inv = mirror_sum(d, apply_legs(d.q_l, dd), dl)
+        return DerivedElements(gamma=g, delta=dl, F=F, F_inv=F_inv)
     return d.cache("big_f", build)
 
 
