@@ -191,8 +191,7 @@ def cmd_ribbon(args):
         return 2
     if not _verified(args, d, t0):
         return 1
-    from .ribbon import (check_main_theorem, check_ribbon_lemma, find_ribbon,
-                         is_ribbon)
+    from .ribbon import find_ribbon, verify_ribbon
     if args.action == "find":
         res = find_ribbon(d, args.budget)
         doc = {"datum": d.content_hash(), "region": res.region,
@@ -201,10 +200,7 @@ def cmd_ribbon(args):
                "elapsed_ms": _elapsed_ms(t0)}
         print(json.dumps(doc, sort_keys=True, indent=1))
         return 0
-    rep = is_ribbon(d, d.v)
-    rep.extend(check_ribbon_lemma(d, d.v))
-    rep.extend(check_main_theorem(d, d.v))
-    return emit_report(args, d, "ribbon", rep, t0)
+    return emit_report(args, d, "ribbon", verify_ribbon(d, d.v), t0)
 
 
 def _parse_group(text):

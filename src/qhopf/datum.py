@@ -551,9 +551,7 @@ def verify(d, level=None, witness_limit=1):
     rep.extend(verify_quasitriangular(d, witness_limit=witness_limit))
     if level == "qt" or not rep.ok:
         return rep
-    from .ribbon import check_main_theorem, check_ribbon_lemma, is_ribbon
+    from .ribbon import verify_ribbon
     if d.v is None:
         raise MissingR(MISSING["v"])
-    rep.extend(is_ribbon(d, d.v, witness_limit))
-    rep.extend(check_ribbon_lemma(d, d.v, witness_limit))
-    return rep.extend(check_main_theorem(d, d.v, witness_limit))
+    return rep.extend(verify_ribbon(d, d.v, witness_limit))

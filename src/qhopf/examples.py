@@ -10,8 +10,7 @@ written) and runs the full verifier stack once on what it builds.
 
 from itertools import product as iproduct
 
-from .datum import (QuasiHopfDatum, verify_quasi_bialgebra, verify_quasi_hopf,
-                    verify_quasitriangular)
+from .datum import QuasiHopfDatum, verify
 from .errors import InternalInconsistency
 from .scalars import RationalField
 from .tensor import SparseTensor
@@ -239,8 +238,7 @@ def dpr_double(group, omega):
                 "the ribbon checks" % (group,))
         d = d.with_changes(v=v)
         d.metadata["closed_form_v"] = True
-    if not (verify_quasi_bialgebra(d).ok and verify_quasi_hopf(d).ok
-            and verify_quasitriangular(d).ok):
+    if not verify(d, level="qt").ok:
         raise InternalInconsistency(
             "the twisted double of %r fails the verifiers" % (group,))
     return d

@@ -120,6 +120,14 @@ def check_main_theorem(d, v, witness_limit=1):
                                   witness_limit, {"v": v}))
 
 
+def verify_ribbon(d, v, witness_limit=1):
+    """The ribbon layer: the defining checks of v, the ribbon lemma and the
+    main theorem, in one report."""
+    rep = is_ribbon(d, v, witness_limit)
+    rep.extend(check_ribbon_lemma(d, v, witness_limit))
+    return rep.extend(check_main_theorem(d, v, witness_limit))
+
+
 def center(d):
     """Basis of the center: the bases of the block centers, block by block
     in the order of `Algebra.blocks`."""

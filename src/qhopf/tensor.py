@@ -12,7 +12,9 @@ product e_i e_j.  Elements of different blocks multiply to zero and a block
 is closed under products, for any structure constants, including ones that
 break an axiom.  D^w(G) has one block per group element; H4 and K[G] have
 one.  A multi-index has a block signature, the block of each leg.  mult()
-multiplies entries of equal signature only, and invert() inverts one
+needs no split by signature: a pair of prefixes whose legs lie in different
+blocks has a zero product there and is dropped with its subtrees, and those
+are exactly the pairs of different signature.  invert() inverts one
 signature at a time: by a scalar where t is a multiple of the unit there
 (the associator of D^w(G) on every signature), else by one linear system.
 
@@ -28,11 +30,9 @@ at once in any order.  Each factor's entries are filtered once per distinct
 state of the legs it extends, and the survivors keep the cartesian order
 (trees.join()).
 
-Prefix trees.  mult() multiplies dense operands, and every operand on a
-basis whose products have several terms, as prefix trees (trees.py), and so
-does each column of a system of invert().  Single-term calls of arity 1, or
-with fewer than 4 entries per signature (the associator of D^w(G)), pair
-their entries one by one instead.
+Prefix trees.  mult() multiplies both operands whole as prefix trees
+(trees.py) at every arity from 1 on, and so does each column of a system of
+invert().  At arity 0 it multiplies two scalars.
 
 Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
 input is read as numerators over one denominator (scalars.py); Algebra and
@@ -41,10 +41,11 @@ is fixed per call (d1*d2*den^k in mult), and _canon() makes one canonical
 scalar per output entry.  Over F_p the numerators are residues over 1, left
 unreduced until _canon(): reduction mod p is a ring map, so one loop serves
 both fields.  Algebra.mono, the rows mono[i] = {j: (k, c)} of a basis whose
-products are single terms, selects the index-chasing loops of mult(), of
-trees.chase() and of the join's index states; other bases expand each
-product in trees.py (expand(), fold()).  trees.py is imported only where it
-runs.
+products are single terms, selects the index-chasing loops of
+trees.chase(), which every such mult() runs, and of the join's index states;
+other bases expand each product in trees.py (expand(), fold()).  trees.py is
+imported only where it runs: by a product of arity 1 or more, an inverse
+that solves a system, or a sum.
 """
 
 from itertools import product as iproduct
@@ -265,34 +266,12 @@ def mult(t1, t2, alg):
     t1.field.assert_same(t2.field)
     f, k = alg.field, t1.arity
     (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)
-    block_of, mono = alg.block_of, alg.mono
-    buckets = _buckets(e2.items(), range(k), block_of)
-    acc = {}
-    if (k and mono is None
-            or k > 1 and min(len(e1), len(e2)) >= 4 * len(buckets)):
-        # t2's signatures stand in for t1's in the density test
-        from .trees import multiply
-        multiply(acc, alg, e1, buckets, k)
+    if k:
+        from . import trees
+        acc = trees.product({}, alg, trees.tree(e1.items()),
+                            trees.tree(e2.items()), k)
     else:
-        # t1 keeps its order: accumulation runs in the order of the full
-        # double loop
-        for k1, c1 in e1.items():
-            partners = buckets.get(tuple([block_of[i] for i in k1]))
-            if partners is None:
-                continue
-            rows = [mono[i] for i in k1]
-            for k2, c2 in partners:
-                c = c1 * c2
-                key = []
-                for row, j in zip(rows, k2):
-                    term = row.get(j)
-                    if term is None:
-                        break
-                    key.append(term[0])
-                    c *= term[1]
-                else:
-                    key = tuple(key)
-                    acc[key] = acc.get(key, 0) + c
+        acc = {(): e1[()] * e2[()]} if e1 and e2 else {}
     return SparseTensor(f, k, t1.dim, _canon(f, acc, d1 * d2 * alg.den ** k))
 
 

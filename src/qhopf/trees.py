@@ -1,20 +1,21 @@
-"""Products on bases whose products have several terms, mult() of
-tensor.py on dense operands, and the columns of the systems of invert().
+"""The products of mult() of tensor.py at arity 1 and above, and the
+columns of the systems of invert().
 
-Within one block signature, both operands are read as nested dicts, leg by
-leg, and multiplied by recursion on legs: a leg's product runs once per pair
-of prefixes, and only the last leg loops over entries.  On a basis of
-single-term products (Algebra.mono) each pair of prefixes carries its output
-prefix and scalar down (chase()).  On other bases each pair of subtrees is
-multiplied and summed before the product e_i e_j of the two prefixes
-expands it (expand()):
+Both operands are read whole as nested dicts, leg by leg, and multiplied by
+recursion on legs: a leg's product runs once per pair of prefixes, and only
+the last leg loops over entries.  A pair of prefixes whose product is zero,
+as two indices of different blocks, is dropped with its subtrees, so the
+operands need no split by block signature.  On a basis of single-term
+products (Algebra.mono) each pair of prefixes carries its output prefix and
+scalar down (chase()).  On other bases each pair of subtrees is multiplied
+and summed before the product e_i e_j of the two prefixes expands it
+(expand()):
 
     t1 t2 = sum_{i,j} (e_i e_j) (x) (t1^(i) t2^(j)),
 
 the contraction order that sums an index as soon as nothing later reads it.
 product() picks one of the two; mult() and each column t e_j of invert(),
-e_j a one-entry tree, go through it.  Only one signature's trees exist at
-once.
+e_j a one-entry tree, go through it.
 
 The join of hom_sum() is here too (join()): each factor's entries are
 filtered once per distinct state of the output legs it extends (extend()),
@@ -22,24 +23,14 @@ and on bases of several-term products each surviving combination is
 expanded with fold().  The loops add integer numerators, as every kernel of
 tensor.py does.  This module is apart from tensor.py, which every command
 compiles: the compile of the largest module sets the peak memory of short
-commands, and only the commands that build trees or evaluate a sum compile
-this one.
+commands, and only the commands that multiply, invert by a system or
+evaluate a sum compile this one.
 """
 
 from itertools import product as iproduct
 from math import prod
 
 from .tensor import _buckets, _vec_mul
-
-
-def multiply(acc, alg, e1, buckets, k):
-    """Add to acc the numerators of the product of the arity-k entries e1
-    with those that buckets holds by block signature, as (key, numerator)
-    lists."""
-    for sig, items in _buckets(e1.items(), range(k), alg.block_of).items():
-        partners = buckets.get(sig)
-        if partners is not None:
-            product(acc, alg, tree(items), tree(partners), k)
 
 
 def product(acc, alg, n1, n2, k):

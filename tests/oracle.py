@@ -188,8 +188,8 @@ def mult_pairs(t1, t2, alg):
     of its block signature, and the cartesian product of the legs' term
     lists is expanded for each pair (one term or none a leg on a basis of
     single-term products), on integer numerators.  This is the loop that
-    the package's prefix trees replaced for dense operands and multi-term
-    bases.  Returns the accumulator in insertion order, with canonical
+    the package's prefix trees replaced for every operand of arity 1 and
+    above.  Returns the accumulator in insertion order, with canonical
     nonzero values."""
     f, k = alg.field, t1.arity
     (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)

@@ -300,10 +300,8 @@ def test_commands_import_only_what_they_run(case, extra, h4_file, dz2w_file,
     # a command imports only the modules it runs: no examples or ribbon for
     # these, no dataclasses on the verify and twist paths, fractions only
     # for rational data (H4 is over Q, D^w(Z2) over F_7), and trees only
-    # where a product is dense (H4 is one block), an inverse solves a
-    # system (R^-1 on D^w(Z2), where R is not a multiple of the unit) or the
-    # basis has multi-term products (every product, inverse and sum of the
-    # dense-basis H4 expands there)
+    # where a product of arity 1 or more runs, an inverse solves a system or
+    # a sum is evaluated: not on a malformed file, which stops before any
     if case == "malformed":
         bad = tmp_path / "bad.json"
         bad.write_text('{"field": ')

@@ -368,7 +368,7 @@ def _random_pair(rng, alg, arity, n):
 
 
 @pytest.mark.parametrize("name", BLOCK_ALGEBRAS)
-@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("arity", [0, 1, 2, 3, 4])
 def test_block_mult_matches_dense_oracle(name, arity):
     alg = block_algebra(name)
     d = FakeDatum(alg)
@@ -378,6 +378,9 @@ def test_block_mult_matches_dense_oracle(name, arity):
         t1, t2 = _random_pair(rng, alg, arity, n)
         assert dense_of(mult(t1, t2, alg)) == dense_mult(d, t1, t2)
         assert dense_of(mult(t2, t1, alg)) == dense_mult(d, t2, t1)
+    empty = SparseTensor(alg.field, arity, alg.dim, {})
+    assert dense_of(mult(t1, empty, alg)) == dense_mult(d, t1, empty)
+    assert dense_of(mult(empty, t1, alg)) == dense_mult(d, empty, t1)
 
 
 @pytest.mark.parametrize("name", BLOCK_ALGEBRAS)
@@ -860,8 +863,9 @@ def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
         assert len(calls) > 100
         for t1, t2, alg, got, trees in calls:
             assert got.entries == mult_pairs(t1, t2, alg)
-            paths.add((alg.mono is None, t1.arity > 1, trees))
-    # both sides of the density selection on single-term bases, and the
-    # trees on the multi-term basis, at arity 1 and above
-    assert paths >= {(False, True, True), (False, True, False),
-                     (True, False, True), (True, True, True)}
+            assert trees == (t1.arity > 0)
+            paths.add((alg.mono is None, t1.arity > 1))
+    # every call of arity 1 and above builds prefix trees: on single-term
+    # and on multi-term bases, at arity 1 and above
+    assert paths >= {(False, False), (False, True), (True, False),
+                     (True, True)}
