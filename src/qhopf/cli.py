@@ -42,6 +42,10 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("out of memory: the command needs more memory than is available",
+              file=sys.stderr)
+        return 2
     except QhopfError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

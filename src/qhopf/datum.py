@@ -367,6 +367,10 @@ def loads(text):
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc.msg, line=exc.lineno,
                          column=exc.colno)
+    except (RecursionError, ValueError) as exc:
+        # nesting past the interpreter's recursion limit, or an integer
+        # past its digit limit (whose message ends in advice to Python code)
+        raise ParseError("invalid JSON: %s" % str(exc).split(";")[0])
     return load(doc)
 
 

@@ -1,12 +1,15 @@
-"""Exact linear algebra over any Field: one sparse Gauss-Jordan elimination
-and the three solves built on it.
+"""Exact linear algebra over any Field: one sparse elimination and the three
+solves built on it.
 
 `_eliminate_sparse` brings rows given as {col: value} dicts to reduced row
-echelon form (RREF).  It visits the columns in increasing order; in each it
-takes as pivot the unused row with the fewest entries that is nonzero there
-(ties go to the lowest row index) and clears the column from every other
-row.  The column order is fixed, so the result is the unique RREF of the
-rows, whichever rows serve as pivots; the row rule only keeps fill-in low.
+echelon form (RREF) in two passes over the rows.  The forward pass takes
+the rows sparsest first (ties keep input order) and reduces each at its
+leftmost entry by that column's pivot row until the leftmost column has
+none; scaled to 1 there, the row becomes that column's pivot.
+Back-substitution then takes the pivots in decreasing column order and
+clears each at its later pivot columns with rows already reduced.  The RREF
+of the rows is unique, whichever rows serve as pivots; the sparsest-first
+order only keeps fill-in low.
 
   * `solve` augments A with b as column n: a pivot there means the system
     is inconsistent, and free variables are 0.
@@ -21,49 +24,41 @@ arity-3 inversion over D^w(Z3)).
 """
 
 
+def _subtract(canon, row, f, p):
+    """row -= f * p in place, dropping the entries that become zero (f is
+    nonzero, so only entries already in row can)."""
+    get = row.get
+    for j, v in p.items():
+        new = canon(get(j, 0) - f * v)
+        if new:
+            row[j] = new
+        else:
+            del row[j]
+
+
 def _eliminate_sparse(field, rows, ncols):
     """RREF of `rows`, a list of {col: value} dicts holding only nonzero
     values at columns in range(ncols).  The dicts are reduced in place.
     Returns the nonzero rows as (pivot column, row) pairs in increasing
     pivot order, each row scaled to 1 at its pivot."""
     canon = field.canon
-    occupancy = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            occupancy.setdefault(j, set()).add(i)
-    unused = set(range(len(rows)))
-    rref = []
-    for c in range(ncols):
-        holders = occupancy.get(c, ())
-        candidates = [i for i in holders if i in unused]
-        if not candidates:
-            continue
-        r = min(candidates, key=lambda i: (len(rows[i]), i))
-        row = rows[r]
-        inv = field.inv(row[c])
-        for j, v in row.items():
-            row[j] = canon(inv * v)
-        # Jordan-style: clear the pivot column from every other row, so no
-        # back-substitution pass is needed afterwards.  The pivot row is
-        # zero in every earlier column, so fill-in lands only after c.
-        for i in list(holders):
-            if i == r:
-                continue
-            other = rows[i]
-            f = other[c]
-            for j, v in row.items():
-                newv = canon(other.get(j, 0) - f * v)
-                if not newv:
-                    if j in other:
-                        del other[j]
-                        occupancy[j].discard(i)
-                else:
-                    if j not in other:
-                        occupancy.setdefault(j, set()).add(i)
-                    other[j] = newv
-        unused.discard(r)
-        rref.append((c, row))
-    return rref
+    pivot = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            if c not in pivot:
+                inv = field.inv(row[c])
+                for j, v in row.items():
+                    row[j] = canon(inv * v)
+                pivot[c] = row
+                break
+            _subtract(canon, row, row[c], pivot[c])
+    order = sorted(pivot)
+    for c in reversed(order):
+        row = pivot[c]
+        for k in [j for j in row if j != c and j in pivot]:
+            _subtract(canon, row, row[k], pivot[k])
+    return [(c, pivot[c]) for c in order]
 
 
 def solve(field, rows, n, rhs):

@@ -91,17 +91,19 @@ def random_twist(d, seed):
     t1 = add(sub(sub(t0, concat(d.unit, u1)), concat(u2, d.unit)),
              scale(one2, s + 1))
     limit = f.size if f.size is not None else 16
+    tried = 0
     for k in range(limit):
         denom = f.canon(1 + k)
         if not denom:
             continue
+        tried += 1
         cand = scale(add(t1, scale(one2, k)), f.inv(denom))
         try:
             return make_twist(d, cand)
         except InvalidTwist:
             continue
-    raise Exhausted("no invertible normalized twist found for seed %d; "
-                    "retry with the next seed" % seed)
+    raise Exhausted("no invertible normalized twist found for seed %d among "
+                    "its %d candidates" % (seed, tried))
 
 
 def random_invertible(d, seed):

@@ -17,6 +17,7 @@ from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
 
 from basis import change_basis
+from capped import run_capped
 from mutation import all_layers_of, mutate
 
 
@@ -134,6 +135,33 @@ def test_verify_malformed_exits_two(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     missing = tmp_path / "nope.json"
     assert main(["verify", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"dim": %s}' % ("7" * 5000)],
+                         ids=["deep-nesting", "5000-digit-integer"])
+def test_verify_json_past_the_parser_limits_exits_two(tmp_path, text):
+    # json.loads raises RecursionError and the ValueError of the
+    # interpreter's digit limit here, not JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = _process(["verify", str(path)], timeout=30)
+    assert res.returncode == 2
+    assert res.stderr.startswith("input error: invalid JSON")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+def test_out_of_memory_exits_two(tmp_path):
+    # each side applies the coproduct to every leg of the unit's 256-entry
+    # fourth power, and '#' concatenates the two 65,536-entry results: far
+    # past the address-space cap
+    path = tmp_path / "z4.json"
+    assert main(["example", "--kind", "dpr", "--group", "Z4", "--q", "1",
+                 "--field", "p:13", "--out", str(path)]) == 0
+    res = run_capped(["check", "expr", str(path), "--expr",
+                      "map[D,D,D,D](one_4) # map[D,D,D,D](one_4)"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("out of memory")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("key, value", [
@@ -378,6 +406,19 @@ def test_twist_emit_and_verify(dz2w_file, tmp_path, capsys):
     capsys.readouterr()
     rc = main(["verify", str(out), "--level", "qt"])
     assert rc == 0
+
+
+def test_twist_exhausted_gives_no_retry_advice(tmp_path, capsys):
+    # no seed in 0..19 finds a twist of D(Z3)/F7, so the next seed is no
+    # better advice than this one
+    path = tmp_path / "dz3.json"
+    assert main(["example", "--kind", "dpr", "--group", "Z3", "--field",
+                 "p:7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["twist", str(path), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "no invertible normalized twist found for seed 0 among its 6" in err
+    assert "retry" not in err and "next seed" not in err
 
 
 def test_twist_seed_env_default(dz2w_file, tmp_path, monkeypatch, capsys):

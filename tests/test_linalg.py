@@ -1,6 +1,9 @@
 """Differential tests: the sparse elimination behind solve, invert_matrix and
 nullspace against the textbook dense Gauss-Jordan of tests/oracle.py, on
-seeded random systems over F_7, F_13 and Q."""
+seeded random and structured systems over F_7, F_13 and Q; and bounds on
+the elimination's work on an arrowhead and a monomial matrix."""
+
+import time
 
 import pytest
 
@@ -12,7 +15,45 @@ from oracle import dense_inverse, dense_nullspace, dense_solve
 
 FIELDS = {"F7": PrimeField(7), "F13": PrimeField(13), "Q": RationalField()}
 
-# (rows, columns, rank bound or None, share of nonzero entries)
+
+def _scalar(rng, f):
+    if f.kind == "prime":
+        return rng.below(f.p)
+    return f.parse("%d/%d" % (rng.below(9) - 4, 1 + rng.below(3)))
+
+
+def _nonzero(rng, f):
+    while True:
+        v = _scalar(rng, f)
+        if v:
+            return v
+
+
+def _arrowhead(rng, f, n):
+    """A dense first row, then the rows e_i + a_i e_0: in input order each
+    row would be reduced by the first one and fill in completely."""
+    rows = [[_nonzero(rng, f) for _ in range(n)]]
+    for i in range(1, n):
+        row = [f.zero] * n
+        row[0], row[i] = _nonzero(rng, f), f.one
+        rows.append(row)
+    return rows
+
+
+def _monomial(rng, f, n):
+    """A scaled permutation matrix: one nonzero entry per row and column."""
+    cols = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        cols[i], cols[j] = cols[j], cols[i]
+    rows = [[f.zero] * n for _ in range(n)]
+    for i, j in enumerate(cols):
+        rows[i][j] = _nonzero(rng, f)
+    return rows
+
+
+# (rows, columns, rank bound or None, share of nonzero entries or a builder
+# of structured rows)
 SHAPES = {
     "square": (6, 6, None, 0.5),
     "square-sparse": (9, 9, None, 0.25),
@@ -21,14 +62,12 @@ SHAPES = {
     "singular": (7, 7, 4, 0.5),
     "deficient-wide": (5, 8, 3, 0.6),
     "deficient-tall": (9, 6, 2, 0.4),
+    "arrowhead": (8, 8, None, _arrowhead),
+    "monomial": (7, 7, None, _monomial),
 }
 SEEDS = range(10)
-
-
-def _scalar(rng, f):
-    if f.kind == "prime":
-        return rng.below(f.p)
-    return f.parse("%d/%d" % (rng.below(9) - 4, 1 + rng.below(3)))
+INVERTIBLE_SHAPES = ["arrowhead", "monomial", "square", "square-sparse",
+                     "singular"]
 
 
 def _matrix(rng, f, m, n, rank, fill):
@@ -62,7 +101,9 @@ def _systems(fname, shape):
     m, n, rank, fill = SHAPES[shape]
     for seed in SEEDS:
         rng = SplitMix64(1000 * seed + len(fname) + 17 * len(shape))
-        yield f, rng, _matrix(rng, f, m, n, rank, fill), n
+        rows = (fill(rng, f, n) if callable(fill)
+                else _matrix(rng, f, m, n, rank, fill))
+        yield f, rng, rows, n
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -89,7 +130,7 @@ def test_solve_matches_dense_rref(fname, shape):
         assert inconsistent >= len(SEEDS)
 
 
-@pytest.mark.parametrize("shape", ["square", "square-sparse", "singular"])
+@pytest.mark.parametrize("shape", INVERTIBLE_SHAPES)
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 def test_invert_matrix_matches_dense_rref(fname, shape):
     singular = 0
@@ -125,3 +166,49 @@ def test_empty_and_zero_systems():
     assert linalg.solve(f, [{}, {}], 2, {1: 3}) is None
     assert linalg.nullspace(f, [{}], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert linalg.invert_matrix(f, {0: ((0, 2),), 1: ()}, 2) is None
+
+
+class CountingField(PrimeField):
+    """F_p that counts its canon calls: one per entry a row operation or a
+    scaling writes."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.canon_calls = 0
+
+    def canon(self, x):
+        self.canon_calls += 1
+        return super().canon(x)
+
+
+def test_arrowhead_solve_work_is_quadratic():
+    # sparsest rows first: each e_i + a_i e_0 row is reduced along a chain
+    # of two-entry pivots, about n^2 calls in all, and the dense row comes
+    # last; in input order the dense row would fill every other row, for
+    # about 100 n^2 calls here
+    n = 300
+    f = CountingField(10007)
+    dense = _arrowhead(SplitMix64(5), f, n)
+    f.canon_calls = 0
+    x = linalg.solve(f, _sparse(f, dense), n, {0: 1})
+    assert f.canon_calls <= 2 * n * n
+    assert _apply(f, dense, x) == [1] + [0] * (n - 1)
+
+
+def _monomial_inverse_seconds(n):
+    f = FIELDS["F13"]
+    rows = {i: tuple((j, v) for j, v in enumerate(r) if v)
+            for i, r in enumerate(_monomial(SplitMix64(n), f, n))}
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        inv = linalg.invert_matrix(f, rows, n)
+        times.append(time.perf_counter() - t)
+    assert inv is not None and all(len(r) == 1 for r in inv.values())
+    return min(times)
+
+
+def test_monomial_inverse_time_is_linear():
+    # linear work gives about 4x from n = 1000 to 4000; a scan over every
+    # row for each column would give 16x
+    assert _monomial_inverse_seconds(4000) < 8 * _monomial_inverse_seconds(1000)
