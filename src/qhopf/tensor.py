@@ -32,7 +32,11 @@ state of the legs it extends, and the survivors keep the cartesian order
 
 Prefix trees.  mult() multiplies both operands whole as prefix trees
 (trees.py) at every arity from 1 on, and so does each column of a system of
-invert().  At arity 0 it multiplies two scalars.
+invert().  On a basis of single-term products a last leg where the first
+operand has several entries is summed per output prefix, so that a key is
+made per output entry, not per pair; a last leg where it has one entry adds
+full keys at once, since its pairs meet distinct outputs (trees.chase()).
+At arity 0 it multiplies two scalars.
 
 Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
 input is read as numerators over one denominator (scalars.py); Algebra and

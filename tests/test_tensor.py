@@ -869,3 +869,78 @@ def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
     # and on multi-term bases, at arity 1 and above
     assert paths >= {(False, False), (False, True), (True, False),
                      (True, True)}
+
+
+# ----- the two leaf branches of trees.chase against the pair loop -----------
+
+def _entries_of(node, k, key=()):
+    """The (key, numerator) items of a prefix tree of k legs."""
+    if k == 1:
+        return [(key + (i,), c) for i, c in node.items()]
+    return [item for i, sub in node.items()
+            for item in _entries_of(sub, k - 1, key + (i,))]
+
+
+def _pentagon_operands(d):
+    """The three products of the pentagon's two sides:
+    (id id D)(phi) (D id id)(phi) and ((1 phi) (id D id)(phi)) (phi 1)."""
+    phi, one = d.phi, d.unit
+    lhs = (apply_legs(phi, d.legs("id", "id", "D")),
+           apply_legs(phi, d.legs("D", "id", "id")))
+    rhs = (insert_leg(phi, 0, one), apply_legs(phi, d.legs("id", "D", "id")))
+    return [lhs, rhs, (mult(*rhs, d.algebra), insert_leg(phi, 3, one))]
+
+
+def test_chase_leaf_branches_match_the_pair_loop(monkeypatch, dz3w, sw):
+    # a leaf whose n1 has several entries sums its last leg per output
+    # prefix, one with a single entry adds full keys: dense twisted
+    # operands take the first, the untwisted double's one-entry leaves the
+    # second; on H4, tensors whose legs are x or gx multiply to zero
+    tw = random_twist(dz3w, 0)
+    twisted = twist(dz3w, tw)
+    z4 = FiniteAbelianGroup((4,))
+    dz4w = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
+    leaves = {"prefix": 0, "flat": 0}
+    real_chase, real_product = trees.chase, trees.product
+
+    def chase(acc, sums, mono, n1, n2, depth, key, c):
+        if depth == 1:
+            leaves["prefix" if len(n1) > 1 else "flat"] += 1
+        real_chase(acc, sums, mono, n1, n2, depth, key, c)
+    monkeypatch.setattr(trees, "chase", chase)
+    cases = []
+    for d in (twisted, dz4w):
+        alg, e = d.algebra, [d.basis(i) for i in range(d.dim)]
+        assert alg.mono is not None
+        cases += [(d.alpha, d.beta, alg), (te.add(e[1], e[2]), d.beta, alg),
+                  (tw.T if d is twisted else d.R, d.R, alg),
+                  (d.R, d.R, alg), (d.phi, d.phi, alg)]
+        cases += [(t1, t2, alg) for t1, t2 in _pentagon_operands(d)]
+    h4, rng = sw.algebra, SplitMix64(26)
+    for arity in (1, 2, 3, 4):
+        t = random_tensor(rng, h4.field, arity, 4, fill=1.0)
+        keys = iproduct((2, 3), repeat=arity)
+        x = SparseTensor.make(h4.field, arity, 4,
+                              {key: h4.field.canon(1 + sum(key)) for key in keys})
+        cases += [(t, t, h4), (t, x, h4), (x, t, h4), (x, x, h4)]
+    assert not mult(x, x, h4).entries
+    for t1, t2, alg in cases:
+        assert mult(t1, t2, alg).entries == mult_pairs(t1, t2, alg)
+    assert {t1.arity for t1, _, _ in cases} == {1, 2, 3, 4}
+    # the columns of invert(phi) on the twisted datum (numerators over 1 on
+    # F_7), and its two product checks
+    calls = []
+
+    def product(acc, alg, n1, n2, k):
+        out = real_product(acc, alg, n1, n2, k)
+        calls.append((alg, n1, n2, k, dict(out)))
+        return out
+    monkeypatch.setattr(trees, "product", product)
+    f, alg = twisted.field, twisted.algebra
+    invert(twisted.phi, alg)
+    assert len(calls) > 2
+    for alg, n1, n2, k, got in calls:
+        t1, t2 = (SparseTensor(f, k, alg.dim, dict(_entries_of(n, k)))
+                  for n in (n1, n2))
+        assert te._canon(f, got) == mult_pairs(t1, t2, alg)
+    assert leaves["prefix"] > 0 and leaves["flat"] > 0
