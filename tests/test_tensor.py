@@ -820,11 +820,17 @@ def test_a_mapped_name_read_twice_is_refused(dz3w):
 # ----- every mult of three commands against the pair loop -------------------
 
 def _mult_calls(monkeypatch, run):
-    """(t1, t2, alg, value, trees) of every mult call that run() makes;
-    trees tells whether the call built prefix trees.  invert builds trees
-    outside any mult call; those are not counted."""
-    calls, built = [], []
+    """(calls, columns, leaves) of run(): calls holds (t1, t2, alg, value,
+    trees) of every mult call, trees telling whether the call built prefix
+    trees; columns holds (alg, n1, n2, k, value) of every trees.product
+    call outside mult, the columns of invert's systems; leaves counts the
+    last-leg calls of trees.chase at an output prefix without a sum yet by
+    the branch they took: "prefix" where they opened a sum for it, "flat"
+    where they added full keys."""
+    calls, built, columns = [], [], []
+    leaves = {"prefix": 0, "flat": 0}
     real_mult, real_tree = te.mult, trees.tree
+    real_product, real_chase = trees.product, trees.chase
 
     def record(t1, t2, alg):
         built.append(False)
@@ -836,12 +842,34 @@ def _mult_calls(monkeypatch, run):
         if built:
             built[-1] = True
         return real_tree(items)
+
+    def product(acc, alg, n1, n2, k):
+        value = real_product(acc, alg, n1, n2, k)
+        if not built:
+            columns.append((alg, n1, n2, k, dict(value)))
+        return value
+
+    def chase(acc, sums, mono, n1, n2, depth, key, c):
+        fresh = depth == 1 and key not in sums
+        real_chase(acc, sums, mono, n1, n2, depth, key, c)
+        if fresh:
+            leaves["prefix" if key in sums else "flat"] += 1
     for mod in (te, datum, derived, dsl, ribbon):
         monkeypatch.setattr(mod, "mult", record)
     monkeypatch.setattr(trees, "tree", tree)
+    monkeypatch.setattr(trees, "product", product)
+    monkeypatch.setattr(trees, "chase", chase)
     run()
     monkeypatch.undo()
-    return calls
+    return calls, columns, leaves
+
+
+def _entries_of(node, k, key=()):
+    """The (key, numerator) items of a prefix tree of k legs."""
+    if k == 1:
+        return [(key + (i,), c) for i, c in node.items()]
+    return [item for i, sub in node.items()
+            for item in _entries_of(sub, k - 1, key + (i,))]
 
 
 def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
@@ -857,90 +885,29 @@ def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
                      datum.verify(rebased("dw_z2_f5"), level="qt")),
             lambda: (datum.verify(dz4w, level="qt"),
                      ribbon.find_ribbon(dz4w, 10 ** 6))]
-    paths = set()
+    paths, branches = set(), []
     for run in runs:
-        calls = _mult_calls(monkeypatch, run)
+        calls, columns, leaves = _mult_calls(monkeypatch, run)
         assert len(calls) > 100
         for t1, t2, alg, got, trees in calls:
             assert got.entries == mult_pairs(t1, t2, alg)
             assert trees == (t1.arity > 0)
             paths.add((alg.mono is None, t1.arity > 1))
+        # invert's columns multiply trees of numerators
+        for alg, n1, n2, k, got in columns:
+            f = alg.field
+            t1, t2 = (SparseTensor(f, k, alg.dim, {key: f.canon(c) for key, c
+                                                   in _entries_of(n, k)})
+                      for n in (n1, n2))
+            assert te._canon(f, got, alg.den ** k) == mult_pairs(t1, t2, alg)
+        branches.append((len(columns), leaves["prefix"], leaves["flat"]))
     # every call of arity 1 and above builds prefix trees: on single-term
     # and on multi-term bases, at arity 1 and above
     assert paths >= {(False, False), (False, True), (True, False),
                      (True, True)}
+    # the twist's dense leaves sum their last leg per output prefix, the
+    # untwisted double's one-entry leaves add full keys; the twist solves
+    # for its inverse associator column by column
+    (columns, prefix, _), _, (_, _, flat) = branches
+    assert columns > 0 and prefix > 0 and flat > 0
 
-
-# ----- the two leaf branches of trees.chase against the pair loop -----------
-
-def _entries_of(node, k, key=()):
-    """The (key, numerator) items of a prefix tree of k legs."""
-    if k == 1:
-        return [(key + (i,), c) for i, c in node.items()]
-    return [item for i, sub in node.items()
-            for item in _entries_of(sub, k - 1, key + (i,))]
-
-
-def _pentagon_operands(d):
-    """The three products of the pentagon's two sides:
-    (id id D)(phi) (D id id)(phi) and ((1 phi) (id D id)(phi)) (phi 1)."""
-    phi, one = d.phi, d.unit
-    lhs = (apply_legs(phi, d.legs("id", "id", "D")),
-           apply_legs(phi, d.legs("D", "id", "id")))
-    rhs = (insert_leg(phi, 0, one), apply_legs(phi, d.legs("id", "D", "id")))
-    return [lhs, rhs, (mult(*rhs, d.algebra), insert_leg(phi, 3, one))]
-
-
-def test_chase_leaf_branches_match_the_pair_loop(monkeypatch, dz3w, sw):
-    # a leaf whose n1 has several entries sums its last leg per output
-    # prefix, one with a single entry adds full keys: dense twisted
-    # operands take the first, the untwisted double's one-entry leaves the
-    # second; on H4, tensors whose legs are x or gx multiply to zero
-    tw = random_twist(dz3w, 0)
-    twisted = twist(dz3w, tw)
-    z4 = FiniteAbelianGroup((4,))
-    dz4w = dpr_double(z4, cocycle_for(z4, 1, PrimeField(13)))
-    leaves = {"prefix": 0, "flat": 0}
-    real_chase, real_product = trees.chase, trees.product
-
-    def chase(acc, sums, mono, n1, n2, depth, key, c):
-        if depth == 1:
-            leaves["prefix" if len(n1) > 1 else "flat"] += 1
-        real_chase(acc, sums, mono, n1, n2, depth, key, c)
-    monkeypatch.setattr(trees, "chase", chase)
-    cases = []
-    for d in (twisted, dz4w):
-        alg, e = d.algebra, [d.basis(i) for i in range(d.dim)]
-        assert alg.mono is not None
-        cases += [(d.alpha, d.beta, alg), (te.add(e[1], e[2]), d.beta, alg),
-                  (tw.T if d is twisted else d.R, d.R, alg),
-                  (d.R, d.R, alg), (d.phi, d.phi, alg)]
-        cases += [(t1, t2, alg) for t1, t2 in _pentagon_operands(d)]
-    h4, rng = sw.algebra, SplitMix64(26)
-    for arity in (1, 2, 3, 4):
-        t = random_tensor(rng, h4.field, arity, 4, fill=1.0)
-        keys = iproduct((2, 3), repeat=arity)
-        x = SparseTensor.make(h4.field, arity, 4,
-                              {key: h4.field.canon(1 + sum(key)) for key in keys})
-        cases += [(t, t, h4), (t, x, h4), (x, t, h4), (x, x, h4)]
-    assert not mult(x, x, h4).entries
-    for t1, t2, alg in cases:
-        assert mult(t1, t2, alg).entries == mult_pairs(t1, t2, alg)
-    assert {t1.arity for t1, _, _ in cases} == {1, 2, 3, 4}
-    # the columns of invert(phi) on the twisted datum (numerators over 1 on
-    # F_7), and its two product checks
-    calls = []
-
-    def product(acc, alg, n1, n2, k):
-        out = real_product(acc, alg, n1, n2, k)
-        calls.append((alg, n1, n2, k, dict(out)))
-        return out
-    monkeypatch.setattr(trees, "product", product)
-    f, alg = twisted.field, twisted.algebra
-    invert(twisted.phi, alg)
-    assert len(calls) > 2
-    for alg, n1, n2, k, got in calls:
-        t1, t2 = (SparseTensor(f, k, alg.dim, dict(_entries_of(n, k)))
-                  for n in (n1, n2))
-        assert te._canon(f, got) == mult_pairs(t1, t2, alg)
-    assert leaves["prefix"] > 0 and leaves["flat"] > 0
