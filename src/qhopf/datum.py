@@ -401,9 +401,16 @@ def _named(rep, d, names, limit):
 
 
 def _checked(d, key, t, inv):
-    """inv, d's inverse of t under key; one supplied to the constructor
-    first passes the product check that invert() runs."""
-    return checked_inverse(t, inv, d.algebra) if key in d.supplied else inv
+    """inv, d's inverse of t under key.  One supplied to the constructor is
+    a certificate, which changes time, never a verdict: where it fails the
+    product check that invert() runs, invert() computes the inverse, which
+    d then keeps under key."""
+    if key in d.supplied:
+        try:
+            return checked_inverse(t, inv, d.algebra)
+        except NotInvertible:
+            inv = d._store[key] = invert(t, d.algebra)
+    return inv
 
 
 def _algebra_map(d, name):

@@ -25,6 +25,7 @@ corpus).  A verdict with no constant bound is kept in the datum's cache, so
 `run_corpus` does not re-run a line that `verify` has run.
 """
 
+import functools
 import os
 import re
 from collections import namedtuple
@@ -520,14 +521,22 @@ def check_line(d, line, expr=None):
 def run_corpus(d, path=None):
     """Evaluate every corpus line against the datum; lines referring to
     constants the datum does not carry are reported as skipped.  A check is
-    named by its identity, not by its tag."""
+    named by its identity, not by its tag.  The shipped corpus is parsed
+    once per process; a file at path is read and parsed on each call."""
+    lines = ([(text, p.expr) for _, text, p in _shipped()] if path is None
+             else [(text, None) for _, text in corpus_entries(path)])
     rep = CheckReport()
-    for _, line in list(corpus_entries(path)):
-        rep.add(line, *check_line(d, line))
+    for text, expr in lines:
+        rep.add(text, *check_line(d, text, expr))
     return rep
 
 
-_NAMED = {}
+@functools.cache
+def _shipped():
+    """(tag, text, plan) of each line of the shipped corpus, parsed once per
+    process with no field: its only scalar literal, 1, reads in every
+    field."""
+    return [(tag, text, _plan(text)) for tag, text in corpus_entries()]
 
 
 def check_named(d, names, witness_limit=1, consts=None):
@@ -536,12 +545,11 @@ def check_named(d, names, witness_limit=1, consts=None):
     order, that does not pass, or a pass when none is left.  An inverse that
     does not exist fails the check.  A name that tags no line raises
     KeyError."""
-    if not _NAMED:
-        for name, line in corpus_entries():
-            if name:
-                _NAMED.setdefault(name, []).append(_plan(line))
     rep = CheckReport()
     for name in names:
-        verdicts = (_verdict(d, p, witness_limit, consts) for p in _NAMED[name])
+        plans = [p for tag, _, p in _shipped() if tag == name]
+        if not plans:
+            raise KeyError(name)
+        verdicts = (_verdict(d, p, witness_limit, consts) for p in plans)
         rep.add(name, *next((v for v in verdicts if v[0] != PASS), (PASS, None)))
     return rep

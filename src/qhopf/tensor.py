@@ -32,11 +32,9 @@ state of the legs it extends, and the survivors keep the cartesian order
 
 Prefix trees.  mult() multiplies both operands whole as prefix trees
 (trees.py) at every arity from 1 on, and so does each column of a system of
-invert().  On a basis of single-term products a last leg where the first
-operand has several entries is summed per output prefix, so that a key is
-made per output entry, not per pair; a last leg where it has one entry adds
-full keys at once, since its pairs meet distinct outputs (trees.chase()).
-At arity 0 it multiplies two scalars.
+invert().  On a basis of single-term products every last leg is summed per
+output prefix, so that a key is made per output entry, not per pair
+(trees.chase()).  At arity 0 it multiplies two scalars.
 
 Scalars in the kernels.  Every accumulation loop runs on Python ints.  Each
 input is read as numerators over one denominator (scalars.py); Algebra and
@@ -272,7 +270,7 @@ def mult(t1, t2, alg):
     (e1, d1), (e2, d2) = f.numerators(t1.entries), f.numerators(t2.entries)
     if k:
         from . import trees
-        acc = trees.product({}, alg, trees.tree(e1.items()),
+        acc = trees.product(alg, trees.tree(e1.items()),
                             trees.tree(e2.items()), k)
     else:
         acc = {(): e1[()] * e2[()]} if e1 and e2 else {}
@@ -446,7 +444,7 @@ def invert(t, alg):
         n1 = tree(nums.items())
         rows = [{} for _ in unknowns]
         for jflat, jkey in enumerate(unknowns):
-            column = product({}, alg, n1, tree([(jkey, 1)]), k)
+            column = product(alg, n1, tree([(jkey, 1)]), k)
             for ikey, cc in _canon(f, column, den * alg.den ** k).items():
                 rows[index[ikey]][jflat] = cc
         rhs = {index[key]: c for key, c in rhs_items}

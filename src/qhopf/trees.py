@@ -7,17 +7,11 @@ the last leg loops over entries.  A pair of prefixes whose product is zero,
 as two indices of different blocks, is dropped with its subtrees, so the
 operands need no split by block signature.  On a basis of single-term
 products (Algebra.mono) each pair of prefixes carries its output prefix and
-scalar down (chase()).  A last leg where the first operand has several
-entries is summed into one dict per output prefix, keyed by the last index,
-and product() makes each full key once: a key per output entry, not per
-pair, which pays where the pairs of a dense leaf meet at few outputs (the
-arity-4 products of a twisted double).  A last leg where the first operand
-has one entry adds full keys at once: where mono's rows are one-to-one its
-pairs meet distinct outputs, as on the untwisted D^w(G), whose Phi and
-Delta(e_i) have one entry per block signature, and a dict per prefix would
-only add work.  On other bases each pair of subtrees is multiplied and
-summed before the product e_i e_j of the two prefixes expands it
-(expand()):
+scalar down (chase()), and every last leg is summed into one dict per output
+prefix, keyed by the last index; product() then makes each full key once,
+a key per output entry rather than per pair.  On other bases each pair of
+subtrees is multiplied and summed before the product e_i e_j of the two
+prefixes expands it (expand()):
 
     t1 t2 = sum_{i,j} (e_i e_j) (x) (t1^(i) t2^(j)),
 
@@ -41,19 +35,15 @@ from math import prod
 from .tensor import _buckets, _vec_mul
 
 
-def product(acc, alg, n1, n2, k):
-    """Add to acc the numerators of the product of the trees n1, n2 of k
-    legs: chase() on a basis of single-term products, its sums per output
-    prefix then keyed in full; expand() on others; returns acc."""
+def product(alg, n1, n2, k):
+    """The numerators of the product of the trees n1, n2 of k legs, keyed in
+    full: chase() on a basis of single-term products, each of its sums per
+    output prefix then keyed once; expand() on others."""
     if alg.mono is None:
-        return expand(acc, alg.nstruct, n1, n2, k)
+        return expand(alg.nstruct, n1, n2, k)
     sums = {}
-    chase(acc, sums, alg.mono, n1, n2, k, (), 1)
-    for key, out in sums.items():
-        for i, c in out.items():
-            kk = key + (i,)
-            acc[kk] = acc.get(kk, 0) + c
-    return acc
+    chase(sums, alg.mono, n1, n2, k, (), 1)
+    return {key + (i,): c for key, out in sums.items() for i, c in out.items()}
 
 
 def tree(items):
@@ -71,26 +61,13 @@ def tree(items):
     return root
 
 
-def chase(acc, sums, mono, n1, n2, depth, key, c):
+def chase(sums, mono, n1, n2, depth, key, c):
     """Add c e_key times the product of the subtrees n1, n2 of depth legs,
-    on a basis of single-term products.  A last leg where n1 has several
-    entries, whose pairs can meet at one output, is summed into sums[key]
-    by its index; one where n1 has a single entry, whose pairs meet distinct
-    outputs, is added to acc by full key."""
+    on a basis of single-term products: the last leg is summed into
+    sums[key] by its index."""
     items2 = n2.items()
     if depth == 1:
-        if len(n1) == 1:
-            (i, c1), = n1.items()
-            row, c1 = mono[i], c * c1
-            for j, c2 in items2:
-                term = row.get(j)
-                if term is not None:
-                    kk = key + (term[0],)
-                    acc[kk] = acc.get(kk, 0) + c1 * c2 * term[1]
-            return
-        out = sums.get(key)
-        if out is None:
-            out = sums[key] = {}
+        out = sums.setdefault(key, {})
         for i, c1 in n1.items():
             row, c1 = mono[i], c * c1
             for j, c2 in items2:
@@ -105,13 +82,13 @@ def chase(acc, sums, mono, n1, n2, depth, key, c):
         for j, s2 in items2:
             term = row.get(j)
             if term is not None:
-                chase(acc, sums, mono, s1, s2, depth, key + (term[0],),
-                      c * term[1])
+                chase(sums, mono, s1, s2, depth, key + (term[0],), c * term[1])
 
 
-def expand(out, struct, n1, n2, depth):
-    """Add to out the product of the subtrees n1, n2 of depth legs, keyed by
-    those legs; returns out."""
+def expand(struct, n1, n2, depth):
+    """The product of the subtrees n1, n2 of depth legs, keyed by those
+    legs."""
+    out = {}
     for i, s1 in n1.items():
         for j, s2 in n2.items():
             terms = struct.get((i, j))
@@ -122,7 +99,7 @@ def expand(out, struct, n1, n2, depth):
                 for k, ck in terms:
                     out[(k,)] = out.get((k,), 0) + c * ck
                 continue
-            sub = expand({}, struct, s1, s2, depth - 1).items()
+            sub = expand(struct, s1, s2, depth - 1).items()
             for k, ck in terms:
                 for suffix, c in sub:
                     kk = (k,) + suffix

@@ -18,11 +18,8 @@ import hashlib
 import io
 import json
 import re
-import sys
 import tempfile
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from qhopf import (FiniteAbelianGroup, cocycle_for, dpr_double,
                    function_algebra, group_algebra, random_twist, sweedler,
@@ -103,7 +100,7 @@ def data():
                 m = mutate(d, layer, SplitMix64(seed))
                 out["%s~%s%d" % (name, layer, seed)] = (m.dumps(),
                                                        MUTANT_COMMANDS)
-        if len(set(d.algebra.block_of)) > 1:
+        if len(d.algebra.blocks) > 1:
             out[name + "~merge0"] = (merge_blocks(d, SplitMix64(0)).dumps(),
                                      MUTANT_COMMANDS)
     return out

@@ -3,15 +3,15 @@ import json
 import pytest
 
 from qhopf import (FiniteAbelianGroup, default_level, group_algebra, load,
-                   loads, verify, verify_quasi_bialgebra, verify_quasi_hopf,
-                   verify_quasitriangular)
-from qhopf.errors import MissingR, ParseError, ShapeError
+                   loads, random_twist, twist, verify, verify_quasi_bialgebra,
+                   verify_quasi_hopf, verify_quasitriangular)
+from qhopf.errors import MissingR, NotInvertible, ParseError, ShapeError
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
 from qhopf.report import CheckReport
-from qhopf.tensor import apply_legs, mult, scale, vector
+from qhopf.tensor import apply_legs, invert, mult, scale, vector
 
-from mutation import merge_blocks, mutate
+from mutation import all_layers_of, merge_blocks, mutate
 
 
 def test_round_trip_all_examples(kz2, fz2w, fz3w, sw, dz2_f5, dz2, dz2w, dz3,
@@ -282,23 +282,44 @@ def test_ribbon_layer_needs_the_layers_below(dz2_f5):
 
 
 def test_supplied_inverses_are_checked(dz3w):
-    # a wrong inverse given to the constructor fails its invertibility check
-    # as one that invert() finds would, and the layers above it do not run
-    reason = {"reason": "candidate inverse failed the product check"}
-    bad_phi = dz3w.with_changes(phi_inv=scale(dz3w.phi_inv, 2))
-    rep = verify(bad_phi)
-    assert rep.checks[-1].to_dict() == {"name": "phi_invertible",
-                                        "status": "fail", "witness": reason}
-    bad_r = dz3w.with_changes(R_inv=scale(dz3w.r_inv, 2))
-    checks = {c.name: c.to_dict() for c in verify(bad_r).checks}
-    assert checks["phi_invertible"]["status"] == "pass"
-    assert checks["r_invertible"] == {"name": "r_invertible", "status": "fail",
-                                      "witness": reason}
-    assert verify(dz3w.with_changes(R_inv=dz3w.r_inv)).ok
+    # an inverse given to the constructor is a certificate: one that fails
+    # its product check says nothing of phi or R, so verify computes the
+    # inverse as if none were given, keeps it, and the datum passes
+    for key, inv in (("phi_inv", dz3w.phi_inv), ("R_inv", dz3w.r_inv)):
+        bad = dz3w.with_changes(**{key: scale(inv, 2)})
+        assert verify(bad).ok
+        assert (bad.phi_inv if key == "phi_inv" else bad.r_inv) == inv
     # the builder supplies no inverse; one that verify computed carries
     # over to a copy as a supplied one
     assert dz3w.supplied == frozenset()
-    assert bad_r.supplied == {"phi_inv", "R_inv"}
+    assert bad.supplied == {"phi_inv", "R_inv"}
+
+
+def _certificate(d, parent, t, parent_t):
+    """The inverse of t on d, or where t has none there, the inverse of
+    parent_t on parent: the stale certificate a mutant would carry."""
+    try:
+        return invert(t, d.algebra)
+    except NotInvertible:
+        return invert(parent_t, parent.algebra)
+
+
+def test_a_certificate_changes_no_report(dz3w):
+    # verify with the true inverses supplied, with none, and with both
+    # scaled by 2 gives one report, on the double, its twist, and each
+    # datum's seed-0 mutant of every layer
+    twisted = twist(dz3w, random_twist(dz3w, 0))
+    for parent in (dz3w, twisted):
+        data = [parent] + [mutate(parent, layer, SplitMix64(0))
+                           for layer in all_layers_of(parent)]
+        for d in data:
+            bare = d.with_changes(phi_inv=None, R_inv=None)
+            phi_inv = _certificate(bare, parent, bare.phi, parent.phi)
+            r_inv = _certificate(bare, parent, bare.R, parent.R)
+            reports = [verify(bare.with_changes(phi_inv=p, R_inv=r)).to_dict()
+                       for p, r in ((phi_inv, r_inv), (None, None),
+                                    (scale(phi_inv, 2), scale(r_inv, 2)))]
+            assert reports[0] == reports[1] == reports[2]
 
 
 def _full_loops(d, limit):

@@ -170,6 +170,26 @@ def test_run_corpus_all_examples(kz2, fz2w, fz3w, sw, dz2_f5, dz2w, dz3, dz3w):
         assert rep.ok, [(c.name, c.witness) for c in rep.failures()]
 
 
+def test_the_shipped_corpus_is_parsed_once(dz2w, monkeypatch, tmp_path):
+    # run_corpus and verify read the shipped lines from one table, parsed on
+    # first use; a corpus file is parsed on every call
+    run_corpus(dz2w)
+    tokenized = []
+    real = qhopf.dsl._tokenize
+
+    def spy(src):
+        tokenized.append(src)
+        return real(src)
+    monkeypatch.setattr(qhopf.dsl, "_tokenize", spy)
+    assert run_corpus(dz2w).ok and verify(load(dz2w.to_json())).ok
+    assert tokenized == []
+    path = tmp_path / "corpus.txt"
+    path.write_text("one_1 == one_1\n")
+    for _ in range(2):
+        run_corpus(dz2w, path=str(path))
+    assert tokenized == ["one_1 == one_1"] * 2
+
+
 def test_corpus_detects_breakage(dz2w):
     from mutation import mutate
     from qhopf.rng import SplitMix64

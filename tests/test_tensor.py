@@ -824,11 +824,10 @@ def _mult_calls(monkeypatch, run):
     trees) of every mult call, trees telling whether the call built prefix
     trees; columns holds (alg, n1, n2, k, value) of every trees.product
     call outside mult, the columns of invert's systems; leaves counts the
-    last-leg calls of trees.chase at an output prefix without a sum yet by
-    the branch they took: "prefix" where they opened a sum for it, "flat"
-    where they added full keys."""
+    last-leg calls of trees.chase by their first operand: "one" where it
+    has one entry, "several" where it has more."""
     calls, built, columns = [], [], []
-    leaves = {"prefix": 0, "flat": 0}
+    leaves = {"one": 0, "several": 0}
     real_mult, real_tree = te.mult, trees.tree
     real_product, real_chase = trees.product, trees.chase
 
@@ -843,17 +842,16 @@ def _mult_calls(monkeypatch, run):
             built[-1] = True
         return real_tree(items)
 
-    def product(acc, alg, n1, n2, k):
-        value = real_product(acc, alg, n1, n2, k)
+    def product(alg, n1, n2, k):
+        value = real_product(alg, n1, n2, k)
         if not built:
             columns.append((alg, n1, n2, k, dict(value)))
         return value
 
-    def chase(acc, sums, mono, n1, n2, depth, key, c):
-        fresh = depth == 1 and key not in sums
-        real_chase(acc, sums, mono, n1, n2, depth, key, c)
-        if fresh:
-            leaves["prefix" if key in sums else "flat"] += 1
+    def chase(sums, mono, n1, n2, depth, key, c):
+        if depth == 1:
+            leaves["one" if len(n1) == 1 else "several"] += 1
+        real_chase(sums, mono, n1, n2, depth, key, c)
     for mod in (te, datum, derived, dsl, ribbon):
         monkeypatch.setattr(mod, "mult", record)
     monkeypatch.setattr(trees, "tree", tree)
@@ -900,14 +898,13 @@ def test_every_mult_matches_the_pair_loop(monkeypatch, dz3w):
                                                    in _entries_of(n, k)})
                       for n in (n1, n2))
             assert te._canon(f, got, alg.den ** k) == mult_pairs(t1, t2, alg)
-        branches.append((len(columns), leaves["prefix"], leaves["flat"]))
+        branches.append((len(columns), leaves["one"], leaves["several"]))
     # every call of arity 1 and above builds prefix trees: on single-term
     # and on multi-term bases, at arity 1 and above
     assert paths >= {(False, False), (False, True), (True, False),
                      (True, True)}
-    # the twist's dense leaves sum their last leg per output prefix, the
-    # untwisted double's one-entry leaves add full keys; the twist solves
-    # for its inverse associator column by column
-    (columns, prefix, _), _, (_, _, flat) = branches
-    assert columns > 0 and prefix > 0 and flat > 0
-
+    # one last-leg loop serves the twist's dense leaves, whose first operand
+    # has several entries, and the untwisted double's, where it has one;
+    # the twist solves for its inverse associator column by column
+    (columns, _, several), _, (_, one, _) = branches
+    assert columns > 0 and several > 0 and one > 0
