@@ -19,6 +19,7 @@ import time
 
 from .datum import LEVELS, MISSING, default_level, load_path, verify
 from .errors import BudgetExceeded, ParseError, QhopfError, ShapeError
+from .report import Check, CheckReport
 
 
 def main(argv=None):
@@ -116,12 +117,14 @@ def _elapsed_ms(t0):
 
 def emit_report(args, d, level, rep, t0):
     elapsed = _elapsed_ms(t0)
+    # the one witness detail: every differing coordinate under --verbose
+    limit = None if getattr(args, "verbose", False) else 1
     if getattr(args, "format", "text") == "json":
         doc = {"datum": d.content_hash(), "level": level,
-               "checks": rep.to_dict(), "elapsed_ms": elapsed}
+               "checks": rep.to_dict(limit), "elapsed_ms": elapsed}
         print(json.dumps(doc, sort_keys=True, indent=1))
     else:
-        print(rep.pretty())
+        print(rep.pretty(limit))
         bad = len(rep.failures())
         print("%d checks, %d failing (%d ms)" % (len(rep.checks), bad, elapsed))
     return 0 if rep.ok else 1
@@ -143,8 +146,7 @@ def cmd_verify(args):
     t0 = time.perf_counter()
     d = load_path(args.file)
     level = args.level or default_level(d)
-    rep = verify(d, level=level,
-                 witness_limit=None if args.verbose else 1)
+    rep = verify(d, level=level)
     return emit_report(args, d, level, rep, t0)
 
 
@@ -267,7 +269,8 @@ def cmd_check(args):
         from . import dsl
         expr = dsl.parse(args.expr, d.field)
         if isinstance(expr, dsl.Eq):
-            status, witness = dsl.check_line(d, args.expr, expr)
+            status, case = dsl.check_line(d, args.expr, expr)
+            witness = Check(args.expr, status, case).witness
             rep_ok = status == "pass"
             if getattr(args, "format", "text") == "json":
                 doc = {"datum": d.content_hash(), "expr": args.expr,
@@ -296,13 +299,12 @@ def cmd_check(args):
         rep = dsl.run_corpus(d, path=args.corpus)
         return emit_report(args, d, "corpus", rep, t0)
     if args.what == "twist-props":
-        from .report import CheckReport
         from .twisting import check_twist_elements, random_twist
         rep = CheckReport()
         for seed in range(first, last + 1):
             sub = check_twist_elements(d, random_twist(d, seed))
             for c in sub.checks:
-                rep.add("seed %d: %s" % (seed, c.name), c.status, c.witness)
+                rep.add("seed %d: %s" % (seed, c.name), c.status, c.case)
         return emit_report(args, d, "twist-props", rep, t0)
     # ribbon-theorem
     from .ribbon import check_main_theorem, check_ribbon_lemma

@@ -167,9 +167,10 @@ class QuasiHopfDatum:
                     delta_rows=self.delta_rows, eps=self.eps, phi=self.phi,
                     s_rows=self.s_rows, alpha=self.alpha, beta=self.beta,
                     R=self.R, v=self.v, metadata=self.metadata)
-        # an inverse carries over while what it inverts is unchanged
+        # an inverse carries over while the product, the unit and what it
+        # inverts are unchanged
         for key, source in (("phi_inv", "phi"), ("R_inv", "R")):
-            if source not in kw:
+            if not kw.keys() & {source, "product", "unit"}:
                 args[key] = self._store.get(key)
         args.update(kw)
         return QuasiHopfDatum(**args)
@@ -395,9 +396,9 @@ def read_text(path):
 # invertibility checks and r_antipode (see there) are stated here.
 
 
-def _named(rep, d, names, limit):
+def _named(rep, d, names):
     from .dsl import check_named
-    return rep.extend(check_named(d, names, limit))
+    return rep.extend(check_named(d, names))
 
 
 def _checked(d, key, t, inv):
@@ -433,15 +434,13 @@ def _algebra_map(d, name):
                    {"basis": [i, j]})
 
 
-def verify_quasi_bialgebra(d, witness_limit=1):
-    """Check every axiom of the first layer; failures carry witnesses (the
-    first differing coordinate, or the full diff when witness_limit is
-    None)."""
+def verify_quasi_bialgebra(d):
+    """Check every axiom of the first layer; a failing check keeps its
+    first failing case."""
     rep = CheckReport()
     alg = d.algebra
     f = d.field
     n = d.dim
-    limit = witness_limit
 
     # associativity and unitality of the product, on {index: scalar} dicts;
     # only a failing case becomes a pair of tensors.  A triple outside one
@@ -457,7 +456,7 @@ def verify_quasi_bialgebra(d, witness_limit=1):
                     if lhs != rhs:
                         yield (vector(f, n, lhs), vector(f, n, rhs),
                                {"basis": [i, j, k]})
-    rep.compare_each("product_associative", associativity(), limit)
+    rep.compare_each("product_associative", associativity())
 
     # the unit's part on another block multiplies e_i to zero
     def unitality():
@@ -469,13 +468,13 @@ def verify_quasi_bialgebra(d, witness_limit=1):
             for prod in (alg.vec_mul(u, ei), alg.vec_mul(ei, u)):
                 if prod != ei:
                     yield vector(f, n, prod), d.basis(i), {"basis": i}
-    rep.compare_each("product_unital", unitality(), limit)
+    rep.compare_each("product_unital", unitality())
 
     # the counit and the coproduct are algebra maps
-    rep.compare_each("epsilon_alg_hom", _algebra_map(d, "eps"), limit)
-    _named(rep, d, ("counitality",), limit)
-    rep.compare_each("delta_alg_hom", _algebra_map(d, "D"), limit)
-    _named(rep, d, ("counit_associator_axiom",), limit)
+    rep.compare_each("epsilon_alg_hom", _algebra_map(d, "eps"))
+    _named(rep, d, ("counitality",))
+    rep.compare_each("delta_alg_hom", _algebra_map(d, "D"))
+    _named(rep, d, ("counit_associator_axiom",))
 
     if not rep.invertible("phi_invertible",
                           lambda: _checked(d, "phi_inv", d.phi, d.phi_inv)):
@@ -484,15 +483,14 @@ def verify_quasi_bialgebra(d, witness_limit=1):
     # counit_associator_property: the counit kills the outer associator
     # legs too (a consequence of the axioms, checked as well)
     return _named(rep, d, ("quasi_coassociativity", "pentagon",
-                           "counit_associator_property"), limit)
+                           "counit_associator_property"))
 
 
-def verify_quasi_hopf(d, witness_limit=1):
+def verify_quasi_hopf(d):
     """Check the antipode layer; assumes the quasi-bialgebra layer holds."""
     rep = CheckReport()
-    limit = witness_limit
 
-    rep.compare_each("antipode_antiautomorphism", _algebra_map(d, "S"), limit)
+    rep.compare_each("antipode_antiautomorphism", _algebra_map(d, "S"))
 
     # the two antipode equations, per basis element
     for name, contract, elt in (
@@ -501,17 +499,17 @@ def verify_quasi_hopf(d, witness_limit=1):
         rep.compare_each(name, (
             (contract(d.coproduct(d.basis(i))), scale(elt, d.eps[i]),
              {"basis": i})
-            for i in range(d.dim)), limit)
+            for i in range(d.dim)))
 
     one = d.unit_tensor(1)
     rep.compare("duality_left",
                 d.hsum([(d.phi, ("x", "y", "z"))],
-                       [["x", d.beta, ("S", ["y"]), d.alpha, "z"]]), one, limit)
-    rep.compare("duality_right", d.coev(d.q_l), one, limit)
-    return _named(rep, d, ("counit_antipode", "counit_alpha_beta"), limit)
+                       [["x", d.beta, ("S", ["y"]), d.alpha, "z"]]), one)
+    rep.compare("duality_right", d.coev(d.q_l), one)
+    return _named(rep, d, ("counit_antipode", "counit_alpha_beta"))
 
 
-def verify_quasitriangular(d, witness_limit=1):
+def verify_quasitriangular(d):
     """Check the R-matrix layer; assumes the quasi-Hopf layer holds."""
     if d.R is None:
         raise MissingR(MISSING["R"])
@@ -520,7 +518,7 @@ def verify_quasitriangular(d, witness_limit=1):
                           lambda: _checked(d, "R_inv", d.R, d.r_inv)):
         return rep
     _named(rep, d, ("r_counit_left", "r_counit_right", "quasi_cocommutativity",
-                    "hexagon_left", "hexagon_right"), witness_limit)
+                    "hexagon_left", "hexagon_right"))
 
     # stated here, not by its corpus line, which inverts F where this check
     # uses the inverse formula F_inv: on data that break the antipode layer
@@ -528,8 +526,7 @@ def verify_quasitriangular(d, witness_limit=1):
     from .derived import big_f  # local import to avoid a module cycle
     de = big_f(d)
     return rep.compare("r_antipode", apply_legs(d.R, d.legs("S", "S")),
-                       mul_all(d.algebra, flip(de.F, 0, 1), d.R, de.F_inv),
-                       witness_limit)
+                       mul_all(d.algebra, flip(de.F, 0, 1), d.R, de.F_inv))
 
 
 LEVELS = ("bialgebra", "hopf", "qt", "ribbon")
@@ -543,26 +540,26 @@ def default_level(d):
     return "hopf"
 
 
-def verify(d, level=None, witness_limit=1):
+def verify(d, level=None):
     """Run all verifier layers up to the requested level, merged into one
     report.  The ribbon layer needs a candidate stored in the datum."""
     level = level or default_level(d)
     if level not in LEVELS:
         raise ValueError("unknown level %r" % level)
-    rep = verify_quasi_bialgebra(d, witness_limit=witness_limit)
+    rep = verify_quasi_bialgebra(d)
     # a layer runs only when its preconditions hold: the antipode and
     # R-matrix layers use the inverse associator, and the ribbon layer's
     # builders assume every axiom below it
     if (level == "bialgebra"
             or any(c.name == "phi_invertible" for c in rep.failures())):
         return rep
-    rep.extend(verify_quasi_hopf(d, witness_limit=witness_limit))
+    rep.extend(verify_quasi_hopf(d))
     if level == "hopf":
         return rep
-    rep.extend(verify_quasitriangular(d, witness_limit=witness_limit))
+    rep.extend(verify_quasitriangular(d))
     if level == "qt" or not rep.ok:
         return rep
     from .ribbon import verify_ribbon
     if d.v is None:
         raise MissingR(MISSING["v"])
-    return rep.extend(verify_ribbon(d, d.v, witness_limit))
+    return rep.extend(verify_ribbon(d, d.v))

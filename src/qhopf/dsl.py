@@ -18,11 +18,13 @@ names a variable.  Text of more than MAX_TOKENS tokens is a ParseError,
 which keeps every walk of the tree within the recursion limit.
 
 `evaluate` gives the value of a term.  An identity line has its verdict
-from one function, `_verdict`, through `CheckReport.compare_each`; it is
-read by `check_line` (one line, where basis(i) with an identifier runs over
-all basis indices) and by `check_named` (the tagged lines of the shipped
-corpus).  A verdict with no constant bound is kept in the datum's cache, so
-`run_corpus` does not re-run a line that `verify` has run.
+from one function, `_verdict`, which hands the line's cases to
+`report.verdict`; it is read by `check_line` (one line, where basis(i) with
+an identifier runs over all basis indices) and by `check_named` (the tagged
+lines of the shipped corpus).  A verdict with no constant bound is kept in
+the datum's cache, one per line, so `run_corpus` does not re-run a line
+that `verify` has run; a failing verdict keeps its case, and the witness is
+built when the report is printed.
 """
 
 import functools
@@ -33,7 +35,7 @@ from operator import attrgetter
 
 from .datum import LEGS, MISSING, read_text
 from .errors import ArityError, ParseError, UndefinedName
-from .report import PASS, CheckReport
+from .report import PASS, CheckReport, verdict
 from .tensor import apply_legs, concat, flip, invert, mult, scale
 
 Constant = namedtuple("Constant", "arity needs value")
@@ -484,26 +486,23 @@ def corpus_entries(path=None):
             yield None, line
 
 
-def _verdict(d, p, limit=1, consts=None):
-    """(status, witness) of the identity of plan p on d, through
-    `CheckReport.compare_each`.  With no constant bound it depends only on
-    d, the identity and the limit, so it is kept in d's cache; an evaluation
-    that raises is not."""
+def _verdict(d, p, consts=None):
+    """(status, case) of the identity of plan p on d, from `report.verdict`.
+    With no constant bound it depends only on d and the identity, so it is
+    kept in d's cache; an evaluation that raises is not."""
     def run():
-        check = CheckReport().compare_each(
-            None, _cases(p, d, consts), limit).checks[0]
-        return check.status, check.witness
-    return run() if consts is not None else d.cache(("line", p.expr, limit), run)
+        return verdict(_cases(p, d, consts))
+    return run() if consts is not None else d.cache(("line", p.expr), run)
 
 
 def check_line(d, line, expr=None):
-    """(status, witness) for one identity, the text `line`, parsed unless
-    its AST `expr` is given.  A line with a basis variable holds when it
-    holds at every basis index; the first index where it does not is the
-    witness's `basis`.  A line whose constants the datum does not carry is
-    skipped; one that inverts a singular element fails, as in
-    `CheckReport.compare_each`.  A term that is not an identity is a
-    ParseError."""
+    """(status, case) for one identity, the text `line`, parsed unless its
+    AST `expr` is given; `case` is what a `report.Check` keeps.  A line with
+    a basis variable holds when it holds at every basis index; the first
+    index where it does not is the case's `basis`.  A line whose constants
+    the datum does not carry is skipped, with the reason; one that inverts
+    a singular element fails, as in `report.verdict`.  A term that is not
+    an identity is a ParseError."""
     try:
         p = _plan(line if expr is None else expr, d.field)
     except (ArityError, UndefinedName) as exc:
@@ -539,7 +538,7 @@ def _shipped():
     return [(tag, text, _plan(text)) for tag, text in corpus_entries()]
 
 
-def check_named(d, names, witness_limit=1, consts=None):
+def check_named(d, names, consts=None):
     """A report with one check per name, in the order given: the verdict of
     the first line of the shipped corpus tagged with that name, in corpus
     order, that does not pass, or a pass when none is left.  An inverse that
@@ -550,6 +549,6 @@ def check_named(d, names, witness_limit=1, consts=None):
         plans = [p for tag, _, p in _shipped() if tag == name]
         if not plans:
             raise KeyError(name)
-        verdicts = (_verdict(d, p, witness_limit, consts) for p in plans)
+        verdicts = (_verdict(d, p, consts) for p in plans)
         rep.add(name, *next((v for v in verdicts if v[0] != PASS), (PASS, None)))
     return rep

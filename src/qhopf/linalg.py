@@ -36,9 +36,9 @@ def _subtract(canon, row, f, p):
             del row[j]
 
 
-def _eliminate_sparse(field, rows, ncols):
+def _eliminate_sparse(field, rows):
     """RREF of `rows`, a list of {col: value} dicts holding only nonzero
-    values at columns in range(ncols).  The dicts are reduced in place.
+    values.  The dicts are reduced in place.
     Returns the nonzero rows as (pivot column, row) pairs in increasing
     pivot order, each row scaled to 1 at its pivot."""
     canon = field.canon
@@ -71,7 +71,7 @@ def solve(field, rows, n, rhs):
         if v:
             aug[i][n] = v
     x = {}
-    for c, row in _eliminate_sparse(field, aug, n + 1):
+    for c, row in _eliminate_sparse(field, aug):
         if c == n:
             return None
         if n in row:
@@ -88,7 +88,7 @@ def invert_matrix(field, rows, n):
             if v:
                 aug[i][j] = v
     # [A | I] has rank n, so A is invertible iff its pivots are 0..n-1
-    rref = _eliminate_sparse(field, aug, 2 * n)
+    rref = _eliminate_sparse(field, aug)
     if any(c >= n for c, _ in rref):
         return None
     return {c: tuple(sorted((j - n, v) for j, v in row.items() if j >= n))
@@ -100,7 +100,7 @@ def nullspace(field, rows, n):
     {col: value} dicts of nonzero values, with n columns.  Deterministic:
     one vector per free column of the RREF, in increasing order, with 1 at
     its free column and 0 at the other free columns."""
-    rref = _eliminate_sparse(field, [dict(row) for row in rows], n)
+    rref = _eliminate_sparse(field, [dict(row) for row in rows])
     pivots = {c for c, _ in rref}
     basis = []
     for free in range(n):

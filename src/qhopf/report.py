@@ -1,10 +1,12 @@
 """Pass/fail reports with witnesses, shared by every verifier.
 
-A check compares tensors through one path, `CheckReport.compare_each`: it
-fails at the first case whose two tensors differ, and its witness names a
-coordinate of that case (`index`, with both values as `lhs` and `rhs`).
-The other witness shape is `{"reason": ...}`, for a check with no
-coordinate to show, such as an inverse that does not exist."""
+A comparison becomes a verdict in one place, `verdict`: a check over cases
+fails at the first case whose two tensors differ, and keeps that case.  Its
+witness is built when the report is printed (`CheckReport.to_dict` and
+`pretty`, at a limit; `Check.witness` at limit 1): it names a coordinate of
+that case (`index`, with both values as `lhs` and `rhs`).  The other witness
+shape is `{"reason": ...}`, for a check with no coordinate to show, such as
+an inverse that does not exist."""
 
 from .errors import NotInvertible
 from .tensor import diff_entries
@@ -15,17 +17,28 @@ SKIPPED = "skipped"
 
 
 class Check:
-    __slots__ = ("name", "status", "witness")
+    """A named verdict.  `case` is None, a witness dict, or the failing
+    (lhs, rhs, extra) case of a comparison, diffed when it is printed."""
 
-    def __init__(self, name, status, witness=None):
+    __slots__ = ("name", "status", "case")
+
+    def __init__(self, name, status, case=None):
         self.name = name
         self.status = status
-        self.witness = witness
+        self.case = case
 
-    def to_dict(self):
+    @property
+    def witness(self):
+        return self.to_dict().get("witness")
+
+    def to_dict(self, limit=1):
         d = {"name": self.name, "status": self.status}
-        if self.witness is not None:
-            d["witness"] = self.witness
+        w = self.case
+        if isinstance(w, tuple):
+            lhs, rhs, extra = w
+            w = diff_witness(lhs, rhs, limit, **extra)
+        if w is not None:
+            d["witness"] = w
         return d
 
     def __repr__(self):
@@ -33,30 +46,22 @@ class Check:
 
 
 class CheckReport:
-    def __init__(self, checks=None):
-        self.checks = list(checks) if checks else []
+    def __init__(self):
+        self.checks = []
 
-    def add(self, name, status, witness=None):
-        self.checks.append(Check(name, status, witness))
+    def add(self, name, status, case=None):
+        self.checks.append(Check(name, status, case))
 
-    def add_fail(self, name, witness=None):
-        self.add(name, FAIL, witness)
+    def add_fail(self, name, case=None):
+        self.add(name, FAIL, case)
 
-    def compare(self, name, lhs, rhs, limit=1, **extra):
-        """One check that the tensors lhs and rhs are equal; `extra` goes
-        into the witness."""
-        return self.compare_each(name, [(lhs, rhs, extra)], limit)
+    def compare(self, name, lhs, rhs):
+        """One check that the tensors lhs and rhs are equal."""
+        return self.compare_each(name, [(lhs, rhs, {})])
 
-    def compare_each(self, name, cases, limit=1):
-        """One check over `cases`, (lhs, rhs, extra) triples made on
-        demand: it fails at the first case whose tensors differ.  An inverse
-        that does not exist while the cases are made fails it with the
-        reason."""
-        try:
-            witness = first_difference(cases, limit)
-        except NotInvertible as exc:
-            witness = {"reason": str(exc)}
-        self.add(name, FAIL if witness else PASS, witness)
+    def compare_each(self, name, cases):
+        """One check over `cases`, with the verdict of `verdict`."""
+        self.add(name, *verdict(cases))
         return self
 
     def invertible(self, name, build):
@@ -80,15 +85,16 @@ class CheckReport:
     def failures(self):
         return [c for c in self.checks if c.status == FAIL]
 
-    def to_dict(self):
-        return [c.to_dict() for c in self.checks]
+    def to_dict(self, limit=1):
+        return [c.to_dict(limit) for c in self.checks]
 
-    def pretty(self):
+    def pretty(self, limit=1):
         lines = []
         for c in self.checks:
             line = "%-4s %s" % (c.status.upper(), c.name)
-            if c.status == FAIL and c.witness:
-                line += "  %r" % (c.witness,)
+            w = c.status == FAIL and c.to_dict(limit).get("witness")
+            if w:
+                line += "  %r" % (w,)
             lines.append(line)
         return "\n".join(lines)
 
@@ -98,14 +104,18 @@ class CheckReport:
         return "CheckReport(%d checks, %d failing)" % (n, bad)
 
 
-def first_difference(cases, limit=1):
-    """The witness of the first of `cases`, (lhs, rhs, extra) triples,
-    whose tensors differ, or None.  Each case is tested with `==`; only the
-    failing one is diffed."""
-    for lhs, rhs, extra in cases:
-        if lhs != rhs:
-            return diff_witness(lhs, rhs, limit, **extra)
-    return None
+def verdict(cases):
+    """(status, case) of one check over `cases`, (lhs, rhs, extra) triples
+    made on demand and tested in order with `==`: a fail with the first
+    case whose tensors differ, a fail with {"reason": ...} when an inverse
+    does not exist while the cases are made, and otherwise a pass."""
+    try:
+        for case in cases:
+            if case[0] != case[1]:
+                return FAIL, case
+    except NotInvertible as exc:
+        return FAIL, {"reason": str(exc)}
+    return PASS, None
 
 
 def diff_witness(lhs, rhs, limit=1, **extra):

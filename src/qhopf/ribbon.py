@@ -79,7 +79,7 @@ def check_rtwist_relations(d):
 # ----- ribbon elements ------------------------------------------------------
 
 
-def is_ribbon(d, v, witness_limit=1):
+def is_ribbon(d, v):
     """The defining checks of a ribbon element plus the derived counit and
     invertibility consequences."""
     if v.arity != 1 or v.dim != d.dim:
@@ -93,22 +93,21 @@ def is_ribbon(d, v, witness_limit=1):
     rep.add("ribbon_nonzero", PASS)
     rep.compare_each("ribbon_central", (
         (mult(v, d.basis(i), alg), mult(d.basis(i), v, alg), {"basis": i})
-        for i in range(d.dim)), witness_limit)
+        for i in range(d.dim)))
     rep.extend(check_named(d, ("ribbon_coproduct", "ribbon_antipode_fixed",
-                               "ribbon_counit"), witness_limit, {"v": v}))
+                               "ribbon_counit"), {"v": v}))
     rep.invertible("ribbon_invertible", lambda: invert(v, alg))
     return rep
 
 
-def check_ribbon_lemma(d, v, witness_limit=1):
+def check_ribbon_lemma(d, v):
     """The square of the ribbon element moves one twist family's evaluation
     data onto the other's."""
     return check_named(d, ("ribbon_square_times_alpha_check",
-                           "ribbon_square_times_beta_hat"),
-                       witness_limit, {"v": v})
+                           "ribbon_square_times_beta_hat"), {"v": v})
 
 
-def check_main_theorem(d, v, witness_limit=1):
+def check_main_theorem(d, v):
     """The inverse square of the ribbon element equals u S(u), and the
     intermediate identity expressing the square through the two comparison
     elements."""
@@ -117,15 +116,15 @@ def check_main_theorem(d, v, witness_limit=1):
         return rep
     return rep.extend(check_named(d, ("ribbon_inverse_square_is_u_Su",
                                       "ribbon_square_is_uhat_ucheck_inv"),
-                                  witness_limit, {"v": v}))
+                                  {"v": v}))
 
 
-def verify_ribbon(d, v, witness_limit=1):
+def verify_ribbon(d, v):
     """The ribbon layer: the defining checks of v, the ribbon lemma and the
     main theorem, in one report."""
-    rep = is_ribbon(d, v, witness_limit)
-    rep.extend(check_ribbon_lemma(d, v, witness_limit))
-    return rep.extend(check_main_theorem(d, v, witness_limit))
+    rep = is_ribbon(d, v)
+    rep.extend(check_ribbon_lemma(d, v))
+    return rep.extend(check_main_theorem(d, v))
 
 
 def center(d):

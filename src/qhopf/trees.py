@@ -87,17 +87,14 @@ def chase(sums, mono, n1, n2, depth, key, c):
 
 def expand(struct, n1, n2, depth):
     """The product of the subtrees n1, n2 of depth legs, keyed by those
-    legs."""
+    legs; the last leg is the product of two vectors, _vec_mul."""
+    if depth == 1:
+        return {(k,): c for k, c in _vec_mul(struct, n1, n2).items()}
     out = {}
     for i, s1 in n1.items():
         for j, s2 in n2.items():
             terms = struct.get((i, j))
             if not terms:
-                continue
-            if depth == 1:
-                c = s1 * s2
-                for k, ck in terms:
-                    out[(k,)] = out.get((k,), 0) + c * ck
                 continue
             sub = expand(struct, s1, s2, depth - 1).items()
             for k, ck in terms:

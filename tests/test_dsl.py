@@ -295,7 +295,7 @@ def _named_of(d, tags, limit):
     out = []
     for tag in tags:
         try:
-            out.append(check_named(d, (tag,), limit).to_dict())
+            out.append(check_named(d, (tag,)).to_dict(limit))
         except QhopfError as exc:
             out.append(repr(exc))
     return out
@@ -316,6 +316,31 @@ def test_kept_verdicts_change_no_report(name, request):
         fresh = [run_corpus(load(doc)).to_dict()] + [
             _named_of(load(doc), tags, limit) for limit in (1, None)]
         assert got == fresh
+
+
+def test_a_kept_verdict_renders_at_either_detail(dz3w, monkeypatch):
+    # verify keeps one verdict per identity line, a failing one with its
+    # case: its named checks then render at either witness detail without
+    # evaluating a line again, and as on a freshly loaded datum
+    doc = mutate(dz3w, "delta", SplitMix64(3)).to_json()
+    used = load(doc)
+    tags = {tag for tag, _ in corpus_entries() if tag}
+    names = [c.name for c in verify(used).checks if c.name in tags]
+    evaluated = []
+    real = qhopf.dsl._cases
+
+    def spy(p, d, consts):
+        evaluated.append(p)
+        return real(p, d, consts)
+    monkeypatch.setattr(qhopf.dsl, "_cases", spy)
+    got = check_named(used, names)
+    full = got.to_dict(None)
+    assert evaluated == []
+    assert any("diffs" in c.get("witness", {}) for c in full)
+    monkeypatch.undo()
+    fresh = check_named(load(doc), names)
+    assert full == fresh.to_dict(None)
+    assert got.to_dict() == fresh.to_dict()
 
 
 def test_a_verdict_under_a_bound_constant_is_not_kept(dz2_f5):

@@ -8,7 +8,7 @@ from qhopf import (FiniteAbelianGroup, center, check_main_theorem,
                    check_rtwist_relations, check_ribbon_lemma, cocycle_for,
                    dpr_double, drinfeld_u, find_ribbon, is_ribbon, load,
                    rtwist_elements, sweedler)
-from qhopf import ribbon
+from qhopf import report, ribbon
 from qhopf.errors import BudgetExceeded, NotInvertible, QhopfError, ShapeMismatch
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
@@ -312,11 +312,28 @@ def _count_checks(monkeypatch):
     seen = []
     real = ribbon.is_ribbon
 
-    def counted(d, v, witness_limit=1):
+    def counted(d, v):
         seen.append(v)
-        return real(d, v, witness_limit)
+        return real(d, v)
     monkeypatch.setattr(ribbon, "is_ribbon", counted)
     return seen
+
+
+def test_find_ribbon_builds_no_witness(dz2_f5, monkeypatch):
+    # is_ribbon rejects some of the combinations; their failing cases are
+    # kept, never diffed, since no report of them is printed
+    want = find_ribbon_unfactored(dz2_f5)
+    diffed = []
+    real = report.diff_witness
+
+    def counted(*args, **kw):
+        diffed.append(args)
+        return real(*args, **kw)
+    monkeypatch.setattr(report, "diff_witness", counted)
+    res = find_ribbon(dz2_f5, 10 ** 6)
+    assert diffed == []
+    assert len(res.candidates) == 4
+    assert res == want
 
 
 def test_find_ribbon_checks_only_orbit_candidates(z4w, monkeypatch):
