@@ -417,19 +417,21 @@ def _checked(d, key, t, inv):
 def _algebra_map(d, name):
     """The cases of "the leg map `name` is an algebra map", an anti-map for
     S: L(1) = 1, then L(e_i e_j) = L(e_i) L(e_j), the factors swapped for S,
-    for every pair i, j; each L(e_i) is formed once, and e_i e_j is read
-    off the structure constants."""
-    legs, alg = d.legs(name), d.algebra
-    yield apply_legs(d.unit, legs), d.unit_tensor(LEGS[name].width), {}
+    for every pair i, j.  Each L(e_i) is formed once, and L(e_i e_j) is
+    the combination of them that the structure constants of e_i e_j give,
+    as L is linear."""
+    legs, alg, width = d.legs(name), d.algebra, LEGS[name].width
+    yield apply_legs(d.unit, legs), d.unit_tensor(width), {}
     if name == "S":
         d.s_inv_rows  # a singular antipode fails the check with the reason
     images = [apply_legs(d.basis(i), legs) for i in range(d.dim)]
     for i, a in enumerate(images):
         for j, b in enumerate(images):
-            eij = {}
+            lhs = {}
             for k, c in alg.struct.get((i, j), ()):
-                eij[(k,)] = eij.get((k,), 0) + c
-            yield (apply_legs(SparseTensor.make(d.field, 1, d.dim, eij), legs),
+                for key, v in images[k].entries.items():
+                    lhs[key] = lhs.get(key, 0) + c * v
+            yield (SparseTensor.make(d.field, width, d.dim, lhs),
                    mult(b, a, alg) if name == "S" else mult(a, b, alg),
                    {"basis": [i, j]})
 

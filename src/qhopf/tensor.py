@@ -4,7 +4,10 @@ algebra.
 A tensor of arity k over an algebra of dimension n is a map from k-tuples of
 basis indices to nonzero scalars.  Componentwise products use the algebra's
 structure constants; leg maps apply a linear map, the counit or the coproduct
-to individual tensor factors.
+to individual tensor factors.  Leg maps: apply_legs() makes one pass per moved
+leg, each term of the leg's image replacing its index, and leaves identity
+legs untouched; the keys keep the cartesian order (entry by entry, legs left
+to right).
 
 Block partition.  Each Algebra splits its basis into blocks: the connected
 components of the graph that joins i, j and every output k of each nonzero
@@ -51,7 +54,6 @@ that solves a system, or a sum.
 """
 
 from itertools import product as iproduct
-from math import prod
 
 from . import linalg
 from .errors import ArityMismatch, NotInvertible, ShapeMismatch
@@ -316,29 +318,27 @@ def coprod_leg(f, rows):
 
 
 def apply_legs(t, legs):
+    """t with legs[i] applied to its i-th leg, one pass per moved leg."""
     if len(legs) != t.arity:
         raise ShapeMismatch("got %d leg maps for arity %d" % (len(legs), t.arity))
     f = t.field
-    entries, den = f.numerators(t.entries)
-    acc = {}
-    for key, c in entries.items():
-        parts = []
-        for idx, leg in zip(key, legs):
-            terms = (((idx,), 1),) if leg.terms is None else leg.terms.get(idx)
-            if not terms:
-                break
-            parts.append(terms)
-        else:
-            for picks in iproduct(*parts):
-                cc = c
-                kk = ()
-                for sub, cv in picks:
-                    kk += sub
-                    cc *= cv
-                acc[kk] = acc.get(kk, 0) + cc
-    den *= prod([leg.den for leg in legs])
-    return SparseTensor(f, sum(leg.width for leg in legs), t.dim,
-                        _canon(f, acc, den))
+    acc, den = f.numerators(t.entries)
+    pos = 0  # the current leg's place in keys whose earlier legs are mapped
+    for leg in legs:
+        den *= leg.den
+        if leg.terms is not None:
+            terms, moved = leg.terms, {}
+            for key, c in acc.items():
+                image = terms.get(key[pos])
+                if image:
+                    head, tail = key[:pos], key[pos + 1:]
+                    for sub, cv in image:
+                        kk = head + sub + tail
+                        moved[kk] = moved.get(kk, 0) + c * cv
+            acc = moved
+        pos += leg.width
+    acc = dict(acc) if acc is t.entries else acc  # never t's own dict
+    return SparseTensor(f, pos, t.dim, _canon(f, acc, den))
 
 
 # ----- index plumbing -------------------------------------------------------

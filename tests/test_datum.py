@@ -9,7 +9,8 @@ from qhopf.errors import MissingR, NotInvertible, ParseError, ShapeError
 from qhopf.rng import SplitMix64
 from qhopf.scalars import PrimeField
 from qhopf.report import CheckReport
-from qhopf.tensor import apply_legs, invert, mult, scale, vector
+from qhopf.datum import LEGS, _algebra_map
+from qhopf.tensor import SparseTensor, apply_legs, invert, mult, scale, vector
 
 from mutation import all_layers_of, merge_blocks, mutate
 
@@ -419,6 +420,52 @@ def test_block_loops_match_the_full_loops(name, request):
                         failing.add(c.name)
     assert failing == {"product_associative", "epsilon_alg_hom",
                        "delta_alg_hom", "antipode_antiautomorphism"}
+
+
+def _parent_algebra_map(d, name):
+    """The cases of _algebra_map(d, name) with L(e_i e_j) formed by applying
+    L to the tensor e_i e_j."""
+    legs, alg = d.legs(name), d.algebra
+    yield apply_legs(d.unit, legs), d.unit_tensor(LEGS[name].width), {}
+    if name == "S":
+        d.s_inv_rows
+    images = [apply_legs(d.basis(i), legs) for i in range(d.dim)]
+    for i, a in enumerate(images):
+        for j, b in enumerate(images):
+            eij = {}
+            for k, c in alg.struct.get((i, j), ()):
+                eij[(k,)] = eij.get((k,), 0) + c
+            yield (apply_legs(SparseTensor.make(d.field, 1, d.dim, eij), legs),
+                   mult(b, a, alg) if name == "S" else mult(a, b, alg),
+                   {"basis": [i, j]})
+
+
+def _cases(cases):
+    """The cases up to a NotInvertible, and whether one was raised."""
+    out = []
+    try:
+        for case in cases:
+            out.append(case)
+    except NotInvertible:
+        return out, True
+    return out, False
+
+
+def test_algebra_map_cases_follow_by_linearity(dz3w, sw):
+    # L(e_i e_j) as the combination of the images L(e_k) that the structure
+    # constants of e_i e_j give is L applied to e_i e_j: on products with
+    # several terms, on products that are not associative and on mutants of
+    # every layer, every case of eps, D and S is the same
+    from basis import scaled
+    parents = [dz3w, twist(dz3w, random_twist(dz3w, 0)), sw, scaled("dense")[0]]
+    for parent in parents:
+        data = [parent] + [mutate(parent, layer, SplitMix64(seed))
+                           for layer in all_layers_of(parent) for seed in (0, 1)]
+        for d in data:
+            for name in ("eps", "D", "S"):
+                got = _cases(_algebra_map(d, name))
+                assert got == _cases(_parent_algebra_map(d, name))
+                assert len(got[0]) == 1 + d.dim ** 2 or got[1]
 
 
 def test_a_singular_antipode_fails_with_its_reason(kz2):

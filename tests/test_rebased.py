@@ -13,8 +13,8 @@ import pytest
 
 from qhopf.cli import main
 from qhopf.rng import SplitMix64
-from qhopf.tensor import (SparseTensor, add, apply_legs, hom_sum, invert, mult,
-                          sub)
+from qhopf.tensor import (SparseTensor, add, apply_legs, concat, hom_sum,
+                          invert, mult, sub)
 
 from basis import REBASED, SCALED, rebased, scaled
 from oracle import (dense_apply_legs, dense_basis, dense_mult, dense_of,
@@ -54,8 +54,15 @@ def test_rebased_vec_mul_matches_dense_oracle(name):
             assert all(got.values())
 
 
-LEG_NAMES = {2: (("S", "D"), ("eps", "id"), ("Sinv", "Dcop"), ("D", "S")),
-             3: (("id", "D", "S"), ("eps", "Sinv", "id"), ("D", "id", "eps"))}
+# with the shapes the callers use: ("D", "D") in big_f and the twist laws,
+# ("id", "id", "D") and ("D", "id", "id") in gamma, delta and the pentagon,
+# S on two of four legs in the conjugation and mirror sums, and no moved leg
+LEG_NAMES = {2: (("S", "D"), ("eps", "id"), ("Sinv", "Dcop"), ("D", "S"),
+                 ("D", "D"), ("id", "id")),
+             3: (("id", "D", "S"), ("eps", "Sinv", "id"), ("D", "id", "eps"),
+                 ("id", "id", "D"), ("D", "id", "id"), ("id", "id", "id")),
+             4: (("S", "S", "id", "id"), ("id", "id", "S", "S"),
+                 ("id", "id", "id", "id"))}
 
 
 @pytest.mark.parametrize("name", REBASED)
@@ -63,7 +70,7 @@ def test_rebased_apply_legs_matches_dense_oracle(name):
     d = rebased(name)
     f = d.field
     rng = SplitMix64(3 * len(name))
-    for base in (d.phi, d.R):
+    for base in (d.phi, d.R, concat(d.R, d.R)):
         k = base.arity
         tensors = [base, SparseTensor.make(f, k, d.dim,
                                            _random_items(rng, f, d.dim, k, 6))]
@@ -107,7 +114,7 @@ def test_scaled_mult_and_invert_match_dense_oracle(name):
 @pytest.mark.parametrize("name", SCALED)
 def test_scaled_apply_legs_and_vec_mul_match_dense_oracle(name):
     d, tensors = scaled(name)
-    for t in tensors + [d.phi]:
+    for t in tensors + [d.phi, concat(tensors[0], tensors[2])]:
         for names in LEG_NAMES[t.arity]:
             got = apply_legs(t, d.legs(*names))
             _assert_exact(got)

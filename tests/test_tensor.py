@@ -163,6 +163,23 @@ def test_apply_legs_against_oracle():
         assert dense_of(apply_legs(t, [D, S])) == dense_apply_legs(d, t, ["D", "S"])
 
 
+@pytest.mark.parametrize("name", ["dz3w", "sw"])
+def test_apply_legs_shares_no_dict(name, request):
+    # over F_p the numerators of t are its entries themselves; a result with
+    # no moved leg and one with a moved leg each get a dict of their own
+    d = request.getfixturevalue(name)
+    t = d.phi
+    before = dict(t.entries)
+    for legs in ([LEG_ID] * 3, d.legs("id", "S", "id")):
+        got = apply_legs(t, legs)
+        for key in got.entries:
+            got.entries[key] = got.field.canon(got.entries[key] + 1)
+        got.entries[(0, 0, 0)] = got.field.one
+        assert t.entries == before
+        got.entries.clear()
+        assert t.entries == before
+
+
 def test_flip_involution_and_decomposable():
     rng = SplitMix64(17)
     t = random_tensor(rng, F7, 3, 3)
