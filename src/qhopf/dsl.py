@@ -253,14 +253,19 @@ def parse(source, field=None):
 
 def infer_arity(node):
     """Arity of the expression; None for a bare scalar literal."""
-    return _analyse(node, set())[0]
+    return _analyse(node, set(), set(), {})[0]
 
 
-def _analyse(node, free):
+def _analyse(node, free, keep, seen):
     """(arity, basis variables) of node, the arity None for a bare scalar
     literal; adds node and each of its subterms without a basis variable
-    to `free`."""
-    found = set()
+    to `free`.  `seen` maps each subterm walked to that pair; one met again
+    is not walked again but added to `keep`, the subterms whose values are
+    read again, with each free subterm whose parent has a basis variable."""
+    if node in seen:
+        keep.add(node)
+        return seen[node]
+    found, kids = set(), ()
     if isinstance(node, Name):
         arity = _constant(node.name).arity
     elif isinstance(node, Basis):
@@ -270,8 +275,9 @@ def _analyse(node, free):
     elif isinstance(node, ScalarLit):
         arity = None
     elif isinstance(node, (Prod, Eq)):
-        a, left = _analyse(node.left, free)
-        b, right = _analyse(node.right, free)
+        kids = node.left, node.right
+        a, left = _analyse(node.left, free, keep, seen)
+        b, right = _analyse(node.right, free, keep, seen)
         found = left | right
         if isinstance(node, Prod) and node.op == "#":
             if a is None or b is None:
@@ -284,7 +290,8 @@ def _analyse(node, free):
         else:
             arity = a if a is not None else b
     elif isinstance(node, (Inv, Flip, MapLegs)):
-        arity, found = _analyse(node.expr, free)
+        kids = node.expr,
+        arity, found = _analyse(node.expr, free, keep, seen)
         if isinstance(node, Flip) and (
                 arity is None or node.i == node.j
                 or not 0 <= node.i < arity or not 0 <= node.j < arity):
@@ -297,23 +304,26 @@ def _analyse(node, free):
             arity = sum(LEGS[l].width for l in node.legs)
     else:
         raise TypeError(node)
-    if not found:
+    if found:
+        keep.update(free.intersection(kids))
+    else:
         free.add(node)
+    seen[node] = arity, found
     return arity, found
 
 
-_Plan = namedtuple("_Plan", "expr free variables")
+_Plan = namedtuple("_Plan", "expr free keep variables")
 
 
 def _plan(expr, field=None):
     """What evaluating expr, an AST or text parsed with `field`, needs
-    besides a datum: the subterms without a basis variable (`free`) and
-    the sorted basis variables."""
+    besides a datum: the subterms without a basis variable (`free`), those
+    kept once evaluated (`keep`) and the sorted basis variables."""
     if isinstance(expr, str):
         expr = _Parser(expr, field).parse()
-    free = set()
-    variables = sorted(_analyse(expr, free)[1])
-    return _Plan(expr, free, variables)
+    free, keep = set(), set()
+    variables = sorted(_analyse(expr, free, keep, {})[1])
+    return _Plan(expr, free, keep, variables)
 
 
 # ----- printer ---------------------------------------------------------------
@@ -364,17 +374,18 @@ def _resolve(d, name, consts):
 
 class _Run:
     """The state of one evaluation of a plan: the datum, bound constants,
-    the basis variable's value, and the value of every subterm evaluated so
-    far, keyed by the subterm.  The values of the free subterms stay in
-    `memo` while a line loops over the basis; the others (`local`) are
-    dropped when the variable moves on."""
+    the basis variable's value, and the values of the plan's `keep`
+    subterms evaluated so far, keyed by the subterm.  Those of free
+    subterms stay in `memo` for the whole line; the others (`local`) are
+    dropped when the variable moves on.  Any other value is read once, by
+    its parent, and is freed when the parent has used it."""
 
-    __slots__ = ("d", "consts", "free", "bindings", "memo", "local")
+    __slots__ = ("d", "consts", "free", "keep", "bindings", "memo", "local")
 
     def __init__(self, d, consts, p):
         self.d = d
         self.consts = consts
-        self.free = p.free
+        self.free, self.keep = p.free, p.keep
         self.bindings = {}
         self.memo = {}
         self.local = {}
@@ -385,6 +396,8 @@ class _Run:
 
 
 def _eval(node, run):
+    if node not in run.keep:
+        return _eval_node(node, run)
     cache = run.memo if node in run.free else run.local
     value = cache.get(node)
     if value is None:

@@ -9,7 +9,10 @@ none; scaled to 1 there, the row becomes that column's pivot.
 Back-substitution then takes the pivots in decreasing column order and
 clears each at its later pivot columns with rows already reduced.  The RREF
 of the rows is unique, whichever rows serve as pivots; the sparsest-first
-order only keeps fill-in low.
+order only keeps fill-in low.  A row operation makes no call per entry:
+over F_p it reduces each entry it writes with an inline `% p`, and over Q
+the Fraction arithmetic already gives canonical values.  Only the scaling
+of a pivot row goes through `field.canon`.
 
   * `solve` augments A with b as column n: a pivot there means the system
     is inconsistent, and free variables are 0.
@@ -24,12 +27,16 @@ arity-3 inversion over D^w(Z3)).
 """
 
 
-def _subtract(canon, row, f, p):
-    """row -= f * p in place, dropping the entries that become zero (f is
-    nonzero, so only entries already in row can)."""
+def _subtract(p, row, f, pivot):
+    """row -= f * pivot in place, dropping the entries that become zero (f
+    is nonzero, so only entries already in row can).  Over F_p each entry
+    written is reduced by an inline % p; over Q (p None) it is the Fraction
+    that the arithmetic gives, already canonical."""
     get = row.get
-    for j, v in p.items():
-        new = canon(get(j, 0) - f * v)
+    for j, v in pivot.items():
+        new = get(j, 0) - f * v
+        if p:
+            new %= p
         if new:
             row[j] = new
         else:
@@ -42,6 +49,7 @@ def _eliminate_sparse(field, rows):
     Returns the nonzero rows as (pivot column, row) pairs in increasing
     pivot order, each row scaled to 1 at its pivot."""
     canon = field.canon
+    p = field.p if field.kind == "prime" else None
     pivot = {}
     for row in sorted(rows, key=len):
         while row:
@@ -52,12 +60,12 @@ def _eliminate_sparse(field, rows):
                     row[j] = canon(inv * v)
                 pivot[c] = row
                 break
-            _subtract(canon, row, row[c], pivot[c])
+            _subtract(p, row, row[c], pivot[c])
     order = sorted(pivot)
     for c in reversed(order):
         row = pivot[c]
         for k in [j for j in row if j != c and j in pivot]:
-            _subtract(canon, row, row[k], pivot[k])
+            _subtract(p, row, row[k], pivot[k])
     return [(c, pivot[c]) for c in order]
 
 

@@ -38,11 +38,15 @@ from .tensor import _buckets, _vec_mul
 def product(alg, n1, n2, k):
     """The numerators of the product of the trees n1, n2 of k legs, keyed in
     full: chase() on a basis of single-term products, each of its sums per
-    output prefix then keyed once; expand() on others."""
+    output prefix then keyed once; expand() on others.  After chase() the
+    trees are dropped before the keys are made, so that a caller that holds
+    no other reference to them never has the trees, the sums and the keyed
+    output alive at once."""
     if alg.mono is None:
         return expand(alg.nstruct, n1, n2, k)
     sums = {}
     chase(sums, alg.mono, n1, n2, k, (), 1)
+    del n1, n2
     return {key + (i,): c for key, out in sums.items() for i, c in out.items()}
 
 

@@ -815,3 +815,40 @@ def test_mutants_fail_builder_commands_like_verify(sw, dz2_f5, mutant_path,
     if not verify(bad, level="qt" if bad.R is not None else "hopf").ok:
         assert rc == 1, err
         assert _failing(out)
+
+
+def _kernel_calls(monkeypatch, args):
+    """(calls of mult and of apply_legs, output) of `qhopf args`, counted
+    through every module that binds the two kernels."""
+    import qhopf.tensor as te
+    from qhopf import datum, derived, drinfeld, dsl, ribbon, twisting
+    counts = {"mult": 0, "apply_legs": 0}
+    for name in counts:
+        real = getattr(te, name)
+
+        def counted(*a, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*a)
+        for mod in (te, datum, derived, drinfeld, dsl, ribbon, twisting):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    rc, out, _ = _run(args)
+    monkeypatch.undo()
+    assert rc == 0
+    return counts, out
+
+
+def test_kernel_calls_are_pinned(monkeypatch, tmp_path, dz3w, sw):
+    # a value that a line reads once is freed when its parent has used it,
+    # and a value read again is kept: no product or leg map is computed
+    # twice, so these counts are those of a run that kept every value
+    from qhopf import random_twist, twist
+    runs = [(["verify"], twist(dz3w, random_twist(dz3w, 0)), 297, 190),
+            (["check", "corpus"], dz3w, 416, 314),
+            (["check", "corpus"], sw, 161, 174)]
+    for command, d, mults, legs in runs:
+        path = tmp_path / "d.json"
+        path.write_text(d.dumps())
+        counts, out = _kernel_calls(monkeypatch, command + [str(path)])
+        assert counts == {"mult": mults, "apply_legs": legs}, command
+        assert "0 failing" in out

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -476,3 +478,22 @@ def test_a_singular_antipode_fails_with_its_reason(kz2):
                                "status": "fail",
                                "witness": {"reason":
                                            "antipode matrix is singular"}}
+
+
+def test_verify_peak_memory_on_a_twist(dz3w):
+    # the pentagon's arity-4 products set the peak of verify on twisted
+    # data.  A line keeps only the values it reads again, and a product
+    # drops its operand trees before it keys its output: the peak is about
+    # 3.1 MB here, 3.55 MB with the first alone, and 4.4 MB when every
+    # value lived to the end of its line and the trees to the end of the
+    # product
+    import qhopf.derived, qhopf.drinfeld, qhopf.trees  # compiled untraced
+    d = loads(twist(dz3w, random_twist(dz3w, 0)).dumps())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert verify(d).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4e6

@@ -375,6 +375,37 @@ def test_the_corpus_does_not_rerun_its_gate(dz2w, monkeypatch):
     assert evaluated == []
 
 
+def test_a_line_keeps_only_the_values_it_reads_again(dz3w, monkeypatch):
+    # map[D](basis(i)) is read twice per basis index and Phi on every index:
+    # each is evaluated once per index and once per line.  The pentagon
+    # reads Phi and one_1 again, and keeps no other value once its parent
+    # has used it
+    d = load(dz3w.to_json())
+    lines = dict(corpus_entries())
+    coassoc = qhopf.dsl._plan(lines["quasi_coassociativity"])
+    pentagon = qhopf.dsl._plan(lines["pentagon"])
+    twice = parse("map[D](basis(i))")
+    assert coassoc.keep == {twice, Name("Phi")}
+    assert pentagon.keep == {Name("Phi"), Name("one_1")}
+    calls, held = {}, []
+    real = qhopf.dsl._eval_node
+
+    def spy(node, run):
+        value = real(node, run)
+        calls[node] = calls.get(node, 0) + 1
+        held.append(set(run.memo) | set(run.local))
+        return value
+    monkeypatch.setattr(qhopf.dsl, "_eval_node", spy)
+    assert check_line(d, lines["quasi_coassociativity"])[0] == "pass"
+    assert calls[twice] == d.dim and calls[Name("Phi")] == 1
+    assert calls[MapLegs(("id", "D"), twice)] == d.dim
+    calls.clear()
+    held.clear()
+    assert check_line(d, lines["pentagon"])[0] == "pass"
+    assert set(calls.values()) == {1}
+    assert held and all(h <= pentagon.keep for h in held)
+
+
 def test_readme_lists_the_tables():
     # the README's constant list and `leg :=` line name the keys of the two
     # tables, and every `derive --element` choice is a named constant

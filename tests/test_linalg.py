@@ -168,30 +168,32 @@ def test_empty_and_zero_systems():
     assert linalg.invert_matrix(f, {0: ((0, 2),), 1: ()}, 2) is None
 
 
-class CountingField(PrimeField):
-    """F_p that counts its canon calls: one per entry a row operation or a
-    scaling writes."""
+class CountingModulus(int):
+    """A prime modulus that counts the reductions by it, x % p: one per
+    entry that a row operation or a pivot scaling writes, whether inline or
+    through the field's canon."""
 
-    def __init__(self, p):
-        super().__init__(p)
-        self.canon_calls = 0
+    def __new__(cls, p):
+        m = super().__new__(cls, p)
+        m.reductions = 0
+        return m
 
-    def canon(self, x):
-        self.canon_calls += 1
-        return super().canon(x)
+    def __rmod__(self, x):
+        self.reductions += 1
+        return int.__rmod__(self, x)
 
 
 def test_arrowhead_solve_work_is_quadratic():
     # sparsest rows first: each e_i + a_i e_0 row is reduced along a chain
-    # of two-entry pivots, about n^2 calls in all, and the dense row comes
-    # last; in input order the dense row would fill every other row, for
-    # about 100 n^2 calls here
+    # of two-entry pivots, about n^2 reductions in all, and the dense row
+    # comes last; in input order the dense row would fill every other row,
+    # for about 100 n^2 reductions here
     n = 300
-    f = CountingField(10007)
+    f = PrimeField(CountingModulus(10007))
     dense = _arrowhead(SplitMix64(5), f, n)
-    f.canon_calls = 0
+    f.p.reductions = 0
     x = linalg.solve(f, _sparse(f, dense), n, {0: 1})
-    assert f.canon_calls <= 2 * n * n
+    assert n * n // 2 <= f.p.reductions <= 2 * n * n
     assert _apply(f, dense, x) == [1] + [0] * (n - 1)
 
 
